@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "sim/logging.hh"
+#include "sim/options.hh"
 #include "trace/spec_suite.hh"
 
 namespace microlib::bench
@@ -12,8 +13,7 @@ namespace microlib::bench
 std::vector<std::string>
 benchmarkSet()
 {
-    const char *quick = std::getenv("MICROLIB_QUICK");
-    if (quick && quick[0] == '1') {
+    if (envFlag("MICROLIB_QUICK")) {
         return {"ammp", "swim", "gzip", "mcf", "crafty", "lucas",
                 "twolf", "gap"};
     }

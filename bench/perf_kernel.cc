@@ -14,13 +14,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/baseline_config.hh"
@@ -425,15 +423,12 @@ BM_TraceArenaColdWarm(benchmark::State &state)
 }
 BENCHMARK(BM_TraceArenaColdWarm)->Arg(0)->Arg(1);
 
-// --- Matrix scheduling: per-benchmark barrier vs the engine. ---
+// --- Matrix scheduling: the engine's single work queue. ---
 //
-// The two benchmarks below sweep the same small matrix. The first
-// reproduces the pre-engine runMatrix(): materialize one benchmark,
-// spawn a thread team over the mechanisms, join (a full barrier),
-// repeat. The second uses the ExperimentEngine's single work queue
-// and persistent pool. On a multi-core host the barrier version
-// leaves workers idle at the tail of every benchmark; the engine
-// version does not.
+// A small matrix swept by the ExperimentEngine's persistent pool.
+// Measured in wall time (UseRealTime): the default CPU time counts
+// only the calling thread, so /4 and /8 would report "scaling" that
+// the wall clock never saw.
 
 const std::vector<std::string> matrix_mechs = {"Base", "TP", "SP",
                                                "GHB"};
@@ -450,65 +445,13 @@ matrixConfig()
     return cfg;
 }
 
-/** The old runMatrix() loop: fresh team + barrier per benchmark. */
-MatrixResult
-runMatrixBarrier(const std::vector<std::string> &mechanisms,
-                 const std::vector<std::string> &benchmarks,
-                 const RunConfig &cfg, unsigned threads)
-{
-    MatrixResult res;
-    res.mechanisms = mechanisms;
-    res.benchmarks = benchmarks;
-    res.ipc.assign(mechanisms.size(),
-                   std::vector<double>(benchmarks.size(), 0.0));
-    res.outputs.assign(mechanisms.size(),
-                       std::vector<RunOutput>(benchmarks.size()));
-    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-        const MaterializedTrace trace =
-            materializeFor(benchmarks[b], cfg);
-        std::atomic<std::size_t> next{0};
-        auto worker = [&]() {
-            for (;;) {
-                const std::size_t m =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (m >= mechanisms.size())
-                    return;
-                RunOutput out = runOne(trace, mechanisms[m], cfg);
-                res.ipc[m][b] = out.core.ipc;
-                res.outputs[m][b] = std::move(out);
-            }
-        };
-        std::vector<std::thread> team;
-        for (unsigned t = 1; t < threads; ++t)
-            team.emplace_back(worker);
-        worker();
-        for (auto &t : team)
-            t.join();
-    }
-    return res;
-}
-
-void
-BM_MatrixBarrier(benchmark::State &state)
-{
-    const RunConfig cfg = matrixConfig();
-    const auto threads = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runMatrixBarrier(
-            matrix_mechs, matrix_benchs, cfg, threads));
-    state.SetItemsProcessed(state.iterations() * matrix_mechs.size() *
-                            matrix_benchs.size());
-}
-BENCHMARK(BM_MatrixBarrier)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void
 BM_MatrixEngine(benchmark::State &state)
 {
     const RunConfig cfg = matrixConfig();
     EngineOptions opts;
     opts.threads = static_cast<unsigned>(state.range(0));
-    opts.keep_traces = false; // same memory profile as the barrier
+    opts.keep_traces = false; // rematerialize every iteration
     ExperimentEngine engine(opts);
     for (auto _ : state)
         benchmark::DoNotOptimize(
@@ -517,7 +460,7 @@ BM_MatrixEngine(benchmark::State &state)
                             matrix_benchs.size());
 }
 BENCHMARK(BM_MatrixEngine)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1,8 +1,7 @@
 #include "core/baseline_config.hh"
 
-#include <cstdlib>
-
 #include "mem/cache_simple.hh"
+#include "sim/options.hh"
 
 namespace microlib
 {
@@ -182,8 +181,7 @@ TraceScale
 makeTraceScale()
 {
     TraceScale s;
-    const char *quick = std::getenv("MICROLIB_QUICK");
-    if (quick && quick[0] == '1') {
+    if (envFlag("MICROLIB_QUICK")) {
         s.simpoint_trace /= 4;
         s.simpoint_interval /= 4;
         s.arbitrary_skip /= 4;

@@ -154,8 +154,8 @@ struct CliffFinderOptions
 class CliffFinder
 {
   public:
-    /** @p engine drives every probe (its store/backend/supervision
-     *  options apply); @p base is the sweep being studied. */
+    /** @p engine drives every probe (its store and backend apply);
+     *  @p base is the sweep being studied. */
     CliffFinder(ExperimentEngine &engine, SweepSpec base,
                 CliffFinderOptions opts = {});
 

@@ -58,17 +58,13 @@ runShardWorker(const TaskPlan &plan, const std::vector<char> &done,
         // parent's pool threads do not exist in this process; its
         // engine is never touched again (no destructors run either —
         // see the _exit below).
-        ResultStore store(store_path);
-        EngineOptions opts;
-        opts.threads = threads;
-        opts.keep_traces = parent_ctx.opts.keep_traces;
-        opts.verbose = parent_ctx.opts.verbose;
-        opts.trace_budget_bytes = parent_ctx.opts.trace_budget_bytes;
-        opts.lockstep = parent_ctx.opts.lockstep;
-        // All shard workers share the parent's arena directory: the
+        // The parent's options, trace arena directory included: the
         // first worker to need a window publishes it, every sibling
         // (and every later run) mmaps that one copy.
-        opts.trace_dir = parent_ctx.opts.trace_dir;
+        ResultStore store(store_path);
+        EngineOptions opts = parent_ctx.opts;
+        opts.threads = threads;
+        opts.backend = nullptr; // the in-process drain below
         opts.store = &store;
         opts.shard = shard;
         opts.progress_path = progress_path;
@@ -229,11 +225,7 @@ ProcessShardBackend::execute(const TaskPlan &plan,
     for (std::size_t i : pending)
         pending_keys.insert(plan.resultKey(i).str());
 
-    SupervisionPolicy policy;
-    policy.heartbeat_timeout = ctx.opts.heartbeat_timeout;
-    policy.max_worker_retries = ctx.opts.max_worker_retries;
-    policy.quarantine_strikes = ctx.opts.quarantine_strikes;
-    policy.backoff_initial_s = ctx.opts.worker_backoff_s;
+    const SupervisionPolicy &policy = _opts.supervision;
     SweepSupervisor supervisor(policy);
 
     // The mask restarted workers are launched with: the caller's

@@ -15,12 +15,12 @@
  *    docs/FAULT_TOLERANCE.md): it polls instead of blocking in
  *    waitpid, tails each worker's JSONL progress stream for
  *    heartbeat liveness, SIGKILLs a worker that stops heartbeating
- *    past EngineOptions::heartbeat_timeout, restarts dead/stalled
- *    workers with exponential backoff up to
- *    EngineOptions::max_worker_retries (the restarted worker resumes
+ *    past ProcessShardOptions::supervision.heartbeat_timeout,
+ *    restarts dead/stalled workers with exponential backoff up to
+ *    supervision.max_worker_retries (the restarted worker resumes
  *    from its shard store, so only missing tasks re-execute), and
  *    quarantines a task that keeps killing its worker after
- *    EngineOptions::quarantine_strikes failures — the rest of the
+ *    supervision.quarantine_strikes failures — the rest of the
  *    sweep completes, the cell is flagged in MatrixResult::fault and
  *    listed in RunCounters::quarantined;
  *  - once every shard finishes, the parent merges the shard stores
@@ -46,6 +46,7 @@
 #include <string>
 
 #include "core/execution_backend.hh"
+#include "core/supervisor.hh"
 
 namespace microlib
 {
@@ -64,6 +65,10 @@ struct ProcessShardOptions
      *  (they are always kept when a worker fails, so the next run
      *  resumes the shard). */
     bool keep_shard_stores = false;
+
+    /** Stall detection, restart budget, backoff and quarantine for
+     *  the shard workers (core/supervisor.hh). */
+    SupervisionPolicy supervision;
 };
 
 /** Forked shard workers, one append-only store per shard. */

@@ -12,6 +12,7 @@
 
 #include "sim/fingerprint.hh"
 #include "sim/logging.hh"
+#include "sim/options.hh"
 #include "trace/spec_suite.hh"
 
 namespace microlib
@@ -159,14 +160,6 @@ recordChecksum(const std::string &body)
     Fingerprint fp;
     fp.mix(body);
     return fp.value();
-}
-
-/** Whether MICROLIB_STORE_FSYNC asks for fsync-per-append. */
-bool
-fsyncRequested()
-{
-    const char *env = std::getenv("MICROLIB_STORE_FSYNC");
-    return env && *env && std::string(env) != "0";
 }
 
 } // namespace
@@ -338,7 +331,7 @@ ResultStore::parseRecord(const std::string &line, ResultRecord &rec)
 }
 
 ResultStore::ResultStore(const std::string &path, Mode mode)
-    : _path(path), _mode(mode), _fsync(fsyncRequested())
+    : _path(path), _mode(mode), _fsync(envFlag("MICROLIB_STORE_FSYNC"))
 {
     if (_mode == Mode::ReadWrite) {
         const std::filesystem::path parent =

@@ -1,11 +1,13 @@
 #include "core/scheduler.hh"
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "core/progress.hh"
 #include "core/result_store.hh"
 #include "core/thread_pool_backend.hh"
 #include "sim/logging.hh"
+#include "sim/options.hh"
 #include "trace/spec_suite.hh"
 #include "trace/trace_arena.hh"
 
@@ -22,16 +24,10 @@ resolveTraceBudget(const EngineOptions &opts)
 {
     if (opts.trace_budget_bytes)
         return opts.trace_budget_bytes;
-    const char *env = std::getenv("MICROLIB_TRACE_BUDGET_MB");
-    if (!env || !*env)
-        return 0;
-    char *end = nullptr;
-    const unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0') {
-        warn("ignoring malformed MICROLIB_TRACE_BUDGET_MB=", env);
-        return 0;
-    }
-    return static_cast<std::size_t>(mb) * 1024 * 1024;
+    constexpr std::size_t mib = 1024 * 1024;
+    return envCount("MICROLIB_TRACE_BUDGET_MB", SIZE_MAX / mib)
+               .value_or(0) *
+           mib;
 }
 
 /** Effective arena directory: the explicit option, else the
@@ -50,15 +46,8 @@ resolveTraceDir(const EngineOptions &opts)
 bool
 resolveLockstep(const EngineOptions &opts)
 {
-    const char *env = std::getenv("MICROLIB_LOCKSTEP");
-    if (!env || !*env)
-        return opts.lockstep;
-    const std::string v(env);
-    if (v == "0")
-        return false;
-    if (v == "1")
-        return true;
-    warn("ignoring malformed MICROLIB_LOCKSTEP=", v, " (want 0 or 1)");
+    if (const auto env = envCount("MICROLIB_LOCKSTEP", 1))
+        return *env == 1;
     return opts.lockstep;
 }
 

@@ -124,31 +124,6 @@ struct EngineOptions
     ExecutionBackend *backend = nullptr;
 
     /**
-     * Supervision knobs for ProcessShardBackend (ignored elsewhere;
-     * see core/supervisor.hh and docs/FAULT_TOLERANCE.md).
-     *
-     * heartbeat_timeout: seconds without progress-stream growth
-     * before a shard worker is declared stalled and SIGKILLed for
-     * restart. Must exceed the longest single task; <= 0 (default)
-     * disables stall detection — crash supervision still applies.
-     */
-    double heartbeat_timeout = 0.0;
-
-    /** Worker restarts allowed per shard before the sweep fails
-     *  (0 = the old fail-fast behavior). The budget resets when a
-     *  quarantine removes the task that was killing the worker. */
-    std::size_t max_worker_retries = 2;
-
-    /** Failures blamed on the same task before it is quarantined
-     *  (excluded, its cell rendered FAULT) instead of retried;
-     *  0 disables quarantine. */
-    std::size_t quarantine_strikes = 3;
-
-    /** First worker-restart delay in seconds; doubles per
-     *  consecutive retry of the same shard (capped internally). */
-    double worker_backoff_s = 0.25;
-
-    /**
      * Advance the config variants of each (benchmark-window,
      * mechanism) group in lockstep over a single trace pass — one
      * decode, V state machines per block (cpu/lockstep.hh) — instead

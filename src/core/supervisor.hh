@@ -40,7 +40,7 @@
 namespace microlib
 {
 
-/** Supervision knobs (EngineOptions carries these; see
+/** Supervision knobs (held by ProcessShardOptions::supervision; see
  *  docs/FAULT_TOLERANCE.md). */
 struct SupervisionPolicy
 {
@@ -62,7 +62,7 @@ struct SupervisionPolicy
     /** First restart delay in seconds; doubles per consecutive
      *  retry of the same worker, capped at backoff_max_s. */
     double backoff_initial_s = 0.25;
-    double backoff_max_s = 8.0;
+    static constexpr double backoff_max_s = 8.0;
 };
 
 /**

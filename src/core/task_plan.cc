@@ -1,11 +1,11 @@
 #include "core/task_plan.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 
 #include "core/result_store.hh"
 #include "sim/fingerprint.hh"
+#include "sim/options.hh"
 
 namespace microlib
 {
@@ -23,17 +23,10 @@ bool
 ShardSpec::parse(const std::string &text, ShardSpec &out)
 {
     const auto slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
-        return false;
-    char *end = nullptr;
-    const unsigned long long i =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + slash)
-        return false;
-    const unsigned long long n =
-        std::strtoull(text.c_str() + slash + 1, &end, 10);
-    if (*end != '\0' || n == 0 || i >= n)
+    std::uint64_t i = 0, n = 0;
+    if (slash == std::string::npos ||
+        !parseCount(text.substr(0, slash), i) ||
+        !parseCount(text.substr(slash + 1), n, 1) || i >= n)
         return false;
     out.index = static_cast<std::size_t>(i);
     out.count = static_cast<std::size_t>(n);

@@ -41,9 +41,6 @@ errReply(const std::string &cmd, const std::string &error)
 SweepService::SweepService(SweepServiceOptions opts)
     : _opts(std::move(opts)), _jobs(_opts.max_done_jobs)
 {
-    _policy.heartbeat_timeout = _opts.heartbeat_timeout;
-    _policy.quarantine_strikes = _opts.quarantine_strikes;
-    _policy.max_worker_retries = _opts.max_worker_retries;
 }
 
 SweepService::~SweepService()
@@ -271,7 +268,11 @@ SweepService::cmdSubmit(Conn &c, const std::string &line)
         return;
     }
     const bool existed = _jobs.find(jobIdOf(spec)) != nullptr;
-    JobTable::Submission sub = _jobs.submit(spec, *_store, _policy);
+    // Strikes are the daemon's only per-job policy: a failed worker's
+    // lease requeues to whoever pulls next, with no restart to budget.
+    SupervisionPolicy policy;
+    policy.quarantine_strikes = _opts.quarantine_strikes;
+    JobTable::Submission sub = _jobs.submit(spec, *_store, policy);
     ServiceJob &job = *sub.job;
     if (_opts.read_only && !job.completed) {
         // Serve-only deployment: anything needing execution is

@@ -68,9 +68,9 @@ struct SweepServiceOptions
      *  via EOF still applies). */
     double heartbeat_timeout = 0.0;
 
-    /** PR-7 strike policy (core/supervisor.hh). */
+    /** Failures blamed on one task before it is quarantined
+     *  (core/supervisor.hh); 0 disables quarantine. */
     std::size_t quarantine_strikes = 3;
-    std::size_t max_worker_retries = 2;
 
     /** Serve cached results only: the store opens ReadOnly, submits
      *  needing execution are refused, workers are refused. */
@@ -147,7 +147,6 @@ class SweepService
     void progress(const ProgressEvent &ev);
 
     SweepServiceOptions _opts;
-    SupervisionPolicy _policy;
     std::unique_ptr<ResultStore> _store;
     std::unique_ptr<ProgressWriter> _progress;
     JobTable _jobs;

@@ -1,8 +1,8 @@
 #include "sim/config.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+
+#include "sim/options.hh"
 
 namespace microlib
 {
@@ -10,31 +10,17 @@ namespace microlib
 bool
 parseScaledU64(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty())
-        return false;
-    // strtoull skips leading whitespace and accepts a sign (wrapping
-    // negatives); demand the value start with a digit outright.
-    if (text[0] < '0' || text[0] > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || errno == ERANGE)
-        return false;
     std::uint64_t scale = 1;
-    if (*end != '\0') {
-        if (end[1] != '\0')
-            return false;
-        switch (*end) {
-          case 'k': case 'K': scale = 1ull << 10; break;
-          case 'm': case 'M': scale = 1ull << 20; break;
-          case 'g': case 'G': scale = 1ull << 30; break;
-          default: return false;
-        }
+    switch (text.empty() ? '\0' : text.back()) {
+      case 'k': case 'K': scale = 1ull << 10; break;
+      case 'm': case 'M': scale = 1ull << 20; break;
+      case 'g': case 'G': scale = 1ull << 30; break;
     }
-    if (scale != 1 && v > UINT64_MAX / scale)
+    std::uint64_t v = 0;
+    if (!parseCount(text.substr(0, text.size() - (scale != 1)), v, 0,
+                    count_max / scale))
         return false;
-    out = static_cast<std::uint64_t>(v) * scale;
+    out = v * scale;
     return true;
 }
 

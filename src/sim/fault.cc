@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "sim/logging.hh"
+#include "sim/options.hh"
 
 namespace microlib
 {
@@ -21,20 +22,6 @@ const char *
 kindWord(FaultKind k)
 {
     return k == FaultKind::Crash ? "crash" : "hang";
-}
-
-/** Parse a full base-10 token; false on junk or empty input. */
-bool
-parseIndex(const std::string &text, std::size_t &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        return false;
-    out = static_cast<std::size_t>(v);
-    return true;
 }
 
 } // namespace
@@ -91,13 +78,13 @@ FaultPlan::parse(const std::string &text, FaultPlan &out,
         std::string rest = part.substr(at + 1);
         const auto colon = rest.find(':');
         if (colon != std::string::npos) {
-            if (!parseIndex(rest.substr(colon + 1), clause.count))
+            if (!parseCount(rest.substr(colon + 1), clause.count))
                 return fail("bad count in '" + part + "'");
             if (clause.count == 0)
                 return fail("zero count in '" + part + "'");
             rest = rest.substr(0, colon);
         }
-        if (!parseIndex(rest, clause.task))
+        if (!parseCount(rest, clause.task))
             return fail("bad task index in '" + part + "'");
         for (const FaultClause &c : out.clauses)
             if (c.task == clause.task)

@@ -42,6 +42,7 @@
 #define MICROLIB_SIM_FAULT_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -60,8 +61,8 @@ enum class FaultKind
 struct FaultClause
 {
     FaultKind kind = FaultKind::Crash;
-    std::size_t task = 0;
-    std::size_t count = 1;
+    std::uint64_t task = 0;
+    std::uint64_t count = 1;
 
     /** Canonical text: "crash@7:2". */
     std::string str() const;

@@ -1,6 +1,8 @@
 #include "sim/thread_pool.hh"
 
-#include <cstdlib>
+#include <limits>
+
+#include "sim/options.hh"
 
 namespace microlib
 {
@@ -73,8 +75,9 @@ unsigned
 ThreadPool::defaultThreadCount()
 {
     unsigned threads = std::thread::hardware_concurrency();
-    if (const char *env = std::getenv("MICROLIB_THREADS"))
-        threads = static_cast<unsigned>(std::atoi(env));
+    if (const auto env = envCount("MICROLIB_THREADS",
+                                  std::numeric_limits<unsigned>::max()))
+        threads = static_cast<unsigned>(*env);
     return threads == 0 ? 1 : threads;
 }
 

@@ -237,7 +237,6 @@ TEST(Supervisor, RetryBudgetWithExponentialBackoff)
     SupervisionPolicy policy;
     policy.max_worker_retries = 2;
     policy.backoff_initial_s = 0.25;
-    policy.backoff_max_s = 8.0;
     SweepSupervisor sup(policy);
 
     WorkerFailure f;
@@ -264,7 +263,6 @@ TEST(Supervisor, BackoffIsCapped)
     SupervisionPolicy policy;
     policy.max_worker_retries = 10;
     policy.backoff_initial_s = 4.0;
-    policy.backoff_max_s = 8.0;
     SweepSupervisor sup(policy);
     WorkerFailure f;
     EXPECT_DOUBLE_EQ(sup.decide(f).delay_s, 4.0);
@@ -460,13 +458,13 @@ TEST(SupervisedSweep, CrashRecoveryIsBitIdenticalAcrossThreadCounts)
         cleanWorkerFiles(path, 2);
 
         ResultStore store(path);
-        ProcessShardBackend backend(
-            ProcessShardOptions{2, threads, false});
+        ProcessShardOptions sopts{2, threads, false};
+        sopts.supervision.backoff_initial_s = 0.01; // keep it quick
+        ProcessShardBackend backend(sopts);
         EngineOptions opts;
         opts.threads = 1;
         opts.store = &store;
         opts.backend = &backend;
-        opts.worker_backoff_s = 0.01; // keep the test quick
         ExperimentEngine engine(opts);
 
         const SweepResult res = supervisedRun(engine);
@@ -491,13 +489,14 @@ TEST(SupervisedSweep, HangIsDetectedKilledAndRecovered)
     cleanWorkerFiles(path, 2);
 
     ResultStore store(path);
-    ProcessShardBackend backend(ProcessShardOptions{2, 2, false});
+    ProcessShardOptions sopts{2, 2, false};
+    sopts.supervision.heartbeat_timeout = 10.0; // >> any quick task
+    sopts.supervision.backoff_initial_s = 0.01;
+    ProcessShardBackend backend(sopts);
     EngineOptions opts;
     opts.threads = 1;
     opts.store = &store;
     opts.backend = &backend;
-    opts.heartbeat_timeout = 10.0; // >> any single quick-config task
-    opts.worker_backoff_s = 0.01;
     ExperimentEngine engine(opts);
 
     const SweepResult res = supervisedRun(engine);
@@ -518,12 +517,13 @@ TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
     cleanWorkerFiles(path, 2);
 
     ResultStore store(path);
-    ProcessShardBackend backend(ProcessShardOptions{2, 2, false});
+    ProcessShardOptions sopts{2, 2, false};
+    sopts.supervision.backoff_initial_s = 0.01;
+    ProcessShardBackend backend(sopts);
     EngineOptions opts;
     opts.threads = 1;
     opts.store = &store;
     opts.backend = &backend;
-    opts.worker_backoff_s = 0.01;
     ExperimentEngine engine(opts);
 
     const SweepResult res = supervisedRun(engine);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <set>
@@ -82,4 +83,16 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnv)
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
     unsetenv("MICROLIB_THREADS");
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+}
+
+TEST(ThreadPool, MalformedEnvFallsBackToHardware)
+{
+    // A signed or non-numeric MICROLIB_THREADS is ignored with a
+    // warning, not wrapped to 2^32-1 threads or read as 0 by atoi.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const char *bad : {"-1", "abc", "4x", "99999999999"}) {
+        setenv("MICROLIB_THREADS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultThreadCount(), hw) << bad;
+    }
+    unsetenv("MICROLIB_THREADS");
 }

@@ -25,9 +25,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +35,7 @@
 #include "core/result_store.hh"
 #include "core/scheduler.hh"
 #include "core/sweep_spec.hh"
-#include "sim/version.hh"
+#include "sim/options.hh"
 
 using namespace microlib;
 
@@ -49,99 +48,13 @@ struct CliffArgs
     std::string mech_a, mech_b;
     std::vector<std::string> axes; // --axis, repeatable
     bool all_axes = false;
-    std::string witness_dir;
     std::string store_path;
-    std::string progress_path;
-    std::string trace_dir;
-    std::string report_path; // "-" = stdout
-    bool do_report = false;
-    unsigned threads = 0;
-    bool use_process_backend = false;
-    std::size_t process_shards = 2;
-    double heartbeat_timeout = 0.0;
-    std::size_t worker_retries = 2;
-    std::size_t quarantine_strikes = 3;
-    bool verbose = false;
+    std::optional<std::string> report; // "" or "-" = stdout
+    std::string backend = "thread";
+    CliffFinderOptions finder;   // --witness-dir, --verbose
+    EngineOptions engine;        // --threads, --progress, --trace-dir
+    ProcessShardOptions process; // --shards and supervision
 };
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s --spec FILE --mechanisms A,B (--axis KEY | "
-        "--all-axes) [options]\n"
-        "\n"
-        "Search description:\n"
-        "  --spec FILE         the base .sweep spec; each declared\n"
-        "                      axis's smallest and largest values are\n"
-        "                      that axis's search endpoints\n"
-        "  --mechanisms A,B    the mechanism pair whose ranking flip\n"
-        "                      to bisect to (Base is added to probes\n"
-        "                      automatically for speedups)\n"
-        "  --axis KEY          search this declared axis (repeatable)\n"
-        "  --all-axes          search every searchable declared axis\n"
-        "\n"
-        "Artifacts:\n"
-        "  --witness-dir DIR   write per-axis flip-witness .sweep\n"
-        "                      files and .json summaries into DIR\n"
-        "  --report [PATH]     write the cliff report table to PATH\n"
-        "                      (stdout if omitted or '-')\n"
-        "\n"
-        "Execution (as in microlib_sweep):\n"
-        "  --store PATH        append-only result store; probes are\n"
-        "                      deduped by config fingerprint, so a\n"
-        "                      re-run executes only unseen points\n"
-        "  --backend process   run each probe over forked shard\n"
-        "                      workers under the fault supervisor\n"
-        "  --shards N          worker count for --backend process\n"
-        "                      (default 2)\n"
-        "  --heartbeat-timeout SEC   stall detection (default off)\n"
-        "  --retries N         worker restarts per shard (default 2)\n"
-        "  --strikes K         failures before a task quarantines\n"
-        "                      (default 3; a faulted probe marks the\n"
-        "                      axis FAULTED, other axes continue)\n"
-        "  --threads N         engine worker threads\n"
-        "  --progress PATH     JSONL progress stream (per probe)\n"
-        "  --trace-dir DIR     persistent trace arena shared across\n"
-        "                      probes and with microlib_sweep\n"
-        "                      (default: MICROLIB_TRACE_DIR)\n"
-        "  --verbose           log each probe\n"
-        "  --version           print version + schema tuple and exit\n",
-        argv0);
-}
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char c : arg) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-std::uint64_t
-parseU64(const char *flag, const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "%s: not a number: %s\n", flag,
-                     value.c_str());
-        std::exit(2);
-    }
-    return v;
-}
 
 } // namespace
 
@@ -149,104 +62,70 @@ int
 main(int argc, char **argv)
 {
     CliffArgs args;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&](const char *name) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", name);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (flag == "--version") {
-            std::printf("%s\n",
-                        versionString("microlib_cliff").c_str());
-            return 0;
-        } else if (flag == "--spec") {
-            args.spec_path = value("--spec");
-        } else if (flag == "--mechanisms") {
-            const auto pair = splitList(value("--mechanisms"));
-            if (pair.size() != 2) {
-                std::fprintf(stderr,
-                             "--mechanisms wants exactly A,B\n");
-                return 2;
-            }
-            args.mech_a = pair[0];
-            args.mech_b = pair[1];
-        } else if (flag == "--axis") {
-            args.axes.push_back(value("--axis"));
-        } else if (flag == "--all-axes") {
-            args.all_axes = true;
-        } else if (flag == "--witness-dir") {
-            args.witness_dir = value("--witness-dir");
-        } else if (flag == "--store") {
-            args.store_path = value("--store");
-        } else if (flag == "--progress") {
-            args.progress_path = value("--progress");
-        } else if (flag == "--trace-dir") {
-            args.trace_dir = value("--trace-dir");
-        } else if (flag == "--threads") {
-            args.threads = static_cast<unsigned>(
-                parseU64("--threads", value("--threads")));
-        } else if (flag == "--backend") {
-            const std::string v = value("--backend");
-            if (v == "process") {
-                args.use_process_backend = true;
-            } else if (v != "thread") {
-                std::fprintf(stderr,
-                             "--backend wants 'thread' or 'process'\n");
-                return 2;
-            }
-        } else if (flag == "--shards") {
-            args.process_shards = static_cast<std::size_t>(
-                parseU64("--shards", value("--shards")));
-        } else if (flag == "--heartbeat-timeout") {
-            const std::string v = value("--heartbeat-timeout");
-            char *end = nullptr;
-            args.heartbeat_timeout = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' ||
-                args.heartbeat_timeout < 0) {
-                std::fprintf(stderr, "--heartbeat-timeout wants "
-                                     "seconds >= 0\n");
-                return 2;
-            }
-        } else if (flag == "--retries") {
-            args.worker_retries = static_cast<std::size_t>(
-                parseU64("--retries", value("--retries")));
-        } else if (flag == "--strikes") {
-            args.quarantine_strikes = static_cast<std::size_t>(
-                parseU64("--strikes", value("--strikes")));
-        } else if (flag == "--report") {
-            args.do_report = true;
-            // A lone "-" is the documented explicit-stdout spelling,
-            // not a flag — consume it.
-            if (i + 1 < argc && (argv[i + 1][0] != '-' ||
-                                 std::strcmp(argv[i + 1], "-") == 0))
-                args.report_path = argv[++i];
-        } else if (flag == "--verbose") {
-            args.verbose = true;
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    SupervisionPolicy &supervision = args.process.supervision;
+    OptionTable table("microlib_cliff",
+                      "--spec FILE --mechanisms A,B (--axis KEY | "
+                      "--all-axes) [options]",
+                      "Exit status: 0 clean, 1 search failed, 2 usage "
+                      "error, 3 an axis FAULTED");
+    table.section("Search description:")
+        .add("--spec", "FILE",
+             "base .sweep spec; each declared axis's extreme values are "
+             "its search endpoints",
+             args.spec_path)
+        .add({"--mechanisms", ValueSyntax::Required, "A,B",
+              "the mechanism pair whose ranking flip to bisect to",
+              [&args](const std::string &v) -> std::string {
+                  const auto pair = splitList(v);
+                  if (pair.size() != 2)
+                      return "wants exactly A,B";
+                  args.mech_a = pair[0];
+                  args.mech_b = pair[1];
+                  return {};
+              }})
+        .add({"--axis", ValueSyntax::Required, "KEY",
+              "search this declared axis (repeatable)",
+              [&args](const std::string &v) {
+                  args.axes.push_back(v);
+                  return std::string();
+              }})
+        .add("--all-axes", "", "search every searchable declared axis",
+             args.all_axes)
+        .section("Artifacts:")
+        .add("--witness-dir", "DIR",
+             "write per-axis flip-witness .sweep and .json files into "
+             "DIR",
+             args.finder.witness_dir)
+        .add(shared_flags::report, args.report)
+        .section("Execution (as in microlib_sweep):")
+        .add(shared_flags::store, args.store_path)
+        .add(OptionRow::choice("--backend", {"thread", "process"},
+                               "process: run each probe over forked "
+                               "shard workers under the supervisor",
+                               args.backend))
+        .add(shared_flags::shards, args.process.shards)
+        .add(shared_flags::heartbeat_timeout,
+             supervision.heartbeat_timeout)
+        .add(shared_flags::retries, supervision.max_worker_retries)
+        .add(shared_flags::strikes, supervision.quarantine_strikes)
+        .add(shared_flags::threads, args.engine.threads)
+        .add(shared_flags::progress, args.engine.progress_path)
+        .add(shared_flags::trace_dir, args.engine.trace_dir)
+        .add(shared_flags::verbose, args.finder.verbose);
+    if (const auto status = table.parse(argc, argv))
+        return *status;
 
     if (args.spec_path.empty() || args.mech_a.empty()) {
         std::fprintf(stderr,
                      "--spec and --mechanisms are required\n");
-        usage(argv[0]);
         return 2;
     }
     if (args.axes.empty() && !args.all_axes) {
         std::fprintf(stderr, "pick --axis KEY or --all-axes\n");
         return 2;
     }
-    if (args.use_process_backend && args.store_path.empty()) {
+    const bool use_process_backend = args.backend == "process";
+    if (use_process_backend && args.store_path.empty()) {
         std::fprintf(stderr, "--backend process needs --store\n");
         return 2;
     }
@@ -271,28 +150,18 @@ main(int argc, char **argv)
     if (!args.store_path.empty())
         store = std::make_unique<ResultStore>(args.store_path);
 
-    EngineOptions opts;
-    opts.threads = args.threads;
-    opts.verbose = false;
+    EngineOptions opts = args.engine;
     opts.store = store.get();
-    opts.progress_path = args.progress_path;
-    opts.trace_dir = args.trace_dir;
-    opts.heartbeat_timeout = args.heartbeat_timeout;
-    opts.max_worker_retries = args.worker_retries;
-    opts.quarantine_strikes = args.quarantine_strikes;
 
-    ProcessShardBackend process_backend(
-        ProcessShardOptions{args.process_shards, args.threads, false});
-    if (args.use_process_backend) {
+    args.process.threads_per_shard = opts.threads;
+    ProcessShardBackend process_backend(args.process);
+    if (use_process_backend) {
         opts.backend = &process_backend;
         opts.threads = 1; // the parent only forks, waits and merges
     }
 
     ExperimentEngine engine(opts);
-    CliffFinderOptions copts;
-    copts.witness_dir = args.witness_dir;
-    copts.verbose = args.verbose;
-    CliffFinder finder(engine, spec, copts);
+    CliffFinder finder(engine, spec, args.finder);
 
     std::vector<std::string> axes = args.axes;
     if (args.all_axes) {
@@ -354,23 +223,10 @@ main(int argc, char **argv)
                 args.mech_a.c_str(), args.mech_b.c_str(),
                 results.size(), executed, resumed);
 
-    if (args.do_report) {
-        const std::string text = CliffFinder::report(results).str();
-        if (args.report_path.empty() || args.report_path == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::FILE *f = std::fopen(args.report_path.c_str(), "w");
-            if (!f) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             args.report_path.c_str());
-                return 1;
-            }
-            std::fputs(text.c_str(), f);
-            std::fclose(f);
-            std::printf("report written to %s\n",
-                        args.report_path.c_str());
-        }
-    }
+    if (args.report && !emitReport(*args.report, [&results](std::FILE *f) {
+            std::fputs(CliffFinder::report(results).str().c_str(), f);
+        }))
+        return 1;
     // Mirror microlib_sweep's status contract: 3 = completed but at
     // least one axis FAULTED (a poison task was quarantined), so
     // scripts never mistake a partial report for a clean one.

@@ -13,22 +13,10 @@
  * every process that parses the same spec builds the same plan,
  * disjoint shards can run on separate hosts against separate stores
  * and be combined into a result byte-identical to a single-process
- * run:
- *
- *   # one host, the reference
- *   microlib_sweep --spec exp.sweep --store single.store \
- *       --report single.txt
- *
- *   # two hosts, then combine
- *   microlib_sweep --spec exp.sweep --shard 0/2 --store s0.store
- *   microlib_sweep --spec exp.sweep --shard 1/2 --store s1.store
- *   microlib_sweep --spec exp.sweep --store merged.store \
- *       --merge s0.store s1.store --compact --report merged.txt
- *   diff single.txt merged.txt        # byte-identical
- *
- * A rerun against an existing store resumes: only missing (benchmark,
- * mechanism, variant) tasks execute (a killed shard picks up exactly
- * where it died). See docs/SHARDING.md for the full walkthrough.
+ * run. A rerun against an existing store resumes: only missing
+ * (benchmark, mechanism, variant) tasks execute (a killed shard picks
+ * up exactly where it died). See docs/SHARDING.md for the
+ * walkthrough; `--help` lists every flag.
  *
  * The same binary is also the client and the worker of the sweep
  * service (docs/SWEEP_SERVICE.md): `--backend service --service ADDR`
@@ -39,8 +27,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,7 +42,7 @@
 #include "core/task_plan.hh"
 #include "service/worker.hh"
 #include "sim/fingerprint.hh"
-#include "sim/version.hh"
+#include "sim/options.hh"
 #include "trace/spec_suite.hh"
 #include "trace/trace_arena.hh"
 
@@ -66,174 +54,150 @@ namespace
 struct SweepArgs
 {
     std::string spec_path; // --spec FILE; empty = build from flags
-    std::vector<std::string> benchmarks = {"swim", "gzip", "mcf",
-                                           "crafty"};
-    std::vector<std::string> mechanisms; // empty = all (Base + 12)
+    std::string benchmarks = "swim,gzip,mcf,crafty"; // or "all"
+    std::string mechanisms = "all";                  // Base + 12
     std::uint64_t trace_length = 500'000;
     std::uint64_t interval = 0; // 0 = trace_length
     bool arbitrary = false;
     std::uint64_t arb_skip = 0;
     std::uint64_t arb_length = 0;
-    bool description_flags_used = false; // --bench/--mech/--trace/...
     std::vector<std::pair<std::string, std::vector<std::string>>> axes;
-    unsigned threads = 0;
-    ShardSpec shard;
     std::string store_path;
-    std::string progress_path;
-    std::string report_path; // "-" = stdout
+    std::optional<std::string> report; // "" or "-" = stdout
     std::size_t trace_budget_mb = 0;
-    std::string trace_dir;      // persistent trace arena directory
     bool prewarm_traces = false; // materialize arena, skip simulation
-    bool use_process_backend = false;
-    bool use_service_backend = false;
-    std::string service_addr;  // --service ADDR (daemon address)
-    std::string worker_addr;   // --worker ADDR: be a pull worker
-    std::string worker_name;   // --name NAME (worker display name)
-    std::size_t process_shards = 2;
-    double heartbeat_timeout = 0.0; // seconds; 0 = stall detection off
-    std::size_t worker_retries = 2;
-    std::size_t quarantine_strikes = 3;
+    std::string backend = "thread";
+    std::string service_addr; // --service ADDR (daemon address)
+    WorkerOptions worker;     // --worker ADDR, --name NAME
     bool print_plan = false;
     bool print_spec = false;
-    bool do_report = false;
     bool do_compact = false;
-    bool verbose = false;
     std::vector<std::string> merge_inputs;
+    EngineOptions engine;        // --threads, --shard, --progress, ...
+    ProcessShardOptions process; // --shards and supervision
 };
 
-void
-usage(const char *argv0)
+/** The sweep's flags, writing into @p args. */
+OptionTable
+sweepOptions(SweepArgs &args)
 {
-    std::printf(
-        "usage: %s [options] [--merge STORE...]\n"
-        "\n"
-        "Sweep description (must be identical across shards):\n"
-        "  --spec FILE         load a .sweep spec file (replaces the\n"
-        "                      flags below; see docs/SWEEP_SPEC.md)\n"
-        "  --bench LIST        comma-separated benchmarks, or 'all'\n"
-        "                      (default: swim,gzip,mcf,crafty)\n"
-        "  --mech LIST         comma-separated mechanisms, or 'all'\n"
-        "                      (default: all = Base + 12 mechanisms)\n"
-        "  --trace N           SimPoint window length (default 500000)\n"
-        "  --interval N        SimPoint interval (default: --trace)\n"
-        "  --arbitrary S,L     arbitrary window: skip S, length L\n"
-        "  --axis KEY=V1,V2    sweep KEY over the listed values; one\n"
-        "                      config variant per combination\n"
-        "                      (repeatable; composes with --spec)\n"
-        "\n"
-        "Execution:\n"
-        "  --store PATH        append-only result store (resume +\n"
-        "                      shard hand-off)\n"
-        "  --shard I/N         run only tasks with index %% N == I\n"
-        "  --backend process|service\n"
-        "                      process: fork shard workers in this\n"
-        "                      invocation; service: submit the sweep\n"
-        "                      to a microlib_sweepd daemon (--service)\n"
-        "                      and fetch the deduplicated results\n"
-        "  --service ADDR      sweep daemon address (unix:/path or\n"
-        "                      host:port); implies --backend service\n"
-        "  --shards N          worker count for --backend process\n"
-        "                      (default 2)\n"
-        "  --heartbeat-timeout SEC\n"
-        "                      SIGKILL + restart a shard worker whose\n"
-        "                      progress stream is silent for SEC\n"
-        "                      seconds (must exceed the longest task;\n"
-        "                      default 0 = stall detection off)\n"
-        "  --retries N         restarts allowed per shard worker\n"
-        "                      before the sweep fails (default 2)\n"
-        "  --strikes K         failures blamed on one task before it\n"
-        "                      is quarantined — excluded, its cells\n"
-        "                      reported FAULT, exit status 3\n"
-        "                      (default 3; 0 disables quarantine)\n"
-        "  --threads N         engine worker threads (default:\n"
-        "                      MICROLIB_THREADS or hardware)\n"
-        "  --trace-budget-mb N trace-cache byte budget\n"
-        "  --trace-dir DIR     persistent trace arena: windows are\n"
-        "                      materialized once into DIR and mmap'd\n"
-        "                      by every later run, worker and shard\n"
-        "                      (default: MICROLIB_TRACE_DIR)\n"
-        "  --progress PATH     JSONL progress stream (per shard:\n"
-        "                      PATH.shard<i>)\n"
-        "  --verbose           per-run progress lines\n"
-        "\n"
-        "Modes:\n"
-        "  --worker ADDR       be a pull-based worker for the sweep\n"
-        "                      daemon at ADDR: lease tasks, execute\n"
-        "                      them, append to --store (own file!),\n"
-        "                      until the daemon shuts down; honors\n"
-        "                      --threads/--trace-dir/--trace-budget-mb\n"
-        "                      /--verbose; --name sets the display\n"
-        "                      name (default host:pid)\n"
-        "  --name NAME         worker display name for --worker\n"
-        "  --version           print version + schema tuple and exit\n"
-        "  --plan              print the fingerprinted task list and\n"
-        "                      exit (no simulation)\n"
-        "  --prewarm-traces    materialize every trace window of the\n"
-        "                      plan into the arena (--trace-dir) and\n"
-        "                      exit without simulating — run once so\n"
-        "                      a later fleet of shards starts warm\n"
-        "  --print-spec        print the canonical spec text (stdout)\n"
-        "                      and its hash (stderr), then exit\n"
-        "  --merge STORE...    merge the given store files into\n"
-        "                      --store before anything else runs\n"
-        "  --compact           rewrite --store to one record per key\n"
-        "                      (after --merge, before the run)\n"
-        "  --report [PATH]     write the IPC matrices (+ sensitivity\n"
-        "                      table for multi-variant sweeps) to\n"
-        "                      PATH (stdout if omitted or '-')\n"
-        "\n"
+    SupervisionPolicy &supervision = args.process.supervision;
+    OptionTable table(
+        "microlib_sweep", "[options] [--merge STORE...]",
         "Exit status: 0 clean, 1 sweep failed, 2 usage error,\n"
         "3 completed with quarantined task(s), 4 infrastructure\n"
-        "failure (daemon unreachable / died; retry is safe)\n",
-        argv0);
-}
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char c : arg) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-std::uint64_t
-parseU64(const char *flag, const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "%s: not a number: %s\n", flag,
-                     value.c_str());
-        std::exit(2);
-    }
-    return v;
+        "failure (daemon unreachable / died; retry is safe)");
+    table.section("Sweep description (must be identical across shards):")
+        .add("--spec", "FILE",
+             "load a .sweep spec file (replaces the flags below; see "
+             "docs/SWEEP_SPEC.md)",
+             args.spec_path)
+        .add("--bench", "LIST", "comma-separated benchmarks, or 'all'",
+             args.benchmarks)
+        .add("--mech", "LIST", "comma-separated mechanisms, or 'all'",
+             args.mechanisms)
+        .add("--trace", "N", "SimPoint window length", args.trace_length)
+        .add("--interval", "N", "SimPoint interval; 0 = --trace",
+             args.interval)
+        .add({"--arbitrary", ValueSyntax::Required, "S,L",
+              "arbitrary window: skip S, length L",
+              [&args](const std::string &v) -> std::string {
+                  const auto parts = splitList(v);
+                  if (parts.size() != 2 ||
+                      !parseCount(parts[0], args.arb_skip) ||
+                      !parseCount(parts[1], args.arb_length))
+                      return "wants S,L (unsigned integers)";
+                  args.arbitrary = true;
+                  return {};
+              }})
+        .add({"--axis", ValueSyntax::Required, "KEY=V1,V2",
+              "sweep KEY over the values, one variant per combination "
+              "(repeatable; composes with --spec)",
+              [&args](const std::string &v) -> std::string {
+                  const auto eq = v.find('=');
+                  if (eq == std::string::npos || eq == 0 ||
+                      eq + 1 >= v.size())
+                      return "wants KEY=V1,V2,... got '" + v + "'";
+                  args.axes.emplace_back(v.substr(0, eq),
+                                         splitList(v.substr(eq + 1)));
+                  return {};
+              }})
+        .section("Execution:")
+        .add(shared_flags::store, args.store_path)
+        .add({"--shard", ValueSyntax::Required, "I/N",
+              "run only the tasks with index % N == I",
+              [&args](const std::string &v) -> std::string {
+                  return ShardSpec::parse(v, args.engine.shard)
+                             ? ""
+                             : "wants I/N with 0 <= I < N";
+              }})
+        .add(OptionRow::choice("--backend",
+                               {"thread", "process", "service"},
+                               "process: fork shard workers here; "
+                               "service: submit to a microlib_sweepd "
+                               "daemon (--service)",
+                               args.backend))
+        .add("--service", "ADDR",
+             "sweep daemon address (unix:/path or host:port); implies "
+             "--backend service",
+             args.service_addr)
+        .add(shared_flags::shards, args.process.shards)
+        .add(shared_flags::heartbeat_timeout,
+             supervision.heartbeat_timeout)
+        .add(shared_flags::retries, supervision.max_worker_retries)
+        .add(shared_flags::strikes, supervision.quarantine_strikes)
+        .add(shared_flags::threads, args.engine.threads)
+        .add("--trace-budget-mb", "N",
+             "trace-cache byte budget; 0 = MICROLIB_TRACE_BUDGET_MB or "
+             "unlimited",
+             args.trace_budget_mb)
+        .add(shared_flags::trace_dir, args.engine.trace_dir)
+        .add(shared_flags::progress, args.engine.progress_path)
+        .add(shared_flags::verbose, args.engine.verbose)
+        .section("Modes:")
+        .add("--worker", "ADDR",
+             "be a pull worker for the daemon at ADDR, appending to "
+             "--store (its own file)",
+             args.worker.service)
+        .add("--name", "NAME", "worker display name (default host:pid)",
+             args.worker.name)
+        .add("--plan", "", "print the fingerprinted task list and exit",
+             args.print_plan)
+        .add("--prewarm-traces", "",
+             "materialize every trace window of the plan into "
+             "--trace-dir and exit",
+             args.prewarm_traces)
+        .add("--print-spec", "",
+             "print the canonical spec (stdout) and its hash (stderr), "
+             "then exit",
+             args.print_spec)
+        .add("--merge", "STORE",
+             "merge these store files into --store before anything "
+             "else runs",
+             args.merge_inputs)
+        .add("--compact", "",
+             "rewrite --store to one record per key (after --merge, "
+             "before the run)",
+             args.do_compact)
+        .add(shared_flags::report, args.report);
+    return table;
 }
 
 /**
  * The sweep description as a SweepSpec: parsed from --spec, or built
- * from the description flags (which then mirror the old two-vector
- * CLI exactly). --axis declarations append in either mode. Exits
- * with the parse/validation error on a bad spec.
+ * from the description flags @p table parsed (which then mirror the
+ * old two-vector CLI exactly). --axis declarations append in either
+ * mode. Exits with the parse/validation error on a bad spec.
  */
 SweepSpec
-buildSpec(const SweepArgs &args)
+buildSpec(const SweepArgs &args, const OptionTable &table)
 {
     SweepSpec spec;
     std::string error;
     if (!args.spec_path.empty()) {
-        if (args.description_flags_used) {
+        if (table.given("--bench") || table.given("--mech") ||
+            table.given("--trace") || table.given("--interval") ||
+            table.given("--arbitrary")) {
             std::fprintf(stderr,
                          "--spec replaces --bench/--mech/--trace/"
                          "--interval/--arbitrary; use --axis to "
@@ -245,10 +209,13 @@ buildSpec(const SweepArgs &args)
             std::exit(2);
         }
     } else {
-        spec.setBenchmarks(args.benchmarks);
-        spec.setMechanisms(args.mechanisms.empty()
-                               ? allMechanismNames()
-                               : args.mechanisms);
+        auto names = [](const std::string &list,
+                        const std::vector<std::string> &all) {
+            return list == "all" ? all : splitList(list);
+        };
+        spec.setBenchmarks(names(args.benchmarks, specBenchmarkNames()));
+        const auto mechs = names(args.mechanisms, allMechanismNames());
+        spec.setMechanisms(mechs.empty() ? allMechanismNames() : mechs);
         bool ok = true;
         if (args.arbitrary) {
             ok = ok &&
@@ -330,177 +297,39 @@ int
 main(int argc, char **argv)
 {
     SweepArgs args;
+    OptionTable table = sweepOptions(args);
+    if (const auto status = table.parse(argc, argv))
+        return *status;
+    EngineOptions &opts = args.engine;
+    opts.trace_budget_bytes = args.trace_budget_mb * 1024 * 1024;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&](const char *name) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", name);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return exit_ok;
-        } else if (flag == "--version") {
-            std::printf("%s\n",
-                        versionString("microlib_sweep").c_str());
-            return exit_ok;
-        } else if (flag == "--worker") {
-            args.worker_addr = value("--worker");
-        } else if (flag == "--service") {
-            args.service_addr = value("--service");
-            args.use_service_backend = true;
-        } else if (flag == "--name") {
-            args.worker_name = value("--name");
-        } else if (flag == "--spec") {
-            args.spec_path = value("--spec");
-        } else if (flag == "--bench") {
-            const std::string v = value("--bench");
-            args.benchmarks =
-                v == "all" ? specBenchmarkNames() : splitList(v);
-            args.description_flags_used = true;
-        } else if (flag == "--mech") {
-            const std::string v = value("--mech");
-            args.mechanisms =
-                v == "all" ? allMechanismNames() : splitList(v);
-            args.description_flags_used = true;
-        } else if (flag == "--trace") {
-            args.trace_length = parseU64("--trace", value("--trace"));
-            args.description_flags_used = true;
-        } else if (flag == "--interval") {
-            args.interval = parseU64("--interval", value("--interval"));
-            args.description_flags_used = true;
-        } else if (flag == "--arbitrary") {
-            const auto parts = splitList(value("--arbitrary"));
-            if (parts.size() != 2) {
-                std::fprintf(stderr, "--arbitrary wants S,L\n");
-                return 2;
-            }
-            args.arbitrary = true;
-            args.arb_skip = parseU64("--arbitrary", parts[0]);
-            args.arb_length = parseU64("--arbitrary", parts[1]);
-            args.description_flags_used = true;
-        } else if (flag == "--axis") {
-            const std::string v = value("--axis");
-            const auto eq = v.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 >= v.size()) {
-                std::fprintf(stderr,
-                             "--axis wants KEY=V1,V2,... got '%s'\n",
-                             v.c_str());
-                return 2;
-            }
-            args.axes.emplace_back(v.substr(0, eq),
-                                   splitList(v.substr(eq + 1)));
-        } else if (flag == "--threads") {
-            args.threads = static_cast<unsigned>(
-                parseU64("--threads", value("--threads")));
-        } else if (flag == "--shard") {
-            if (!ShardSpec::parse(value("--shard"), args.shard)) {
-                std::fprintf(stderr,
-                             "--shard wants I/N with 0 <= I < N\n");
-                return 2;
-            }
-        } else if (flag == "--store") {
-            args.store_path = value("--store");
-        } else if (flag == "--progress") {
-            args.progress_path = value("--progress");
-        } else if (flag == "--trace-budget-mb") {
-            args.trace_budget_mb = static_cast<std::size_t>(parseU64(
-                "--trace-budget-mb", value("--trace-budget-mb")));
-        } else if (flag == "--trace-dir") {
-            args.trace_dir = value("--trace-dir");
-        } else if (flag == "--prewarm-traces") {
-            args.prewarm_traces = true;
-        } else if (flag == "--backend") {
-            const std::string v = value("--backend");
-            if (v == "process") {
-                args.use_process_backend = true;
-            } else if (v == "service") {
-                args.use_service_backend = true;
-            } else if (v != "thread") {
-                std::fprintf(stderr, "--backend wants 'thread', "
-                                     "'process' or 'service'\n");
-                return exit_usage;
-            }
-        } else if (flag == "--shards") {
-            args.process_shards = static_cast<std::size_t>(
-                parseU64("--shards", value("--shards")));
-        } else if (flag == "--heartbeat-timeout") {
-            const std::string v = value("--heartbeat-timeout");
-            char *end = nullptr;
-            args.heartbeat_timeout = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' ||
-                args.heartbeat_timeout < 0) {
-                std::fprintf(stderr, "--heartbeat-timeout wants "
-                                     "seconds >= 0\n");
-                return 2;
-            }
-        } else if (flag == "--retries") {
-            args.worker_retries = static_cast<std::size_t>(
-                parseU64("--retries", value("--retries")));
-        } else if (flag == "--strikes") {
-            args.quarantine_strikes = static_cast<std::size_t>(
-                parseU64("--strikes", value("--strikes")));
-        } else if (flag == "--plan") {
-            args.print_plan = true;
-        } else if (flag == "--print-spec") {
-            args.print_spec = true;
-        } else if (flag == "--compact") {
-            args.do_compact = true;
-        } else if (flag == "--verbose") {
-            args.verbose = true;
-        } else if (flag == "--report") {
-            args.do_report = true;
-            // A lone "-" is the documented explicit-stdout spelling,
-            // not a flag — consume it.
-            if (i + 1 < argc && (argv[i + 1][0] != '-' ||
-                                 std::strcmp(argv[i + 1], "-") == 0))
-                args.report_path = argv[++i];
-        } else if (flag == "--merge") {
-            while (i + 1 < argc && argv[i + 1][0] != '-')
-                args.merge_inputs.push_back(argv[++i]);
-            if (args.merge_inputs.empty()) {
-                std::fprintf(stderr,
-                             "--merge wants store file(s)\n");
-                return 2;
-            }
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-
-    if (!args.worker_addr.empty()) {
+    if (!args.worker.service.empty()) {
         // Worker mode: no spec of our own — the daemon hands us
         // canonical spec text with every lease.
-        WorkerOptions wopts;
-        wopts.service = args.worker_addr;
-        wopts.store_path = args.store_path;
-        wopts.name = args.worker_name;
-        wopts.threads = args.threads;
-        wopts.verbose = args.verbose;
-        wopts.trace_dir = args.trace_dir;
-        wopts.trace_budget_bytes =
-            args.trace_budget_mb * 1024 * 1024;
-        return runWorkerLoop(wopts);
+        WorkerOptions &w = args.worker;
+        w.store_path = args.store_path;
+        w.threads = opts.threads;
+        w.verbose = opts.verbose;
+        w.trace_dir = opts.trace_dir;
+        w.trace_budget_bytes = opts.trace_budget_bytes;
+        return runWorkerLoop(w);
     }
 
-    if (args.use_service_backend && args.service_addr.empty()) {
+    const bool use_process_backend = args.backend == "process";
+    const bool use_service_backend =
+        args.backend == "service" || !args.service_addr.empty();
+    if (use_service_backend && args.service_addr.empty()) {
         std::fprintf(stderr, "--backend service needs --service "
                              "ADDR\n");
         return exit_usage;
     }
-    if (args.use_service_backend && args.use_process_backend) {
+    if (use_service_backend && use_process_backend) {
         std::fprintf(stderr,
                      "--backend process and service conflict\n");
         return exit_usage;
     }
 
-    const SweepSpec spec = buildSpec(args);
+    const SweepSpec spec = buildSpec(args, table);
 
     if (args.print_spec) {
         // Canonical text to stdout (redirectable straight into a
@@ -516,11 +345,11 @@ main(int argc, char **argv)
     if (args.print_plan) {
         for (std::size_t i = 0; i < plan.size(); ++i)
             std::printf("%s\n",
-                        plan.describe(i, args.shard).c_str());
+                        plan.describe(i, opts.shard).c_str());
         return 0;
     }
 
-    if ((args.use_process_backend || !args.merge_inputs.empty() ||
+    if ((use_process_backend || !args.merge_inputs.empty() ||
          args.do_compact) &&
         args.store_path.empty()) {
         std::fprintf(stderr, "--backend process, --merge and "
@@ -548,29 +377,19 @@ main(int argc, char **argv)
                     args.store_path.c_str(), kept);
     }
 
-    EngineOptions opts;
-    opts.threads = args.threads;
-    opts.verbose = args.verbose;
     opts.store = store.get();
-    opts.shard = args.shard;
-    opts.progress_path = args.progress_path;
-    opts.trace_budget_bytes = args.trace_budget_mb * 1024 * 1024;
-    opts.trace_dir = args.trace_dir;
-    opts.heartbeat_timeout = args.heartbeat_timeout;
-    opts.max_worker_retries = args.worker_retries;
-    opts.quarantine_strikes = args.quarantine_strikes;
 
-    ProcessShardBackend process_backend(
-        ProcessShardOptions{args.process_shards, args.threads, false});
+    args.process.threads_per_shard = opts.threads;
+    ProcessShardBackend process_backend(args.process);
     ServiceBackend service_backend(args.service_addr);
-    if (args.use_process_backend) {
+    if (use_process_backend) {
         opts.backend = &process_backend;
         // The parent only forks, waits and merges: a worker pool
         // would sit idle, and fork() from a single-threaded parent
         // sidesteps the multithreaded-fork hazards entirely.
         // --threads applies to each shard worker instead.
         opts.threads = 1;
-    } else if (args.use_service_backend) {
+    } else if (use_service_backend) {
         opts.backend = &service_backend;
         // Simulation happens on the daemon's workers; this process
         // only submits, polls and fetches.
@@ -648,10 +467,10 @@ main(int argc, char **argv)
     const RunCounters counts = engine.lastRun();
     std::printf("sweep %s: %zu task(s) over %zu variant(s): executed "
                 "%zu, resumed %zu, skipped-by-shard %zu\n",
-                args.shard.whole()
-                    ? (args.use_process_backend ? "(process shards)"
-                                                : "(whole plan)")
-                    : ("shard " + args.shard.str()).c_str(),
+                opts.shard.whole()
+                    ? (use_process_backend ? "(process shards)"
+                                           : "(whole plan)")
+                    : ("shard " + opts.shard.str()).c_str(),
                 plan.size(), plan.variantCount(), counts.executed,
                 counts.resumed, counts.skipped);
     if (counts.store_skipped)
@@ -659,27 +478,17 @@ main(int argc, char **argv)
                     counts.store_skipped);
     for (const std::size_t q : counts.quarantined)
         std::printf("quarantined: %s\n",
-                    plan.describe(q, args.shard).c_str());
+                    plan.describe(q, opts.shard).c_str());
 
-    if (args.do_report) {
-        if (!args.shard.whole())
+    if (args.report) {
+        if (!opts.shard.whole())
             std::fprintf(stderr,
                          "warning: report of a single shard run — "
                          "slots of other shards are empty\n");
-        if (args.report_path.empty() || args.report_path == "-") {
-            writeReport(stdout, res);
-        } else {
-            std::FILE *f = std::fopen(args.report_path.c_str(), "w");
-            if (!f) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             args.report_path.c_str());
-                return 1;
-            }
-            writeReport(f, res);
-            std::fclose(f);
-            std::printf("report written to %s\n",
-                        args.report_path.c_str());
-        }
+        if (!emitReport(*args.report, [&res](std::FILE *f) {
+                writeReport(f, res);
+            }))
+            return 1;
     }
     // Distinct status for a sweep that completed only by quarantining
     // poison tasks: scripted callers must not mistake a FAULT-marked

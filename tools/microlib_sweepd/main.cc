@@ -8,26 +8,18 @@
  * global result store; every sweep any client ever submits dedups
  * against it — identical sweeps collapse to one job, and individual
  * tasks whose fingerprinted records already exist are never queued.
- * Workers attach with `microlib_sweep --worker ADDR`.
- *
- *   microlib_sweepd --listen unix:/tmp/sweepd.sock \
- *       --store global.store --progress sweepd.progress &
- *   microlib_sweep --worker unix:/tmp/sweepd.sock --store w0.store &
- *   microlib_sweep --spec exp.sweep --backend service \
- *       --service unix:/tmp/sweepd.sock --report exp.txt
- *
- * See docs/SWEEP_SERVICE.md for the protocol and failure semantics.
+ * Workers attach with `microlib_sweep --worker ADDR`. See
+ * docs/SWEEP_SERVICE.md for a walkthrough, the protocol and the
+ * failure semantics.
  */
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/exit_codes.hh"
 #include "service/sweepd.hh"
-#include "sim/version.hh"
+#include "sim/options.hh"
 
 using namespace microlib;
 
@@ -45,120 +37,38 @@ onSignal(int)
         g_service->requestStop();
 }
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s --listen ADDR --store PATH [options]\n"
-        "\n"
-        "  --listen ADDR       unix:/path or host:port (host:0 picks\n"
-        "                      a free port and prints it)\n"
-        "  --store PATH        global append-only result store; every\n"
-        "                      submitted sweep dedups against it\n"
-        "  --progress PATH     daemon JSONL stream: job lifecycle,\n"
-        "                      lease grants, relayed worker events\n"
-        "  --lease N           tasks per worker lease (default 4)\n"
-        "  --heartbeat-timeout SEC\n"
-        "                      cut a lease-holding worker silent for\n"
-        "                      SEC seconds; its tasks requeue\n"
-        "                      (default 0 = EOF detection only)\n"
-        "  --strikes K         failures blamed on one task before it\n"
-        "                      is quarantined (default 3; 0 disables)\n"
-        "  --retries N         failures per worker before its strikes\n"
-        "                      escalate (default 2)\n"
-        "  --read-only         serve cached results only: refuse\n"
-        "                      workers and any submit that needs\n"
-        "                      execution; never write the store\n"
-        "  --max-jobs N        completed jobs kept before oldest-\n"
-        "                      first eviction (default 64)\n"
-        "  --version           print version + schema tuple and exit\n"
-        "\n"
-        "Exit status: 0 clean shutdown, 2 usage error, 4 cannot\n"
-        "start (bad address, unopenable store)\n",
-        argv0);
-}
-
-std::uint64_t
-parseU64(const char *flag, const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "%s: not a number: %s\n", flag,
-                     value.c_str());
-        std::exit(exit_usage);
-    }
-    return v;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     SweepServiceOptions opts;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&](const char *name) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", name);
-                std::exit(exit_usage);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return exit_ok;
-        } else if (flag == "--version") {
-            std::printf("%s\n",
-                        versionString("microlib_sweepd").c_str());
-            return exit_ok;
-        } else if (flag == "--listen") {
-            opts.listen = value("--listen");
-        } else if (flag == "--store") {
-            opts.store_path = value("--store");
-        } else if (flag == "--progress") {
-            opts.progress_path = value("--progress");
-        } else if (flag == "--lease") {
-            opts.lease_size = static_cast<std::size_t>(
-                parseU64("--lease", value("--lease")));
-            if (opts.lease_size == 0) {
-                std::fprintf(stderr, "--lease wants N >= 1\n");
-                return exit_usage;
-            }
-        } else if (flag == "--heartbeat-timeout") {
-            const std::string v = value("--heartbeat-timeout");
-            char *end = nullptr;
-            opts.heartbeat_timeout = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' ||
-                opts.heartbeat_timeout < 0) {
-                std::fprintf(stderr, "--heartbeat-timeout wants "
-                                     "seconds >= 0\n");
-                return exit_usage;
-            }
-        } else if (flag == "--strikes") {
-            opts.quarantine_strikes = static_cast<std::size_t>(
-                parseU64("--strikes", value("--strikes")));
-        } else if (flag == "--retries") {
-            opts.max_worker_retries = static_cast<std::size_t>(
-                parseU64("--retries", value("--retries")));
-        } else if (flag == "--read-only") {
-            opts.read_only = true;
-        } else if (flag == "--max-jobs") {
-            opts.max_done_jobs = static_cast<std::size_t>(
-                parseU64("--max-jobs", value("--max-jobs")));
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return exit_usage;
-        }
-    }
+    OptionTable table("microlib_sweepd",
+                      "--listen ADDR --store PATH [options]",
+                      "Exit status: 0 clean shutdown, 2 usage error, 4 "
+                      "cannot start\n(bad address, unopenable store)");
+    table.section("Options:")
+        .add("--listen", "ADDR",
+             "unix:/path or host:port (host:0 picks a free port and "
+             "prints it)",
+             opts.listen)
+        .add(shared_flags::store, opts.store_path)
+        .add(shared_flags::progress, opts.progress_path)
+        .add("--lease", "N", "tasks per worker lease", opts.lease_size, 1)
+        .add(shared_flags::heartbeat_timeout, opts.heartbeat_timeout)
+        .add(shared_flags::strikes, opts.quarantine_strikes)
+        .add("--read-only", "",
+             "serve cached results only: refuse workers and submits "
+             "that need execution",
+             opts.read_only)
+        .add("--max-jobs", "N",
+             "completed jobs kept before oldest-first eviction",
+             opts.max_done_jobs);
+    if (const auto status = table.parse(argc, argv))
+        return *status;
 
     if (opts.listen.empty() || opts.store_path.empty()) {
         std::fprintf(stderr, "--listen and --store are required\n");
-        usage(argv[0]);
         return exit_usage;
     }
 

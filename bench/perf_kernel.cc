@@ -233,10 +233,13 @@ BM_SdramAccess(benchmark::State &state)
 }
 BENCHMARK(BM_SdramAccess);
 
+// Trace generation, ns per generated instruction: swim is
+// compute-heavy (Rng draws dominate), pchase image-heavy (every link
+// load reads the memory image).
 void
-BM_TraceGeneration(benchmark::State &state)
+BM_TraceGeneration(benchmark::State &state, const char *program)
 {
-    SpecGenerator gen(specProgram("swim"));
+    SpecGenerator gen(specProgram(program));
     TraceRecord rec;
     for (auto _ : state) {
         gen.next(rec);
@@ -244,7 +247,8 @@ BM_TraceGeneration(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TraceGeneration);
+BENCHMARK_CAPTURE(BM_TraceGeneration, swim, "swim");
+BENCHMARK_CAPTURE(BM_TraceGeneration, pchase, "pchase");
 
 void
 BM_FullSimulation(benchmark::State &state)

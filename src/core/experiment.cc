@@ -40,13 +40,15 @@ windowKey(const RunConfig &cfg)
     return key;
 }
 
-MaterializedTrace
-materializeFor(const std::string &benchmark, const RunConfig &cfg)
+TraceWindow
+resolveWindow(const std::string &benchmark, const RunConfig &cfg)
 {
     TraceWindow window;
     if (cfg.selection == TraceSelection::SimPoint) {
-        // Mutex-guarded process-wide cache: the old bare map here
-        // raced when runMatrix() workers materialized concurrently.
+        // The process-wide cache: SimPoint choices are pure
+        // (benchmark, interval, k) functions and expensive, so
+        // one-shot engines (runMatrix) must not recompute what an
+        // earlier call already profiled.
         const SimPointChoice sp = TraceCache::process().simPoint(
             benchmark, cfg.scale.simpoint_interval,
             cfg.scale.simpoint_k);
@@ -56,7 +58,14 @@ materializeFor(const std::string &benchmark, const RunConfig &cfg)
         window.skip = cfg.scale.arbitrary_skip;
         window.length = cfg.scale.arbitrary_length;
     }
-    return materialize(specProgram(benchmark), window);
+    return window;
+}
+
+MaterializedTrace
+materializeFor(const std::string &benchmark, const RunConfig &cfg)
+{
+    return materialize(specProgram(benchmark),
+                       resolveWindow(benchmark, cfg));
 }
 
 RunOutput

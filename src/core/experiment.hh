@@ -68,9 +68,17 @@ struct RunOutput
 std::string windowKey(const RunConfig &cfg);
 
 /**
- * The trace window for @p benchmark under @p cfg, materialized fresh
- * on every call; SimPoint choices are cached per (benchmark, scale)
- * in the process-wide TraceCache, so the lookup is thread-safe.
+ * The (skip, length) window @p cfg selects for @p benchmark: the
+ * SimPoint start (profiled once per (benchmark, interval, k) in the
+ * process-wide TraceCache, so the lookup is thread-safe) or the
+ * arbitrary window's fixed skip.
+ */
+TraceWindow resolveWindow(const std::string &benchmark,
+                          const RunConfig &cfg);
+
+/**
+ * The trace window for @p benchmark under @p cfg (resolveWindow()),
+ * materialized fresh on every call.
  *
  * Prefer ExperimentEngine::trace(), which also caches and shares the
  * materialized records; this standalone fallback is kept for code

@@ -100,23 +100,8 @@ ExperimentEngine::materializeInto(TraceCache &cache,
                 return cache.fulfill(key, std::move(*mapped));
             }
         }
-        TraceWindow window;
-        if (cfg.selection == TraceSelection::SimPoint) {
-            // The process-wide cache, not the engine's: SimPoint
-            // choices are pure (benchmark, interval, k) functions and
-            // expensive, so one-shot engines (runMatrix) must not
-            // recompute what an earlier call already profiled.
-            const SimPointChoice sp = TraceCache::process().simPoint(
-                benchmark, cfg.scale.simpoint_interval,
-                cfg.scale.simpoint_k);
-            window.skip = sp.start_instruction;
-            window.length = cfg.scale.simpoint_trace;
-        } else {
-            window.skip = cfg.scale.arbitrary_skip;
-            window.length = cfg.scale.arbitrary_length;
-        }
-        MaterializedTrace trace =
-            materialize(specProgram(benchmark), window);
+        MaterializedTrace trace = materialize(
+            specProgram(benchmark), resolveWindow(benchmark, cfg));
         if (arena && arena->publish(key, trace)) {
             // Swap the heap copy for a mapping of the file we just
             // published: frees ~all of the trace's owned bytes and

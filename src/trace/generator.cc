@@ -8,7 +8,8 @@ namespace microlib
 {
 
 SpecGenerator::SpecGenerator(const SpecProgram &prog) : _prog(prog),
-    _rng(prog.seed)
+    _rng(prog.seed), _dep_draw(prog.dep_mean),
+    _compute_draw((1.0 - prog.mem_ratio) / prog.mem_ratio + 0.01)
 {
     if (_prog.kernels.empty() || _prog.segments.empty())
         fatal("program '", _prog.name, "' has no kernels or segments");
@@ -53,15 +54,21 @@ SpecGenerator::advanceSegment()
 OpClass
 SpecGenerator::pickComputeOp()
 {
-    if (_rng.chance(_prog.fp_frac))
-        return _rng.chance(0.3) ? OpClass::FpMult : OpClass::FpAlu;
-    return _rng.chance(0.05) ? OpClass::IntMult : OpClass::IntAlu;
+    // Both outcomes take exactly two draws, so the choice is made
+    // without branches: the draws are unpredictable.
+    static constexpr OpClass ops[2][2] = {
+        {OpClass::IntAlu, OpClass::IntMult},
+        {OpClass::FpAlu, OpClass::FpMult},
+    };
+    const bool fp = _rng.chance(_prog.fp_frac);
+    const bool mult = _rng.chance(fp ? 0.3 : 0.05);
+    return ops[fp][mult];
 }
 
 std::uint8_t
 SpecGenerator::depDistance()
 {
-    const std::uint64_t d = _rng.nextGeometric(_prog.dep_mean);
+    const std::uint64_t d = _rng.nextGeometric(_dep_draw);
     return static_cast<std::uint8_t>(std::min<std::uint64_t>(d, 255));
 }
 
@@ -118,14 +125,9 @@ SpecGenerator::buildBlock()
     const std::uint16_t bb = static_cast<std::uint16_t>(
         (kernel_idx * 131 + ref.slot * 17) & 0x03ff);
 
-    // Number of compute instructions accompanying one memory access,
-    // drawn so that the long-run memory-instruction fraction matches
-    // the program's mem_ratio.
-    const double mean_compute =
-        (1.0 - _prog.mem_ratio) / _prog.mem_ratio;
+    // Number of compute instructions accompanying one memory access.
     const unsigned n_compute = static_cast<unsigned>(
-        std::min<std::uint64_t>(_rng.nextGeometric(mean_compute + 0.01),
-                                48));
+        std::min<std::uint64_t>(_rng.nextGeometric(_compute_draw), 48));
 
     std::uint32_t pc = pc_base;
     const std::uint64_t mem_index_in_block = n_compute / 2;

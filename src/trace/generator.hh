@@ -110,9 +110,21 @@ class SpecGenerator
     const MemoryImage &image() const { return *_image; }
     std::uint64_t emitted() const { return _emitted; }
 
+    /** Hand the memory image over to the caller. The generator has
+     *  no image afterwards: only reset() makes it usable again. */
+    std::unique_ptr<MemoryImage> releaseImage()
+    {
+        return std::move(_image);
+    }
+
   private:
     const SpecProgram _prog;
     Rng _rng;
+    /** Dependence-distance draw (mean dep_mean). */
+    const Rng::Geometric _dep_draw;
+    /** Compute instructions per memory reference, drawn so that the
+     *  long-run memory-instruction fraction matches mem_ratio. */
+    const Rng::Geometric _compute_draw;
     std::unique_ptr<MemoryImage> _image;
     std::vector<std::unique_ptr<PatternKernel>> _kernels;
 

@@ -246,7 +246,7 @@ PointerChaseKernel::next(MemoryImage &img, Rng &rng)
                                      // restart
     _payload_node = _heads[_turn];
     _payload_left = static_cast<unsigned>(
-        rng.nextGeometric(_p.payload_touches + 0.01) - 1);
+        rng.nextGeometric(_payload_draw) - 1);
     _turn = (_turn + 1) % static_cast<unsigned>(_heads.size());
     return ref;
 }

@@ -182,7 +182,10 @@ class PointerChaseKernel : public PatternKernel
         unsigned chains = 1;
     };
 
-    explicit PointerChaseKernel(const Params &p) : _p(p) {}
+    explicit PointerChaseKernel(const Params &p)
+        : _p(p), _payload_draw(p.payload_touches + 0.01)
+    {
+    }
 
     void setup(MemoryImage &img, Rng &rng) override;
     MemRef next(MemoryImage &img, Rng &rng) override;
@@ -191,6 +194,8 @@ class PointerChaseKernel : public PatternKernel
 
   private:
     Params _p;
+    /** Payload refs per node reached, plus one. */
+    Rng::Geometric _payload_draw;
     std::vector<Addr> _heads; ///< per-chain current node
     unsigned _turn = 0;       ///< chain whose link is followed next
     Addr _payload_node = 0;   ///< node the payload refs touch

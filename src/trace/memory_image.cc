@@ -6,81 +6,92 @@
 namespace microlib
 {
 
+namespace
+{
+
+/** log2 of a new image's slot count. */
+constexpr unsigned initial_log2_slots = 6;
+
+} // namespace
+
+MemoryImage::MemoryImage()
+    : _slots(std::size_t(1) << initial_log2_slots),
+      _shift(64 - initial_log2_slots)
+{
+}
+
+MemoryImage::MemoryImage(const MemoryImage &other)
+    : _slots(other._slots.size()), _shift(other._shift)
+{
+    _pages.reserve(other._pages.size());
+    for (const Slot &slot : other._slots) {
+        if (!slot.page)
+            continue;
+        _pages.push_back(std::make_unique<Page>(*slot.page));
+        insert(slot.index, _pages.back().get());
+    }
+}
+
+void
+MemoryImage::insert(Addr page_index, Page *page)
+{
+    std::size_t i = home(page_index);
+    while (_slots[i].page)
+        i = (i + 1) & (_slots.size() - 1);
+    _slots[i] = Slot{page_index, page};
+}
+
+MemoryImage::Page &
+MemoryImage::pageFor(Addr page_index)
+{
+    if (Page *page = find(page_index))
+        return *page;
+    if (2 * (_pages.size() + 1) > _slots.size()) {
+        // Keep the table at most half full: double and rehash.
+        std::vector<Slot> old(_slots.size() * 2);
+        old.swap(_slots);
+        --_shift;
+        for (const Slot &slot : old)
+            if (slot.page)
+                insert(slot.index, slot.page);
+    }
+    _pages.push_back(std::make_unique<Page>());
+    insert(page_index, _pages.back().get());
+    return *_pages.back();
+}
+
 void
 MemoryImage::forEachPage(
     const std::function<void(Addr, const Word *,
                              const std::uint64_t *)> &fn) const
 {
-    std::vector<Addr> keys;
-    keys.reserve(_pages.size());
-    for (const auto &kv : _pages)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    for (const Addr key : keys) {
-        const Page &page = _pages.at(key);
-        fn(key, page.words.data(), page.written_mask.data());
-    }
+    std::vector<Slot> sorted;
+    sorted.reserve(_pages.size());
+    for (const Slot &slot : _slots)
+        if (slot.page)
+            sorted.push_back(slot);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Slot &a, const Slot &b) { return a.index < b.index; });
+    for (const Slot &slot : sorted)
+        fn(slot.index, slot.page->words.data(),
+           slot.page->written_mask.data());
 }
 
 void
 MemoryImage::restorePage(Addr page_index, const Word *words,
                          const std::uint64_t *mask)
 {
-    Page &page = _pages[page_index];
+    Page &page = pageFor(page_index);
     std::memcpy(page.words.data(), words,
                 words_per_page * sizeof(Word));
     std::memcpy(page.written_mask.data(), mask,
                 (words_per_page / 64) * sizeof(std::uint64_t));
 }
 
-Word
-MemoryImage::defaultValue(Addr word_addr)
-{
-    // splitmix64-style finalizer: deterministic "garbage" values that
-    // never look like in-image pointers (top byte forced non-heap).
-    std::uint64_t z = word_addr + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return z | 0xff00000000000000ull;
-}
-
-MemoryImage::Page &
-MemoryImage::pageFor(Addr addr)
-{
-    const Addr key = addr / page_bytes;
-    auto it = _pages.find(key);
-    if (it == _pages.end()) {
-        it = _pages.emplace(key, Page()).first;
-        it->second.written_mask.fill(0);
-    }
-    return it->second;
-}
-
-const MemoryImage::Page *
-MemoryImage::pageForConst(Addr addr) const
-{
-    auto it = _pages.find(addr / page_bytes);
-    return it == _pages.end() ? nullptr : &it->second;
-}
-
-Word
-MemoryImage::read(Addr addr) const
-{
-    const Addr word_addr = addr & ~Addr(7);
-    const Page *page = pageForConst(addr);
-    if (!page)
-        return defaultValue(word_addr);
-    const std::size_t idx = (addr % page_bytes) / 8;
-    if (!(page->written_mask[idx / 64] & (1ull << (idx % 64))))
-        return defaultValue(word_addr);
-    return page->words[idx];
-}
-
 void
 MemoryImage::write(Addr addr, Word value)
 {
-    Page &page = pageFor(addr);
+    Page &page = pageFor(addr / page_bytes);
     const std::size_t idx = (addr % page_bytes) / 8;
     page.words[idx] = value;
     page.written_mask[idx / 64] |= 1ull << (idx % 64);
@@ -89,7 +100,7 @@ MemoryImage::write(Addr addr, Word value)
 bool
 MemoryImage::touched(Addr addr) const
 {
-    const Page *page = pageForConst(addr);
+    const Page *page = find(addr / page_bytes);
     if (!page)
         return false;
     const std::size_t idx = (addr % page_bytes) / 8;
@@ -102,8 +113,18 @@ MemoryImage::readLine(Addr addr, std::uint64_t line_bytes,
 {
     const Addr base = alignDown(addr, line_bytes);
     out.resize(line_bytes / 8);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = read(base + i * 8);
+    // One lookup per page the line spans (one for any line of at most
+    // a page), not one per word.
+    Addr page_index = base / page_bytes;
+    const Page *page = find(page_index);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const Addr a = base + i * 8;
+        if (a / page_bytes != page_index) {
+            page_index = a / page_bytes;
+            page = find(page_index);
+        }
+        out[i] = wordIn(page, a);
+    }
 }
 
 } // namespace microlib

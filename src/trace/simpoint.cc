@@ -19,9 +19,10 @@ kMeans(const std::vector<std::vector<float>> &vectors, unsigned k,
         fatal("kMeans: no input vectors");
     k = static_cast<unsigned>(std::min<std::size_t>(k, n));
 
-    // k-means++ style seeding: first centroid is point 0 (deterministic),
-    // each further centroid is the point with maximal distance to its
-    // nearest chosen centroid, tie-broken by index.
+    // Farthest-point seeding: the first centroid is a point drawn
+    // from an Rng seeded with @p seed (deterministic), each further
+    // centroid is the point with maximal distance to its nearest
+    // chosen centroid, tie-broken by index.
     Rng rng(seed);
     std::vector<std::size_t> centers;
     centers.push_back(rng.nextBounded(n));

@@ -30,7 +30,7 @@ struct KMeansResult
 };
 
 /**
- * Lloyd's k-means with deterministic k-means++-style seeding.
+ * Lloyd's k-means with deterministic farthest-point seeding.
  *
  * @param vectors input points
  * @param k cluster count (clamped to vectors.size())

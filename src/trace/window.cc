@@ -27,11 +27,9 @@ materialize(const SpecProgram &prog, const TraceWindow &window)
     // shares one SoA build instead of paying per run.
     out.soa.build(out.records);
 
-    // Snapshot the image by moving it out of the generator's reach:
-    // materialize() owns the generator, so copying is unnecessary —
-    // rebuild a shared image from the generator's final state.
-    auto image = std::make_shared<MemoryImage>(gen.image());
-    out.image = std::move(image);
+    // materialize() owns the generator, so the trace takes its final
+    // image without a copy.
+    out.image = gen.releaseImage();
     return out;
 }
 

@@ -266,31 +266,11 @@ BM_FullSimulation(benchmark::State &state)
 }
 BENCHMARK(BM_FullSimulation);
 
-// --- AoS seed loop vs the SoA block loop, same trace, same host. ---
+// --- The SoA block loop over a prebuilt TraceView. ---
 //
-// BM_TraceAoSRun drives the preserved record-at-a-time reference loop
-// over the AoS records; BM_TraceViewRun drives the block-based SoA
-// hot path over the prebuilt TraceView. items_per_second is
-// instructions simulated per second; the ratio of the two is the
-// hot-path speedup and both land in BENCH_kernel.json, so the perf
-// trajectory records it per commit.
-
-void
-BM_TraceAoSRun(benchmark::State &state)
-{
-    const TraceWindow window{0, 200'000};
-    const MaterializedTrace trace =
-        materialize(specProgram("crafty"), window);
-    const BaselineConfig cfg = makeBaseline();
-    for (auto _ : state) {
-        Hierarchy hier(cfg.hier, trace.image);
-        OoOCore core(cfg.core);
-        benchmark::DoNotOptimize(
-            core.runReference(trace.records, hier));
-    }
-    state.SetItemsProcessed(state.iterations() * window.length);
-}
-BENCHMARK(BM_TraceAoSRun);
+// BM_TraceViewRun drives OoOCore::run over a materialized window;
+// items_per_second is instructions simulated per second, and
+// run_allocs pins the loop allocation-free.
 
 void
 BM_TraceViewRun(benchmark::State &state)

@@ -68,31 +68,48 @@ materializeFor(const std::string &benchmark, const RunConfig &cfg)
                        resolveWindow(benchmark, cfg));
 }
 
+namespace
+{
+
+/** One simulation's model state, set up the one way runOne() and
+ *  runLockstep() both use: hierarchy, mechanism bound to it, every
+ *  counter registered, and a core. Fills @p out's identity and the
+ *  mechanism's hardware list. */
+struct Member
+{
+    Hierarchy hier;
+    std::unique_ptr<CacheMechanism> mech;
+    StatSet stats;
+    OoOCore core;
+
+    Member(const MaterializedTrace &trace, const std::string &mechanism,
+           const RunConfig &cfg, RunOutput &out)
+        : hier(cfg.system.hier, trace.image),
+          mech(makeMechanism(mechanism, cfg.mech)),
+          core(cfg.system.core)
+    {
+        out.benchmark = trace.benchmark;
+        out.mechanism = mechanism;
+        hier.registerStats(stats);
+        if (mech) {
+            mech->bind(hier);
+            mech->registerStats(stats);
+            hier.setClient(mech.get());
+            out.hardware = mech->hardware();
+        }
+    }
+};
+
+} // namespace
+
 RunOutput
 runOne(const MaterializedTrace &trace, const std::string &mechanism,
        const RunConfig &cfg)
 {
     RunOutput out;
-    out.benchmark = trace.benchmark;
-    out.mechanism = mechanism;
-
-    Hierarchy hier(cfg.system.hier, trace.image);
-    std::unique_ptr<CacheMechanism> mech =
-        makeMechanism(mechanism, cfg.mech);
-
-    StatSet stats;
-    hier.registerStats(stats);
-    if (mech) {
-        mech->bind(hier);
-        mech->registerStats(stats);
-        hier.setClient(mech.get());
-        out.hardware = mech->hardware();
-    }
-
-    OoOCore core(cfg.system.core);
-    out.core = core.run(trace.view(), hier);
-
-    stats.snapshot(out.stats);
+    Member m(trace, mechanism, cfg, out);
+    out.core = m.core.run(trace.view(), m.hier);
+    m.stats.snapshot(out.stats);
     return out;
 }
 
@@ -103,39 +120,19 @@ runLockstep(const MaterializedTrace &trace,
 {
     const std::size_t V = cfgs.size();
     std::vector<RunOutput> outs(V);
-    // Per-member model state, set up exactly as runOne() does it so
-    // the two paths cannot diverge: hierarchy, mechanism, stats
-    // registration, then the core.
-    std::vector<std::unique_ptr<Hierarchy>> hiers(V);
-    std::vector<std::unique_ptr<CacheMechanism>> mechs(V);
-    std::vector<std::unique_ptr<OoOCore>> cores(V);
-    std::vector<StatSet> stats(V);
+    std::vector<std::unique_ptr<Member>> members(V);
     LockstepGroup group;
     for (std::size_t v = 0; v < V; ++v) {
-        const RunConfig &cfg = *cfgs[v];
-        RunOutput &out = outs[v];
-        out.benchmark = trace.benchmark;
-        out.mechanism = mechanism;
-
-        hiers[v] =
-            std::make_unique<Hierarchy>(cfg.system.hier, trace.image);
-        mechs[v] = makeMechanism(mechanism, cfg.mech);
-        hiers[v]->registerStats(stats[v]);
-        if (mechs[v]) {
-            mechs[v]->bind(*hiers[v]);
-            mechs[v]->registerStats(stats[v]);
-            hiers[v]->setClient(mechs[v].get());
-            out.hardware = mechs[v]->hardware();
-        }
-        cores[v] = std::make_unique<OoOCore>(cfg.system.core);
-        group.add(*cores[v], *hiers[v]);
+        members[v] =
+            std::make_unique<Member>(trace, mechanism, *cfgs[v], outs[v]);
+        group.add(members[v]->core, members[v]->hier);
     }
 
     group.run(trace.view());
 
     for (std::size_t v = 0; v < V; ++v) {
         outs[v].core = group.result(v);
-        stats[v].snapshot(outs[v].stats);
+        members[v]->stats.snapshot(outs[v].stats);
     }
     return outs;
 }

@@ -60,7 +60,7 @@ OoOCore::stepBlock(const TraceView &trace, Hierarchy &mem,
               base + len, ") of ", _run.n, ")");
 
     // The carried run context lives in locals for the duration of the
-    // block; the algebra below is byte-for-byte the monolithic loop's.
+    // block.
     CoreResult &res = _run.res;
     const std::uint64_t icache_line = _run.icache_line;
     Addr last_fetch_line = _run.last_fetch_line;
@@ -197,132 +197,6 @@ OoOCore::run(const TraceView &trace, Hierarchy &mem)
     for (std::size_t base = 0; base < n; base += block_size)
         stepBlock(trace, mem, base, std::min(block_size, n - base));
     return finishRun();
-}
-
-CoreResult
-OoOCore::run(const Trace &trace, Hierarchy &mem)
-{
-    // One-shot transposition for callers without a cached SoA; the
-    // loop itself is shared with the span-based entry point, so the
-    // two overloads cannot diverge.
-    const TraceSoA soa(trace);
-    return run(soa.view(), mem);
-}
-
-CoreResult
-OoOCore::runReference(const Trace &trace, Hierarchy &mem)
-{
-    CoreResult res;
-    res.instructions = trace.size();
-    if (trace.empty())
-        return res;
-
-    _fu.reset();
-    std::fill(_complete.begin(), _complete.end(), 0);
-    std::fill(_dispatch.begin(), _dispatch.end(), 0);
-    std::fill(_commit.begin(), _commit.end(), 0);
-    std::fill(_mem_complete.begin(), _mem_complete.end(), 0);
-
-    const std::uint64_t icache_line = mem.params().l1i.line;
-    Addr last_fetch_line = invalid_addr;
-    Cycle fetch_release = 0; ///< earliest fetch after a mispredict
-
-    std::uint64_t mem_ops = 0;
-
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const TraceRecord &rec = trace[i];
-        const std::size_t slot = i % history;
-
-        // ------------------------------------------------ dispatch
-        Cycle d = fetch_release;
-        if (i >= _p.fetch_width)
-            d = std::max(d, _dispatch[(i - _p.fetch_width) % history] + 1);
-        if (i >= _p.ruu_size)
-            d = std::max(d, _commit[(i - _p.ruu_size) % history]);
-        if (rec.isMem() && mem_ops >= _p.lsq_size) {
-            // LSQ entry frees when the older memory op's data moved.
-            d = std::max(
-                d, _mem_complete[(mem_ops - _p.lsq_size) % history]);
-        }
-
-        // Instruction fetch: only line changes touch the L1I.
-        const Addr fetch_line = alignDown(rec.pc, icache_line);
-        if (fetch_line != last_fetch_line) {
-            d = mem.ifetch(rec.pc, d);
-            last_fetch_line = fetch_line;
-        }
-        _dispatch[slot] = d;
-
-        // --------------------------------------------------- ready
-        Cycle ready = d + 1; // rename/dispatch pipeline stage
-        if (rec.dep1 && rec.dep1 <= i)
-            ready = std::max(ready,
-                             _complete[(i - rec.dep1) % history]);
-        if (rec.dep2 && rec.dep2 <= i)
-            ready = std::max(ready,
-                             _complete[(i - rec.dep2) % history]);
-
-        // ----------------------------------------- issue & execute
-        const Cycle issue = _fu.acquire(rec.op, ready);
-        Cycle complete;
-        switch (rec.op) {
-          case OpClass::Load:
-            complete = mem.load(rec.addr, rec.pc,
-                                issue + _fu.latency(OpClass::Load));
-            ++res.loads;
-            break;
-          case OpClass::Store:
-            // Value is produced at issue; memory is updated at commit
-            // (see below). Dependents wait only for address+data.
-            complete = issue + _fu.latency(OpClass::Store);
-            ++res.stores;
-            break;
-          default:
-            complete = issue + _fu.latency(rec.op);
-            break;
-        }
-        _complete[slot] = complete;
-
-        // -------------------------------------------------- commit
-        Cycle commit = complete;
-        if (i >= 1)
-            commit = std::max(commit, _commit[(i - 1) % history]);
-        if (i >= _p.commit_width)
-            commit = std::max(
-                commit, _commit[(i - _p.commit_width) % history] + 1);
-        _commit[slot] = commit;
-
-        // Retiring stores update the cache (posted write): the LSQ
-        // entry frees at commit; the store's cache occupancy effects
-        // still happen, but the core never waits on them.
-        if (rec.isStore()) {
-            mem.store(rec.addr, rec.pc, commit);
-            _mem_complete[mem_ops % history] = commit;
-            ++mem_ops;
-        } else if (rec.isLoad()) {
-            _mem_complete[mem_ops % history] = complete;
-            ++mem_ops;
-        }
-
-        // ------------------------------------------------ branches
-        if (rec.op == OpClass::Branch) {
-            ++res.branches;
-            if (deterministicMispredict(rec.pc, res.branches,
-                                        _p.mispredict_rate)) {
-                ++res.mispredicts;
-                fetch_release = std::max(
-                    fetch_release, complete + _p.mispredict_penalty);
-                last_fetch_line = invalid_addr; // redirected fetch
-            }
-        }
-    }
-
-    res.cycles = _commit[(trace.size() - 1) % history];
-    if (res.cycles == 0)
-        res.cycles = 1;
-    res.ipc = static_cast<double>(res.instructions) /
-              static_cast<double>(res.cycles);
-    return res;
 }
 
 } // namespace microlib

@@ -20,7 +20,6 @@
 #include "cpu/fu_pool.hh"
 #include "mem/hierarchy.hh"
 #include "sim/stats.hh"
-#include "trace/record.hh"
 #include "trace/trace_view.hh"
 
 namespace microlib
@@ -67,17 +66,17 @@ class OoOCore
      *
      * This is the hot path: the dependence-timestamp algebra and the
      * memory-hierarchy visits stream over the view's dense parallel
-     * arrays in fixed-size blocks. Results are bit-identical to
-     * runReference() on the same record stream. Implemented on the
-     * block-resumable API below (beginRun + stepBlock + finishRun),
-     * so the monolithic and lockstep paths share one loop body.
+     * arrays in fixed-size blocks. Implemented on the block-resumable
+     * API below (beginRun + stepBlock + finishRun), so the monolithic
+     * and lockstep paths share one loop body. Golden per-cell digests
+     * (tests/test_hot_path.cc) pin its results.
      */
     CoreResult run(const TraceView &trace, Hierarchy &mem);
 
     // ----- block-resumable stepping (lockstep execution) ---------
     //
-    // A run can be advanced one block at a time, with the state the
-    // monolithic loop kept in locals held in a member context
+    // A run can be advanced one block at a time, with the state a
+    // single loop would keep in locals held in a member context
     // instead. LockstepGroup (cpu/lockstep.hh) interleaves the
     // blocks of several cores over a single pass of one shared
     // TraceView: one trace decode, V state machines per block. Block
@@ -105,19 +104,6 @@ class OoOCore
      *  use the same decomposition. */
     static constexpr std::size_t blockSize() { return block_size; }
 
-    /** Convenience overload: transposes @p trace into a temporary
-     *  SoA and runs it. Callers holding a MaterializedTrace should
-     *  pass its prebuilt view() instead. */
-    CoreResult run(const Trace &trace, Hierarchy &mem);
-
-    /**
-     * The seed's record-at-a-time AoS loop, kept verbatim as the
-     * correctness oracle for the SoA hot path (the determinism test
-     * asserts bit-identical CoreResult and hierarchy counters) and
-     * as the baseline side of the BM_TraceViewRun microbenchmark.
-     */
-    CoreResult runReference(const Trace &trace, Hierarchy &mem);
-
     const CoreParams &params() const { return _p; }
 
   private:
@@ -137,8 +123,8 @@ class OoOCore
     std::vector<Cycle> _commit;   // ring: commit per instruction
     std::vector<Cycle> _mem_complete; // ring: per memory instruction
 
-    /** In-flight state of a block-resumable run: everything the
-     *  monolithic loop held in locals, so a run survives between
+    /** In-flight state of a block-resumable run: everything a single
+     *  loop would hold in locals, so a run survives between
      *  stepBlock() calls while other cores advance over the same
      *  trace. POD throughout — beginRun()'s reset never allocates. */
     struct RunState

@@ -4,25 +4,14 @@ namespace microlib
 {
 
 void
-TraceSoA::build(const Trace &records)
+TraceSoA::reserve(std::size_t n)
 {
-    _borrowed = TraceView{};
-    const std::size_t n = records.size();
-    _pc.resize(n);
-    _addr.resize(n);
-    _value.resize(n);
-    _op.resize(n);
-    _dep1.resize(n);
-    _dep2.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = records[i];
-        _pc[i] = r.pc;
-        _addr[i] = r.addr;
-        _value[i] = r.value;
-        _op[i] = r.op;
-        _dep1[i] = r.dep1;
-        _dep2[i] = r.dep2;
-    }
+    _pc.reserve(n);
+    _addr.reserve(n);
+    _value.reserve(n);
+    _op.reserve(n);
+    _dep1.reserve(n);
+    _dep2.reserve(n);
 }
 
 void

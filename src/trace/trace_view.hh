@@ -3,13 +3,13 @@
  * Structure-of-arrays trace windows.
  *
  * The core's per-instruction loop reads four to six fields of every
- * dynamic instruction; walking the AoS `std::vector<TraceRecord>`
- * drags the fields most models never touch (basic-block ids, data
- * values) through the cache with them. TraceSoA transposes a
- * materialized window once — at trace-cache fill time — into dense
- * parallel arrays, and TraceView is the non-owning span bundle the
- * hot loop streams over: sequential, prefetch-friendly, one array
- * per consumed field.
+ * dynamic instruction; an array of TraceRecord would drag the fields
+ * most models never touch (basic-block ids, data values) through the
+ * cache with them. A materialized window is therefore held only as
+ * TraceSoA's dense parallel arrays — the generator's records are
+ * appended straight into the columns — and TraceView is the
+ * non-owning span bundle the hot loop streams over: sequential,
+ * prefetch-friendly, one array per consumed field.
  */
 
 #ifndef MICROLIB_TRACE_TRACE_VIEW_HH
@@ -47,7 +47,7 @@ struct TraceView
 };
 
 /** SoA storage for one trace window, built once per cached trace and
- *  shared by every run consuming it. Two modes: *owning* (build()
+ *  shared by every run consuming it. Two modes: *owning* (append()
  *  fills the member vectors — the generate path) and *borrowing*
  *  (borrow() points the view at columns owned by someone else, e.g.
  *  a read-only mmap of a trace-arena file — see trace_arena.hh). A
@@ -57,11 +57,29 @@ class TraceSoA
 {
   public:
     TraceSoA() = default;
-    explicit TraceSoA(const Trace &records) { build(records); }
 
-    /** (Re)build the parallel arrays from @p records (owning mode;
-     *  drops any borrowed spans). */
-    void build(const Trace &records);
+    /** Owning SoA holding @p records' columns. */
+    explicit TraceSoA(const Trace &records)
+    {
+        reserve(records.size());
+        for (const TraceRecord &r : records)
+            append(r);
+    }
+
+    /** Reserve room for @p n records in every owned column. */
+    void reserve(std::size_t n);
+
+    /** Append @p r's columns (owning mode only). */
+    void
+    append(const TraceRecord &r)
+    {
+        _pc.push_back(r.pc);
+        _addr.push_back(r.addr);
+        _value.push_back(r.value);
+        _op.push_back(r.op);
+        _dep1.push_back(r.dep1);
+        _dep2.push_back(r.dep2);
+    }
 
     /** Point the view at externally owned column spans (borrowing
      *  mode; releases any owned arrays). @p v's pointers must stay
@@ -71,7 +89,7 @@ class TraceSoA
     /** Whether view() borrows externally owned spans. */
     bool borrowed() const { return _borrowed.pc != nullptr; }
 
-    /** View over the current arrays; invalidated by build(). */
+    /** View over the current arrays; invalidated by append(). */
     TraceView view() const;
 
     std::size_t size() const { return view().n; }

@@ -20,12 +20,12 @@ materialize(const SpecProgram &prog, const TraceWindow &window)
     MaterializedTrace out;
     out.benchmark = prog.name;
     out.window = window;
-    out.records.resize(window.length);
-    for (auto &rec : out.records)
+    out.soa.reserve(window.length);
+    TraceRecord rec;
+    for (std::uint64_t i = 0; i < window.length; ++i) {
         gen.next(rec);
-    // Transpose once here so every consumer of the cached trace
-    // shares one SoA build instead of paying per run.
-    out.soa.build(out.records);
+        out.soa.append(rec);
+    }
 
     // materialize() owns the generator, so the trace takes its final
     // image without a copy.

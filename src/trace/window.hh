@@ -30,18 +30,15 @@ struct TraceWindow
 };
 
 /** A materialized window together with the memory image that backs
- *  value-sensitive mechanisms (CDP, FVC). A *generated* trace
- *  carries both the AoS records and their SoA transposition (the
- *  SoA is built exactly once, when the trace is materialized into
- *  the cache, and every run over the window streams the same
- *  arrays). A trace *mapped* from the trace arena (trace_arena.hh)
- *  instead borrows its SoA columns straight out of a read-only mmap
- *  — `mapping` keeps the file mapped, `records` stays empty (the
- *  simulation hot path reads only view() and the image; callers
- *  that need the AoS reference loop materialize() their own copy). */
+ *  value-sensitive mechanisms (CDP, FVC). The window's only
+ *  representation is its SoA columns: a *generated* trace owns them
+ *  (materialize() appends each generator record straight into the
+ *  columns, once, and every run over the window streams the same
+ *  arrays); a trace *mapped* from the trace arena (trace_arena.hh)
+ *  borrows them straight out of a read-only mmap, and `mapping`
+ *  keeps the file mapped. */
 struct MaterializedTrace
 {
-    Trace records;
     TraceSoA soa;
     std::shared_ptr<const MemoryImage> image;
     std::string benchmark;
@@ -58,8 +55,8 @@ struct MaterializedTrace
     bool mapped() const { return mapping != nullptr; }
 
     /**
-     * Estimated *heap-owned* resident bytes: AoS records + owned SoA
-     * arrays + the memory image's allocated pages. This — not the
+     * Estimated *heap-owned* resident bytes: owned SoA arrays + the
+     * memory image's allocated pages. This — not the
      * mapped bytes — is what the trace cache charges against its
      * byte budget (MICROLIB_TRACE_BUDGET_MB): the OS page cache owns
      * a mapping's bytes and reclaims them under pressure on its own,
@@ -71,7 +68,6 @@ struct MaterializedTrace
     footprintOwnedBytes() const
     {
         std::size_t bytes = sizeof(*this);
-        bytes += records.capacity() * sizeof(TraceRecord);
         bytes += soa.footprintBytes();
         if (image)
             bytes += image->allocatedPages() *

@@ -18,7 +18,7 @@ cfg()
     return c;
 }
 
-Trace
+TraceSoA
 computeTrace(std::size_t n, std::uint8_t dep, OpClass op = OpClass::IntAlu)
 {
     Trace t;
@@ -29,7 +29,7 @@ computeTrace(std::size_t n, std::uint8_t dep, OpClass op = OpClass::IntAlu)
         r.dep1 = dep;
         t.push_back(r);
     }
-    return t;
+    return TraceSoA(t);
 }
 
 } // namespace
@@ -39,7 +39,7 @@ TEST(Core, WidthBoundsIpc)
     const BaselineConfig c = cfg();
     Hierarchy h(c.hier, nullptr);
     OoOCore core(c.core);
-    const CoreResult r = core.run(computeTrace(100000, 0), h);
+    const CoreResult r = core.run(computeTrace(100000, 0).view(), h);
     EXPECT_LE(r.ipc, 8.0);
     EXPECT_GT(r.ipc, 6.0); // independent IntAlu: near commit width
 }
@@ -49,7 +49,7 @@ TEST(Core, DependenceChainSerializes)
     const BaselineConfig c = cfg();
     Hierarchy h(c.hier, nullptr);
     OoOCore core(c.core);
-    const CoreResult r = core.run(computeTrace(100000, 1), h);
+    const CoreResult r = core.run(computeTrace(100000, 1).view(), h);
     // dep distance 1 with 1-cycle latency: ~1 IPC.
     EXPECT_NEAR(r.ipc, 1.0, 0.1);
 }
@@ -59,8 +59,8 @@ TEST(Core, DepDistanceScalesIlp)
     const BaselineConfig c = cfg();
     Hierarchy h1(c.hier, nullptr), h3(c.hier, nullptr);
     OoOCore core(c.core);
-    const double ipc1 = core.run(computeTrace(50000, 1), h1).ipc;
-    const double ipc3 = core.run(computeTrace(50000, 3), h3).ipc;
+    const double ipc1 = core.run(computeTrace(50000, 1).view(), h1).ipc;
+    const double ipc3 = core.run(computeTrace(50000, 3).view(), h3).ipc;
     EXPECT_GT(ipc3, 2.5 * ipc1 * 0.9); // 3 parallel chains
 }
 
@@ -71,7 +71,7 @@ TEST(Core, FuContentionLimitsThroughput)
     OoOCore core(c.core);
     // FpMult: 2 units with issue interval 2 -> 1 op/cycle cap.
     const CoreResult r =
-        core.run(computeTrace(50000, 0, OpClass::FpMult), h);
+        core.run(computeTrace(50000, 0, OpClass::FpMult).view(), h);
     EXPECT_LE(r.ipc, 1.1);
 }
 
@@ -95,7 +95,7 @@ TEST(Core, LoadLatencyPropagatesToDependents)
     }
     Hierarchy h(c.hier, nullptr);
     OoOCore core(c.core);
-    const CoreResult r = core.run(t, h);
+    const CoreResult r = core.run(TraceSoA(t).view(), h);
     EXPECT_LT(r.ipc, 2.0); // memory-bound
     EXPECT_EQ(r.loads, 10000u);
 }
@@ -113,7 +113,7 @@ TEST(Core, StoresArePosted)
     }
     Hierarchy h(c.hier, nullptr);
     OoOCore core(c.core);
-    const CoreResult r = core.run(t, h);
+    const CoreResult r = core.run(TraceSoA(t).view(), h);
     // Stores don't stall commit: IPC stays compute-like even though
     // every store line misses.
     EXPECT_GT(r.ipc, 2.0);
@@ -123,11 +123,11 @@ TEST(Core, StoresArePosted)
 TEST(Core, DeterministicAcrossRuns)
 {
     const BaselineConfig c = cfg();
-    const Trace t = computeTrace(30000, 2);
+    const TraceSoA t = computeTrace(30000, 2);
     Hierarchy h1(c.hier, nullptr), h2(c.hier, nullptr);
     OoOCore core(c.core);
-    const double a = core.run(t, h1).ipc;
-    const double b = core.run(t, h2).ipc;
+    const double a = core.run(t.view(), h1).ipc;
+    const double b = core.run(t.view(), h2).ipc;
     EXPECT_DOUBLE_EQ(a, b);
 }
 
@@ -141,14 +141,15 @@ TEST(Core, MispredictsSlowFetch)
         r.pc = 0x400000 + (i % 64) * 4;
         t.push_back(r);
     }
+    const TraceSoA soa(t);
     Hierarchy h1(c.hier, nullptr);
     OoOCore perfect(c.core);
-    const double ipc_perfect = perfect.run(t, h1).ipc;
+    const double ipc_perfect = perfect.run(soa.view(), h1).ipc;
 
     c.core.mispredict_rate = 0.2;
     Hierarchy h2(c.hier, nullptr);
     OoOCore sloppy(c.core);
-    const CoreResult r = sloppy.run(t, h2);
+    const CoreResult r = sloppy.run(soa.view(), h2);
     EXPECT_GT(r.mispredicts, 0u);
     EXPECT_LT(r.ipc, ipc_perfect);
 }
@@ -158,10 +159,8 @@ TEST(Core, EmptyTrace)
     const BaselineConfig c = cfg();
     Hierarchy h(c.hier, nullptr);
     OoOCore core(c.core);
-    const CoreResult r = core.run(Trace{}, h);
+    const CoreResult r = core.run(TraceView{}, h);
     EXPECT_EQ(r.instructions, 0u);
-    const CoreResult rv = core.run(TraceView{}, h);
-    EXPECT_EQ(rv.instructions, 0u);
 }
 
 class CoreWidthTest : public ::testing::TestWithParam<unsigned>
@@ -175,7 +174,7 @@ TEST_P(CoreWidthTest, IpcNeverExceedsWidth)
     c.core.commit_width = GetParam();
     Hierarchy h(c.hier, nullptr);
     OoOCore core(c.core);
-    const CoreResult r = core.run(computeTrace(50000, 0), h);
+    const CoreResult r = core.run(computeTrace(50000, 0).view(), h);
     EXPECT_LE(r.ipc, static_cast<double>(GetParam()) + 0.01);
 }
 

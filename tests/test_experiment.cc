@@ -44,8 +44,8 @@ TEST(Experiment, SelectionsProduceDifferentWindows)
     const MaterializedTrace a = materializeFor("gcc", sp);
     const MaterializedTrace b = materializeFor("gcc", arb);
     EXPECT_EQ(b.window.skip, 50'000u);
-    EXPECT_EQ(a.records.size(), 100'000u);
-    EXPECT_EQ(b.records.size(), 100'000u);
+    EXPECT_EQ(a.soa.size(), 100'000u);
+    EXPECT_EQ(b.soa.size(), 100'000u);
 }
 
 TEST(Experiment, MatrixShape)

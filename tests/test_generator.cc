@@ -159,9 +159,23 @@ TEST(Generator, MaterializeWindow)
 {
     const MaterializedTrace t =
         materialize(tinyProgram(), TraceWindow{1000, 5000});
-    EXPECT_EQ(t.records.size(), 5000u);
     EXPECT_EQ(t.benchmark, "tiny");
     ASSERT_NE(t.image, nullptr);
+    // The columns hold exactly the generator's records 1000..5999.
+    const TraceView v = t.view();
+    ASSERT_EQ(v.size(), 5000u);
+    SpecGenerator gen(tinyProgram());
+    gen.skip(1000);
+    TraceRecord r;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        gen.next(r);
+        ASSERT_EQ(v.pc[i], r.pc) << i;
+        ASSERT_EQ(v.addr[i], r.addr) << i;
+        ASSERT_EQ(v.value[i], r.value) << i;
+        ASSERT_EQ(v.op[i], r.op) << i;
+        ASSERT_EQ(v.dep1[i], r.dep1) << i;
+        ASSERT_EQ(v.dep2[i], r.dep2) << i;
+    }
 }
 
 TEST(Generator, MaterializeIsPureFunctionOfWindow)
@@ -170,9 +184,17 @@ TEST(Generator, MaterializeIsPureFunctionOfWindow)
         materialize(tinyProgram(), TraceWindow{500, 2000});
     const MaterializedTrace b =
         materialize(tinyProgram(), TraceWindow{500, 2000});
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-        ASSERT_EQ(a.records[i].addr, b.records[i].addr);
-        ASSERT_EQ(a.records[i].value, b.records[i].value);
+    const TraceView va = a.view();
+    const TraceView vb = b.view();
+    ASSERT_EQ(va.size(), 2000u);
+    ASSERT_EQ(vb.size(), va.size());
+    for (std::size_t i = 0; i < va.size(); ++i) {
+        ASSERT_EQ(va.pc[i], vb.pc[i]) << i;
+        ASSERT_EQ(va.addr[i], vb.addr[i]) << i;
+        ASSERT_EQ(va.value[i], vb.value[i]) << i;
+        ASSERT_EQ(va.op[i], vb.op[i]) << i;
+        ASSERT_EQ(va.dep1[i], vb.dep1[i]) << i;
+        ASSERT_EQ(va.dep2[i], vb.dep2[i]) << i;
     }
 }
 

@@ -2,16 +2,13 @@
  * @file
  * Hot-path determinism tests.
  *
- * The block-based SoA loop (OoOCore::run over a TraceView) must be a
- * pure re-expression of the seed's record-at-a-time AoS loop (kept as
- * OoOCore::runReference): same CoreResult bit for bit, same cache and
- * MSHR counters, for every mechanism — including ones that exercise
- * the devirtualized hook shim's side-fill, eviction and refill paths.
- * A second suite pins the full stat snapshot across MICROLIB_THREADS
- * 1/4/8 so the scheduler cannot leak ordering into the new loop.
  * Golden digests pin every (program x mechanism) cell's CoreResult
- * and stat snapshot, and every cell is checked against the model's
- * counter identities.
+ * and full stat snapshot, so any change to the simulated results —
+ * in the core loop, a cache, a mechanism or the trace path, on every
+ * execution path at once — fails with the differing cells named.
+ * Every cell is also checked against the model's counter identities.
+ * A second suite pins the full stat snapshot across MICROLIB_THREADS
+ * 1/4/8 so the scheduler cannot leak ordering into the results.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +16,6 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -28,12 +23,8 @@
 
 #include "core/registry.hh"
 #include "core/scheduler.hh"
-#include "cpu/ooo_core.hh"
-#include "mem/hierarchy.hh"
 #include "sim/fingerprint.hh"
-#include "sim/stats.hh"
 #include "trace/spec_suite.hh"
-#include "trace/window.hh"
 
 using namespace microlib;
 
@@ -43,6 +34,8 @@ namespace
 const std::vector<std::string> kBenchmarks = {"swim", "mcf", "crafty"};
 const std::vector<std::string> kMechanisms = {"Base", "VC", "GHB"};
 
+/** An explicit arbitrary window: the same at every MICROLIB_QUICK
+ *  setting. */
 RunConfig
 quickConfig()
 {
@@ -53,99 +46,7 @@ quickConfig()
     return cfg;
 }
 
-/** One full run (hierarchy + mechanism + stats), through either the
- *  SoA hot loop or the AoS reference loop. Mirrors runOne(). */
-struct FullRun
-{
-    CoreResult core;
-    std::map<std::string, double> stats;
-};
-
-FullRun
-simulate(const MaterializedTrace &trace, const std::string &mechanism,
-         const RunConfig &cfg, bool reference)
-{
-    FullRun out;
-    Hierarchy hier(cfg.system.hier, trace.image);
-    std::unique_ptr<CacheMechanism> mech =
-        makeMechanism(mechanism, cfg.mech);
-
-    StatSet stats;
-    hier.registerStats(stats);
-    if (mech) {
-        mech->bind(hier);
-        mech->registerStats(stats);
-        hier.setClient(mech.get());
-    }
-
-    OoOCore core(cfg.system.core);
-    out.core = reference ? core.runReference(trace.records, hier)
-                         : core.run(trace.view(), hier);
-    stats.snapshot(out.stats);
-    return out;
-}
-
-void
-expectBitIdentical(const FullRun &a, const FullRun &b,
-                   const std::string &label)
-{
-    EXPECT_EQ(a.core.instructions, b.core.instructions) << label;
-    EXPECT_EQ(a.core.cycles, b.core.cycles) << label;
-    EXPECT_EQ(a.core.ipc, b.core.ipc) << label; // exact, not near
-    EXPECT_EQ(a.core.loads, b.core.loads) << label;
-    EXPECT_EQ(a.core.stores, b.core.stores) << label;
-    EXPECT_EQ(a.core.branches, b.core.branches) << label;
-    EXPECT_EQ(a.core.mispredicts, b.core.mispredicts) << label;
-    // The full snapshot covers every cache and MSHR counter
-    // (demand_misses, writebacks, side_fills, mshr_full_stalls, ...).
-    ASSERT_EQ(a.stats.size(), b.stats.size()) << label;
-    for (const auto &kv : a.stats) {
-        const auto it = b.stats.find(kv.first);
-        ASSERT_NE(it, b.stats.end()) << label << ": " << kv.first;
-        EXPECT_EQ(kv.second, it->second) << label << ": " << kv.first;
-    }
-}
-
 } // namespace
-
-TEST(HotPath, SoaLoopMatchesSeedLoopAcrossMatrix)
-{
-    const RunConfig cfg = quickConfig();
-    for (const auto &benchmark : kBenchmarks) {
-        const MaterializedTrace trace = materializeFor(benchmark, cfg);
-        ASSERT_EQ(trace.soa.size(), trace.records.size());
-        for (const auto &mechanism : kMechanisms) {
-            const FullRun soa = simulate(trace, mechanism, cfg, false);
-            const FullRun ref = simulate(trace, mechanism, cfg, true);
-            expectBitIdentical(soa, ref, benchmark + "/" + mechanism);
-            // A real simulation happened (guards against both loops
-            // degenerating together).
-            EXPECT_GT(soa.core.cycles, 0u);
-            EXPECT_GT(soa.stats.at("l1d.demand_accesses"), 0.0);
-        }
-    }
-}
-
-TEST(HotPath, RunOverloadsShareOneLoop)
-{
-    // The Trace overload transposes and delegates: both entry points
-    // must agree exactly.
-    const RunConfig cfg = quickConfig();
-    const MaterializedTrace trace = materializeFor("gzip", cfg);
-    const BaselineConfig sys = makeBaseline();
-
-    Hierarchy h1(sys.hier, trace.image);
-    OoOCore c1(sys.core);
-    const CoreResult via_records = c1.run(trace.records, h1);
-
-    Hierarchy h2(sys.hier, trace.image);
-    OoOCore c2(sys.core);
-    const CoreResult via_view = c2.run(trace.view(), h2);
-
-    EXPECT_EQ(via_records.cycles, via_view.cycles);
-    EXPECT_EQ(via_records.ipc, via_view.ipc);
-    EXPECT_EQ(via_records.mispredicts, via_view.mispredicts);
-}
 
 TEST(HotPath, BitIdenticalAcrossWorkerCounts)
 {

@@ -170,10 +170,9 @@ TEST(TraceArena, PublishLoadRoundTripIsBitIdentical)
     ASSERT_TRUE(loaded.has_value());
     expectSameTrace(gen, *loaded);
 
-    // The mapped trace borrows: no AoS records, no owned SoA heap,
-    // and the mapping spans the whole file.
+    // The mapped trace borrows: no owned SoA heap, and the mapping
+    // spans the whole file.
     EXPECT_TRUE(loaded->mapped());
-    EXPECT_TRUE(loaded->records.empty());
     EXPECT_TRUE(loaded->soa.borrowed());
     EXPECT_EQ(loaded->soa.footprintBytes(), 0u);
     EXPECT_EQ(loaded->footprintMappedBytes(),

@@ -35,7 +35,7 @@ TEST(TraceCache, GetMaterializesOnce)
     const auto b = cache.get("swim", make);
     EXPECT_EQ(calls.load(), 1);
     EXPECT_EQ(a.get(), b.get()); // literally the same object
-    EXPECT_EQ(a->records.size(), 10'000u);
+    EXPECT_EQ(a->soa.size(), 10'000u);
     EXPECT_EQ(cache.traceCount(), 1u);
 }
 
@@ -91,7 +91,7 @@ TEST(TraceCache, EvictAllowsRematerialization)
     const auto b = cache.get("swim", make);
     EXPECT_EQ(calls.load(), 2);
     // The evicted trace stays valid for holders of the old pointer.
-    EXPECT_EQ(a->records.size(), b->records.size());
+    EXPECT_EQ(a->soa.size(), b->soa.size());
 }
 
 TEST(TraceCache, FailedMaterializationRetries)
@@ -106,7 +106,7 @@ TEST(TraceCache, FailedMaterializationRetries)
     EXPECT_THROW(cache.get("gzip", flaky), std::runtime_error);
     const auto ok = cache.get("gzip", flaky);
     EXPECT_EQ(calls.load(), 2);
-    EXPECT_EQ(ok->records.size(), 10'000u);
+    EXPECT_EQ(ok->soa.size(), 10'000u);
 }
 
 TEST(TraceCache, ClearDropsTracesKeepsSimPoints)
@@ -216,9 +216,10 @@ TEST(TraceCache, BudgetEvictionIsCorrectnessNeutral)
     EXPECT_EQ(cache.traceCount(), 0u);
     cache.setByteBudget(0);
     const auto again = cache.get("k", make);
-    ASSERT_EQ(first->records.size(), again->records.size());
-    for (std::size_t i = 0; i < first->records.size(); ++i) {
-        EXPECT_EQ(first->records[i].pc, again->records[i].pc);
-        EXPECT_EQ(first->records[i].addr, again->records[i].addr);
+    const TraceView a = first->view(), b = again->view();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a.pc[i], b.pc[i]);
+        EXPECT_EQ(a.addr[i], b.addr[i]);
     }
 }

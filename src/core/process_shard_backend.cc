@@ -465,24 +465,15 @@ ProcessShardBackend::execute(const TaskPlan &plan,
     counters.executed = filled - worker_resumed;
     counters.resumed += worker_resumed;
     // Quarantined tasks have no record: flag their cells and exempt
-    // them from the completeness check. (A task misblamed after its
-    // record landed is simply done — the record wins.)
-    std::vector<std::size_t> quarantined = supervisor.quarantined();
-    std::sort(quarantined.begin(), quarantined.end());
-    for (const std::size_t q : quarantined) {
-        if (merged_done[q])
-            continue;
-        merged_done[q] = 1;
-        const PlanTask &t = plan.task(q);
-        res.matrix(t.v).fault[t.m][t.b] = 1;
-        counters.quarantined.push_back(q);
-    }
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        if (!merged_done[i])
-            throw std::runtime_error(
-                "ProcessShardBackend: shard worker exited cleanly "
-                "but produced no record for " +
-                plan.describe(i, ShardSpec{0, nshards}));
+    // them from the completeness check.
+    const std::size_t missing = plan.settleQuarantined(
+        supervisor.quarantined(), res, merged_done,
+        counters.quarantined);
+    if (missing < plan.size())
+        throw std::runtime_error(
+            "ProcessShardBackend: shard worker exited cleanly but "
+            "produced no record for " +
+            plan.describe(missing, ShardSpec{0, nshards}));
 
     if (!_opts.keep_shard_stores) {
         for (const Worker &w : workers) {

@@ -38,47 +38,101 @@
  * Consumers must tolerate a torn final line — a writer can die
  * mid-write; core/supervisor.hh's ProgressFollower (which only ever
  * consumes completed lines) is the reference reader.
+ *
+ * This header is the one JSONL layer: progress lines and the service
+ * protocol (service/protocol.hh) share its builder, readers and
+ * write loop. It is NOT a JSON library, only the subset both need:
+ * flat objects of strings, unsigned integers, "%.3f" doubles and
+ * unsigned-integer arrays.
  */
 
 #ifndef MICROLIB_CORE_PROGRESS_HH
 #define MICROLIB_CORE_PROGRESS_HH
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
+#include <vector>
 
 namespace microlib
 {
 
-/** Builder for one progress line: {"event":"<name>", fields...}. */
-class ProgressEvent
+/**
+ * Builder for one JSONL line: {"<kind>":"<name>", fields...}. The
+ * leading key tells lines apart: "event" for progress lines,
+ * "cmd"/"reply" for protocol lines. Fields keep call order; strings
+ * escape quotes, backslashes and control bytes (as \u00xx).
+ */
+class JsonLine
 {
   public:
-    explicit ProgressEvent(const std::string &name);
+    JsonLine(const char *kind, const std::string &name);
 
-    ProgressEvent &field(const char *key, const std::string &value);
-    ProgressEvent &field(const char *key, const char *value);
-    ProgressEvent &field(const char *key, std::uint64_t value);
-    ProgressEvent &field(const char *key, double value);
+    JsonLine &field(const char *key, const std::string &value);
+    JsonLine &field(const char *key, std::uint64_t value);
+    /** Fixed "%.3f": progress times are telemetry, not results. */
+    JsonLine &field(const char *key, double value);
+    /** "key":[1,2,3] — task-index lists. */
+    JsonLine &field(const char *key,
+                    const std::vector<std::size_t> &values);
 
-    /** The complete JSON object, closing brace included. */
-    std::string str() const;
-
-    /** JSON string escaping (quotes, backslash, control chars). */
-    static std::string escape(const std::string &s);
+    /** The complete JSON object, closing brace included, no
+     *  newline. */
+    std::string str() const { return _line + '}'; }
 
   private:
-    std::ostringstream _os;
+    /** Append `,"key":` and return the line for the value. */
+    std::string &beginField(const char *key);
+
+    std::string _line;
 };
 
-/** Append-per-line JSONL progress stream; thread-safe, flushed per
- *  event. A default-constructed writer is disabled and write() is a
- *  no-op, so call sites never branch. Sinks to either a file (the
- *  classic tail-able stream) or a caller-owned fd (a service worker
- *  streaming events over its daemon socket — the same lines, the
- *  same whole-lines-only contract, a different transport). */
+/** A progress line: {"event":"<name>", fields...}. */
+class ProgressEvent : public JsonLine
+{
+  public:
+    explicit ProgressEvent(const std::string &name)
+        : JsonLine("event", name)
+    {
+    }
+};
+
+/** Whether @p line's first key is @p key ("cmd", "reply", "event")
+ *  and, if so, its string value in @p out. */
+bool protocolKind(const std::string &line, const std::string &key,
+                  std::string &out);
+
+/** Extract the string value of "key":"..." from @p line, unescaping
+ *  \" \\ and \uXXXX control escapes; false if absent or malformed. */
+bool jsonFindString(const std::string &line, const std::string &key,
+                    std::string &out);
+
+/** Extract the unsigned value of "key":<digits>; false if absent,
+ *  signed, blank-prefixed or overflowing (the option table's rule
+ *  for numbers: sim/options.hh parseCount). */
+bool jsonFindU64(const std::string &line, const std::string &key,
+                 std::uint64_t &out);
+
+/** Extract "key":[<digits>,...] into @p out; false if absent or
+ *  malformed, with jsonFindU64's rule for every element (an empty
+ *  array is success). */
+bool jsonFindArray(const std::string &line, const std::string &key,
+                   std::vector<std::size_t> &out);
+
+/** Write @p line plus its newline to @p fd with one write loop
+ *  (EINTR retried), so a reader sees at worst a torn tail, never a
+ *  line split by another writer's. False on any write error. */
+bool appendLine(int fd, const std::string &line);
+
+/** Append-per-line JSONL progress stream; thread-safe, one write()
+ *  per line. A default-constructed writer is disabled and write() is
+ *  a no-op, so call sites never branch. Sinks to a file (the classic
+ *  tail-able stream) or a caller-owned fd (a service worker streaming
+ *  events over its daemon socket — the same lines, the same
+ *  whole-lines-only contract, a different transport). A failed write
+ *  disables the writer. */
 class ProgressWriter
 {
   public:
@@ -89,16 +143,18 @@ class ProgressWriter
     explicit ProgressWriter(const std::string &path);
 
     /** Write lines to @p fd (a connected socket or pipe). The fd is
-     *  borrowed, never closed; a failed write disables the writer
-     *  (the fd's owner learns of the hangup through its own I/O). */
-    explicit ProgressWriter(int fd);
+     *  borrowed, never closed (the fd's owner learns of a hangup
+     *  through its own I/O). */
+    explicit ProgressWriter(int fd) : _fd(fd) {}
+
+    ~ProgressWriter();
 
     ProgressWriter(const ProgressWriter &) = delete;
     ProgressWriter &operator=(const ProgressWriter &) = delete;
 
-    bool enabled() const { return _out.is_open() || _fd >= 0; }
+    bool enabled() const { return _fd >= 0; }
 
-    void write(const ProgressEvent &event);
+    void write(const JsonLine &event) { writeLine(event.str()); }
 
     /** Append one raw, already-formatted JSONL line (no newline).
      *  The daemon relays worker progress lines into its own stream
@@ -106,9 +162,11 @@ class ProgressWriter
     void writeLine(const std::string &line);
 
   private:
-    std::mutex _mu;
-    std::ofstream _out;
-    int _fd = -1;
+    std::mutex _mu; ///< one line at a time
+    /** -1 = disabled. Atomic: enabled() reads it unlocked while a
+     *  failed write may clear it. */
+    std::atomic<int> _fd{-1};
+    bool _owned = false; ///< opened from a path: close on destruction
 };
 
 } // namespace microlib

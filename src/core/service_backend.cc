@@ -1,6 +1,5 @@
 #include "core/service_backend.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -25,7 +24,7 @@ exchange(LineSocket &sock, const std::string &request,
          const char *what)
 {
     std::string reply;
-    if (!sock.sendLine(request) || !sock.recvLine(reply))
+    if (!sock.exchange(request, reply))
         throw InfrastructureError(
             std::string("sweep service: connection lost during ") +
             what);
@@ -161,25 +160,15 @@ ServiceBackend::execute(const TaskPlan &plan,
     counters.executed += plan.prefill(*fill_store, res, merged_done);
 
     // Quarantined tasks have no record: flag their cells and exempt
-    // them from the completeness check — same record-wins rule as
-    // the process-shard merge (a task whose record landed anywhere
-    // is simply done).
-    std::sort(quarantined.begin(), quarantined.end());
-    for (const std::size_t q : quarantined) {
-        if (q >= plan.size() || merged_done[q])
-            continue;
-        merged_done[q] = 1;
-        const PlanTask &t = plan.task(q);
-        res.matrix(t.v).fault[t.m][t.b] = 1;
-        counters.quarantined.push_back(q);
-    }
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        if (!merged_done[i])
-            throw InfrastructureError(
-                "sweep service: job " + job_id +
-                " reported done but task " + std::to_string(i) +
-                " has no record (" + std::to_string(parsed) +
-                " records fetched)");
+    // them from the completeness check — the process-shard merge's
+    // settlement step.
+    const std::size_t missing = plan.settleQuarantined(
+        quarantined, res, merged_done, counters.quarantined);
+    if (missing < plan.size())
+        throw InfrastructureError(
+            "sweep service: job " + job_id + " reported done but task " +
+            std::to_string(missing) + " has no record (" +
+            std::to_string(parsed) + " records fetched)");
 }
 
 } // namespace microlib

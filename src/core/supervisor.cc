@@ -1,87 +1,100 @@
 #include "core/supervisor.hh"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstdlib>
-#include <fstream>
+#include <iterator>
+
+#include "core/progress.hh"
 
 namespace microlib
 {
 
-ProgressFollower::ProgressFollower(std::string path)
-    : _path(std::move(path))
+std::size_t
+ProgressFollower::feed(const char *data, std::size_t n)
 {
+    _buf.append(data, n);
+    _fed += n;
+    // Surface every completed line; the unterminated tail stays
+    // buffered (it may be half a line — the next chunk finishes it,
+    // or EOF orphans it).
+    std::size_t completed = 0;
+    std::size_t start = 0;
+    for (;;) {
+        const auto nl = _buf.find('\n', start);
+        if (nl == std::string::npos)
+            break;
+        std::string line = _buf.substr(start, nl - start);
+        start = nl + 1;
+        ++completed;
+        if (line.empty())
+            continue;
+        std::string event;
+        std::uint64_t task = 0;
+        if (jsonFindString(line, "event", event) &&
+            event == "heartbeat" && jsonFindU64(line, "task", task)) {
+            _has_task = true;
+            _task = static_cast<std::size_t>(task);
+        }
+        _lines.push_back(std::move(line));
+    }
+    _buf.erase(0, start);
+    return completed;
 }
 
-void
-ProgressFollower::rewind()
+int
+ProgressFollower::feedFd(int fd)
 {
-    _offset = 0;
-    _has_task = false;
-    _task = 0;
-}
-
-bool
-ProgressFollower::parseHeartbeat(const std::string &line,
-                                 std::size_t &task)
-{
-    if (line.find("\"event\":\"heartbeat\"") == std::string::npos)
-        return false;
-    const std::string key = "\"task\":";
-    const auto at = line.find(key);
-    if (at == std::string::npos)
-        return false;
-    const char *digits = line.c_str() + at + key.size();
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(digits, &end, 10);
-    if (end == digits)
-        return false;
-    task = static_cast<std::size_t>(v);
-    return true;
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n > 0)
+        feed(chunk, static_cast<std::size_t>(n));
+    return static_cast<int>(n);
 }
 
 bool
 ProgressFollower::poll()
 {
-    if (_path.empty())
+    const int fd = ::open(_path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-
+    bool live = false;
     struct stat st;
-    if (::stat(_path.c_str(), &st) != 0)
-        return false;
-    if (st.st_size < _offset) {
+    if (::fstat(fd, &st) == 0 &&
+        static_cast<std::uint64_t>(st.st_size) < _fed) {
         // Shrunk: a restarted worker reopened (truncated) its
         // stream. Start over; the reopen itself is liveness.
-        rewind();
-        return true;
+        reset();
+        live = true;
+    } else if (::lseek(fd, static_cast<off_t>(_fed), SEEK_SET) >= 0) {
+        char chunk[4096];
+        ssize_t n;
+        while ((n = ::read(fd, chunk, sizeof(chunk))) > 0)
+            live |= feed(chunk, static_cast<std::size_t>(n)) > 0;
     }
-    if (st.st_size == _offset)
-        return false;
+    ::close(fd);
+    _lines.clear();
+    return live;
+}
 
-    std::ifstream in(_path);
-    if (!in)
+bool
+ProgressFollower::nextLine(std::string &line)
+{
+    if (_lines.empty())
         return false;
-    in.seekg(_offset);
+    line = std::move(_lines.front());
+    _lines.pop_front();
+    return true;
+}
 
-    bool advanced = false;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof() && !line.empty()) {
-            // No trailing newline: a line still being written (or
-            // torn by a dying writer). Leave it for the next poll —
-            // or never; a torn tail must not count as liveness.
-            break;
-        }
-        _offset += static_cast<std::streamoff>(line.size()) + 1;
-        advanced = true;
-        std::size_t task;
-        if (parseHeartbeat(line, task)) {
-            _has_task = true;
-            _task = task;
-        }
-    }
-    return advanced;
+std::vector<std::string>
+ProgressFollower::takeLines()
+{
+    std::vector<std::string> out(std::make_move_iterator(_lines.begin()),
+                                 std::make_move_iterator(_lines.end()));
+    _lines.clear();
+    return out;
 }
 
 bool
@@ -94,62 +107,9 @@ ProgressFollower::lastHeartbeatTask(std::size_t &task) const
 }
 
 void
-ProgressStreamFollower::feed(const char *data, std::size_t n)
+ProgressFollower::reset()
 {
-    _buf.append(data, n);
-    // Surface every completed line; the unterminated tail stays
-    // buffered (it may be half a line — the next chunk finishes it,
-    // or EOF orphans it).
-    std::size_t start = 0;
-    for (;;) {
-        const auto nl = _buf.find('\n', start);
-        if (nl == std::string::npos)
-            break;
-        std::string line = _buf.substr(start, nl - start);
-        start = nl + 1;
-        if (line.empty())
-            continue;
-        std::size_t task;
-        if (ProgressFollower::parseHeartbeat(line, task)) {
-            _has_task = true;
-            _task = task;
-        }
-        _lines.push_back(std::move(line));
-    }
-    if (start > 0)
-        _buf.erase(0, start);
-}
-
-int
-ProgressStreamFollower::feedFd(int fd)
-{
-    char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n > 0)
-        feed(chunk, static_cast<std::size_t>(n));
-    return static_cast<int>(n);
-}
-
-std::vector<std::string>
-ProgressStreamFollower::takeLines()
-{
-    std::vector<std::string> out;
-    out.swap(_lines);
-    return out;
-}
-
-bool
-ProgressStreamFollower::lastHeartbeatTask(std::size_t &task) const
-{
-    if (!_has_task)
-        return false;
-    task = _task;
-    return true;
-}
-
-void
-ProgressStreamFollower::reset()
-{
+    _fed = 0;
     _buf.clear();
     _lines.clear();
     _has_task = false;
@@ -160,7 +120,9 @@ SupervisionVerdict
 SweepSupervisor::decide(const WorkerFailure &failure)
 {
     SupervisionVerdict verdict;
-    const char *how = failure.stalled ? "stalled" : "died";
+    const std::string who = "worker " + std::to_string(failure.worker) +
+                            (failure.stalled ? " stalled (" : " died (") +
+                            failure.detail + "); ";
 
     // Strikes come before the retry budget: if this failure tips the
     // blamed task into quarantine, the restart is free — the thing
@@ -178,9 +140,7 @@ SweepSupervisor::decide(const WorkerFailure &failure)
             verdict.quarantined = true;
             verdict.task = failure.task;
             verdict.delay_s = 0.0;
-            verdict.why = "worker " + std::to_string(failure.worker) +
-                          " " + how + " (" + failure.detail +
-                          "); task " + std::to_string(failure.task) +
+            verdict.why = who + "task " + std::to_string(failure.task) +
                           " quarantined after " +
                           std::to_string(strikes) + " strikes";
             return verdict;
@@ -190,9 +150,7 @@ SweepSupervisor::decide(const WorkerFailure &failure)
     const std::size_t retries = ++_retries[failure.worker];
     if (retries > _policy.max_worker_retries) {
         verdict.action = SupervisionVerdict::Action::GiveUp;
-        verdict.why = "worker " + std::to_string(failure.worker) +
-                      " " + how + " (" + failure.detail + "); retry " +
-                      "budget of " +
+        verdict.why = who + "retry budget of " +
                       std::to_string(_policy.max_worker_retries) +
                       " exhausted";
         return verdict;
@@ -206,9 +164,7 @@ SweepSupervisor::decide(const WorkerFailure &failure)
 
     verdict.action = SupervisionVerdict::Action::Restart;
     verdict.delay_s = delay;
-    verdict.why = "worker " + std::to_string(failure.worker) + " " +
-                  how + " (" + failure.detail + "); restart " +
-                  std::to_string(retries) + "/" +
+    verdict.why = who + "restart " + std::to_string(retries) + "/" +
                   std::to_string(_policy.max_worker_retries);
     return verdict;
 }

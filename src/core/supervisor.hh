@@ -7,13 +7,13 @@
  * and gives up on the first casualty; it polls, and this module owns
  * everything the poll loop decides with:
  *
- *  - ProgressFollower tails a worker's JSONL progress stream
- *    incrementally: any newly completed line is liveness, and the
- *    last `heartbeat` event names the flat task index the worker was
- *    about to run — the task a crash or stall is blamed on. The
- *    follower only ever consumes whole lines, so a line torn by a
- *    dying writer is simply not yet visible (and a restarted worker
- *    truncating its stream rewinds the follower).
+ *  - ProgressFollower reassembles a worker's JSONL progress stream
+ *    — a file it tails, or a socket it is fed — into whole lines:
+ *    any newly completed line is liveness, and the last `heartbeat`
+ *    event names the flat task index the worker was about to run —
+ *    the task a crash or stall is blamed on. A line torn by a dying
+ *    writer is simply not yet visible (and a restarted worker
+ *    truncating its stream resets the follower).
  *
  *  - SweepSupervisor turns a worker death or stall into a Verdict:
  *    restart after an exponentially backed-off delay, quarantine the
@@ -33,6 +33,8 @@
 #define MICROLIB_CORE_SUPERVISOR_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -66,79 +68,58 @@ struct SupervisionPolicy
 };
 
 /**
- * Incremental, torn-line-tolerant reader of one worker's JSONL
- * progress stream. poll() consumes any newly *completed* lines (a
- * trailing line without its newline stays unread until the writer
- * finishes it — or forever, if the writer died mid-write) and
- * remembers the task index of the last `heartbeat` event seen.
+ * Whole-lines-only reader of one JSONL stream — the one line
+ * reassembler of the repository. Raw bytes go in, in any split a
+ * read() produces (half a line, a line and a half); only completed
+ * lines come out, and the last `heartbeat` event's task index is
+ * remembered as the blame for a crash or stall. An unterminated tail
+ * stays buffered: a line torn by a dying writer is never surfaced
+ * and never counts as liveness.
+ *
+ * Three transports feed it: the daemon feeds each connection's
+ * socket (feedFd, one per poll turn), LineSocket receives through it
+ * (nextLine), and the shard supervisor follows a worker's progress
+ * file (poll: the bytes appended since the last read).
  */
 class ProgressFollower
 {
   public:
     ProgressFollower() = default;
-    explicit ProgressFollower(std::string path);
 
-    /** Read any newly completed lines. Returns true if at least one
-     *  complete line (or a stream truncation — a restarted worker
-     *  reopening its stream) was observed: the liveness signal. */
-    bool poll();
-
-    /** The task index of the last heartbeat event, if any. */
-    bool lastHeartbeatTask(std::size_t &task) const;
-
-    /** Forget stream position and blame state (worker restarted;
-     *  its writer truncates the file). */
-    void rewind();
-
-    /**
-     * Extract the "task" field of a heartbeat progress line; false
-     * for any other (or torn) line. Exposed for tests and other
-     * stream consumers.
-     */
-    static bool parseHeartbeat(const std::string &line,
-                               std::size_t &task);
-
-  private:
-    std::string _path;
-    std::streamoff _offset = 0;
-    bool _has_task = false;
-    std::size_t _task = 0;
-};
-
-/**
- * ProgressFollower's stream-transport sibling: the same whole-lines-
- * only JSONL reassembly, fed from a pipe or socket instead of a file.
- * A read() from a stream can return any byte split — half a line, a
- * line and a half — so the follower buffers raw chunks and surfaces
- * only completed lines, remembering the last heartbeat's task index
- * exactly like the file follower. The daemon runs one per worker
- * connection; EOF on the fd (read() == 0 via feedFd) is the worker-
- * death signal, and whatever sits unterminated in the buffer then is
- * a torn line: never surfaced, never counted as liveness.
- */
-class ProgressStreamFollower
-{
-  public:
-    /** Buffer @p n raw bytes; any lines they complete become
-     *  takeLines() output and update the heartbeat blame state. */
-    void feed(const char *data, std::size_t n);
-
-    void feed(const std::string &chunk)
+    /** Follow the file at @p path through poll(). */
+    explicit ProgressFollower(std::string path) : _path(std::move(path))
     {
-        feed(chunk.data(), chunk.size());
+    }
+
+    /** Buffer @p n raw bytes; any lines they complete queue for
+     *  nextLine()/takeLines() and update the heartbeat blame state.
+     *  Returns the number of lines completed. */
+    std::size_t feed(const char *data, std::size_t n);
+
+    std::size_t feed(const std::string &chunk)
+    {
+        return feed(chunk.data(), chunk.size());
     }
 
     /** One read() from @p fd into the buffer. Returns read()'s
-     *  result: bytes consumed (> 0), 0 on EOF (worker hung up), or
-     *  -1 with errno (EAGAIN on a drained non-blocking fd). */
+     *  result: bytes consumed (> 0), 0 on EOF (the writer hung up),
+     *  or -1 with errno (EAGAIN on a drained non-blocking fd). */
     int feedFd(int fd);
 
+    /** Feed the bytes appended to the followed file since the last
+     *  read. Returns true on liveness: at least one completed line,
+     *  or a truncation (a restarted worker reopening its stream),
+     *  which resets the follower. A file is followed for liveness and
+     *  blame only; its lines are not queued. */
+    bool poll();
+
+    /** Pop the oldest completed line, newline stripped. */
+    bool nextLine(std::string &line);
+
     /** Lines completed since the last call, in arrival order,
-     *  newlines stripped; clears the internal queue. */
+     *  newlines stripped; clears the queue. */
     std::vector<std::string> takeLines();
 
-    /** Whether any completed lines are queued (cheaper than
-     *  takeLines().empty() — no move). */
     bool hasLines() const { return !_lines.empty(); }
 
     /** The task index of the last heartbeat event, if any. */
@@ -152,8 +133,10 @@ class ProgressStreamFollower
     void reset();
 
   private:
+    std::string _path;
+    std::uint64_t _fed = 0; ///< bytes fed since reset: the file offset
     std::string _buf;
-    std::vector<std::string> _lines;
+    std::deque<std::string> _lines;
     bool _has_task = false;
     std::size_t _task = 0;
 };

@@ -1,5 +1,6 @@
 #include "core/task_plan.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 
@@ -170,6 +171,26 @@ TaskPlan::prefill(const ResultStore &store, SweepResult &res,
         ++filled;
     }
     return filled;
+}
+
+std::size_t
+TaskPlan::settleQuarantined(std::vector<std::size_t> quarantined,
+                            SweepResult &res, std::vector<char> &done,
+                            std::vector<std::size_t> &settled) const
+{
+    std::sort(quarantined.begin(), quarantined.end());
+    for (const std::size_t q : quarantined) {
+        if (q >= _tasks.size() || done[q])
+            continue;
+        done[q] = 1;
+        const PlanTask &t = _tasks[q];
+        res.matrix(t.v).fault[t.m][t.b] = 1;
+        settled.push_back(q);
+    }
+    std::size_t missing = 0;
+    while (missing < _tasks.size() && done[missing])
+        ++missing;
+    return missing;
 }
 
 std::vector<std::vector<std::size_t>>

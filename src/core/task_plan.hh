@@ -191,6 +191,20 @@ class TaskPlan
                         std::vector<char> &done) const;
 
     /**
+     * Settlement after a multi-process merge: every task of
+     * @p quarantined still without a record (a record wins over a
+     * misblame) gets its fault cell set in @p res, is marked in
+     * @p done and is appended to @p settled, in ascending order.
+     * Indices outside the plan are ignored. Returns the first task
+     * then left without a record — size() when the plan is
+     * complete; the caller throws its own error for it.
+     */
+    std::size_t settleQuarantined(std::vector<std::size_t> quarantined,
+                                  SweepResult &res,
+                                  std::vector<char> &done,
+                                  std::vector<std::size_t> &settled) const;
+
+    /**
      * Lockstep units: the pending tasks of @p shard grouped by
      * (trace slot, mechanism), i.e. the config variants of one
      * (benchmark-window, mechanism) cell that share a materialized

@@ -58,8 +58,10 @@ JobTable::find(const std::string &id)
 }
 
 void
-JobTable::erase(const std::string &id)
+JobTable::erase(std::string id)
 {
+    // By value: a caller may pass the job's own id, which the erase
+    // below frees.
     _jobs.erase(id);
     for (auto it = _order.begin(); it != _order.end(); ++it) {
         if (*it == id) {

@@ -96,7 +96,7 @@ class JobTable
 
     /** Drop the job named @p id (a read-only daemon refusing an
      *  unexecutable submit). No-op if absent. */
-    void erase(const std::string &id);
+    void erase(std::string id);
 
     /** Oldest running job with pending (leasable) tasks, or nullptr
      *  — the lease source; oldest-first keeps job latency fair. */

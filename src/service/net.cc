@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "core/progress.hh"
+
 namespace microlib
 {
 
@@ -195,50 +197,24 @@ boundAddr(int fd, const std::string &requested)
 bool
 LineSocket::sendLine(const std::string &line)
 {
-    if (_fd < 0)
-        return false;
-    const std::string out = line + '\n';
-    std::size_t off = 0;
-    while (off < out.size()) {
-        const ssize_t n =
-            ::write(_fd, out.data() + off, out.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            close();
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
+    if (_fd >= 0 && !appendLine(_fd, line))
+        close();
+    return _fd >= 0;
 }
 
 bool
 LineSocket::recvLine(std::string &line)
 {
-    if (_fd < 0)
-        return false;
-    for (;;) {
-        const auto nl = _buf.find('\n');
-        if (nl != std::string::npos) {
-            line = _buf.substr(0, nl);
-            _buf.erase(0, nl + 1);
+    while (_fd >= 0) {
+        if (_in.nextLine(line))
             return true;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(_fd, chunk, sizeof(chunk));
-        if (n == 0) {
-            close(); // EOF: peer finished; a torn tail is dropped
-            return false;
-        }
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
+        // EOF (the peer finished; a torn tail is dropped) or a hard
+        // error ends the connection.
+        const int n = _in.feedFd(_fd);
+        if (n == 0 || (n < 0 && errno != EINTR))
             close();
-            return false;
-        }
-        _buf.append(chunk, static_cast<std::size_t>(n));
     }
+    return false;
 }
 
 void

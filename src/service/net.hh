@@ -15,16 +15,19 @@
  * listenOn()/connectTo() return plain fds — the daemon's poll loop
  * wants raw descriptors, not an abstraction. LineSocket is the
  * blocking request/reply convenience for clients and workers: send a
- * line, read a line, with the same whole-lines-only reassembly as
- * ProgressStreamFollower (a recv can return any byte split). All
- * callers must ignoreSigpipe() once: a peer hanging up mid-write
- * must surface as an error return, not SIGPIPE death.
+ * line with core/progress.hh's appendLine, receive through a
+ * ProgressFollower (core/supervisor.hh) — the one whole-lines-only
+ * reassembler, since a recv can return any byte split. All callers
+ * must ignoreSigpipe() once: a peer hanging up mid-write must
+ * surface as an error return, not SIGPIPE death.
  */
 
 #ifndef MICROLIB_SERVICE_NET_HH
 #define MICROLIB_SERVICE_NET_HH
 
 #include <string>
+
+#include "core/supervisor.hh"
 
 namespace microlib
 {
@@ -76,11 +79,17 @@ class LineSocket
     bool sendLine(const std::string &line);
     bool recvLine(std::string &line);
 
+    /** One request/reply round trip: sendLine, then recvLine. */
+    bool exchange(const std::string &request, std::string &reply)
+    {
+        return sendLine(request) && recvLine(reply);
+    }
+
     void close();
 
   private:
     int _fd = -1;
-    std::string _buf; ///< bytes received past the last line
+    ProgressFollower _in; ///< received lines, reassembled
 };
 
 } // namespace microlib

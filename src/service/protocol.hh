@@ -10,73 +10,28 @@
  *   {"event":...}  a progress line (core/progress.hh) a worker
  *                  relays verbatim while executing a lease
  *
- * The full grammar lives in docs/SWEEP_SERVICE.md. This header is
- * NOT a JSON library: it is exactly the subset the protocol needs —
- * flat objects whose values are strings, unsigned integers, or
- * arrays of unsigned integers — built and read with the same
- * escaping rules as the progress stream (ProgressEvent::escape), so
- * a relayed progress line and a protocol line never disagree about
- * what a byte means. Messages are extracted by key, not position:
- * readers ignore keys they do not know, so the protocol is
- * forward-extensible without a version dance (the schema tuple in
- * the worker hello covers the parts that must match exactly).
+ * The full grammar lives in docs/SWEEP_SERVICE.md. Protocol lines
+ * are built, read and written by the one JSONL layer of
+ * core/progress.hh — ProtocolMsg is its JsonLine builder under the
+ * name protocol code uses — so a relayed progress line and a
+ * protocol line never disagree about what a byte means. Messages are
+ * extracted by key, not position: readers ignore keys they do not
+ * know, so the protocol is forward-extensible without a version
+ * dance (the schema tuple in the worker hello covers the parts that
+ * must match exactly).
  */
 
 #ifndef MICROLIB_SERVICE_PROTOCOL_HH
 #define MICROLIB_SERVICE_PROTOCOL_HH
 
-#include <cstddef>
-#include <cstdint>
-#include <sstream>
-#include <string>
-#include <vector>
+#include "core/progress.hh"
 
 namespace microlib
 {
 
-/**
- * Builder for one protocol line: {"<kind>":"<name>", fields...}.
- * The service sibling of ProgressEvent with a caller-chosen leading
- * key — "cmd" for requests, "reply" for responses.
- */
-class ProtocolMsg
-{
-  public:
-    ProtocolMsg(const char *kind, const std::string &name);
-
-    ProtocolMsg &field(const char *key, const std::string &value);
-    ProtocolMsg &field(const char *key, const char *value);
-    ProtocolMsg &field(const char *key, std::uint64_t value);
-    /** "key":[1,2,3] — task-index lists. */
-    ProtocolMsg &field(const char *key,
-                       const std::vector<std::size_t> &values);
-
-    /** The complete JSON object, closing brace included, no
-     *  newline. */
-    std::string str() const;
-
-  private:
-    std::ostringstream _os;
-};
-
-/** Whether @p line's first key is @p key ("cmd", "reply", "event")
- *  and, if so, its string value in @p out. */
-bool protocolKind(const std::string &line, const std::string &key,
-                  std::string &out);
-
-/** Extract the string value of "key":"..." from @p line, unescaping
- *  \" \\ and \uXXXX control escapes; false if absent or malformed. */
-bool jsonFindString(const std::string &line, const std::string &key,
-                    std::string &out);
-
-/** Extract the unsigned value of "key":<digits>; false if absent. */
-bool jsonFindU64(const std::string &line, const std::string &key,
-                 std::uint64_t &out);
-
-/** Extract "key":[<digits>,...] into @p out; false if absent or
- *  malformed (an empty array is success). */
-bool jsonFindArray(const std::string &line, const std::string &key,
-                   std::vector<std::size_t> &out);
+/** One protocol line: {"<kind>":"<name>", fields...} with kind
+ *  "cmd" for requests and "reply" for responses. */
+using ProtocolMsg = JsonLine;
 
 } // namespace microlib
 

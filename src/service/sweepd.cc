@@ -76,7 +76,7 @@ SweepService::start(std::string *error)
 }
 
 void
-SweepService::progress(const ProgressEvent &ev)
+SweepService::progress(const JsonLine &ev)
 {
     if (_progress)
         _progress->write(ev);
@@ -87,22 +87,11 @@ SweepService::send(Conn &c, const std::string &line)
 {
     if (c.fd < 0 || c.dead)
         return false;
-    const std::string out = line + '\n';
-    std::size_t off = 0;
-    while (off < out.size()) {
-        const ssize_t n =
-            ::write(c.fd, out.data() + off, out.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // Peer hung up mid-reply: treat exactly like an EOF on
-            // the read side at the next loop turn.
-            c.dead = true;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
+    // Peer hung up mid-reply: treat exactly like an EOF on the read
+    // side at the next loop turn.
+    if (!appendLine(c.fd, line))
+        c.dead = true;
+    return !c.dead;
 }
 
 std::string
@@ -217,7 +206,7 @@ void
 SweepService::handleLine(Conn &c, const std::string &line)
 {
     // Worker progress passthrough: relay verbatim into the daemon's
-    // stream. The connection's ProgressStreamFollower has already
+    // stream. The connection's ProgressFollower has already
     // recorded any heartbeat as blame evidence.
     std::string kind;
     if (protocolKind(line, "event", kind)) {
@@ -529,43 +518,14 @@ SweepService::cmdComplete(Conn &c, const std::string &line)
         if (holder && *holder == owner && job->queue.requeue(t))
             unrecorded.push_back(t);
     }
+    std::string failure;
     if (!unrecorded.empty() || ok == 0) {
-        std::string detail;
-        jsonFindString(line, "error", detail);
-        if (detail.empty())
-            detail = std::to_string(unrecorded.size()) +
-                     " task(s) unrecorded";
-        WorkerFailure f;
-        f.worker = c.id;
-        f.stalled = false;
-        f.detail = detail;
-        f.has_task = c.stream.lastHeartbeatTask(f.task);
-        const SupervisionVerdict verdict =
-            job->supervisor.decide(f);
-        warn("microlib_sweepd: worker ", c.name, ": ", verdict.why);
-        if (verdict.quarantined &&
-            job->queue.quarantine(verdict.task))
-            progress(ProgressEvent("quarantine")
-                         .field("job", job->id)
-                         .field("task",
-                                std::uint64_t(verdict.task))
-                         .field("desc",
-                                job->plan.describe(verdict.task,
-                                                   ShardSpec{})));
+        jsonFindString(line, "error", failure);
+        if (failure.empty())
+            failure = std::to_string(unrecorded.size()) +
+                      " task(s) unrecorded";
     }
-
-    c.lease_count = 0;
-    _jobs.sweepCompleted();
-    if (job->completed)
-        progress(ProgressEvent("job_done")
-                     .field("job", job->id)
-                     .field("executed",
-                            std::uint64_t(job->executed))
-                     .field("quarantined",
-                            std::uint64_t(
-                                job->queue.quarantined().size()))
-                     .field("exit",
-                            std::uint64_t(job->exitCode())));
+    endLease(c, *job, failure, false, nullptr);
     send(c, ProtocolMsg("reply", "complete")
                 .field("ok", std::uint64_t{1})
                 .str());
@@ -585,36 +545,48 @@ SweepService::workerFailed(Conn &c, bool stalled,
     absorbWorkerStore(c, *job);
     const std::vector<std::size_t> requeued =
         job->queue.release(ownerKey(c));
-    WorkerFailure f;
-    f.worker = c.id;
-    f.stalled = stalled;
-    f.detail = detail;
-    f.has_task = c.stream.lastHeartbeatTask(f.task);
-    const SupervisionVerdict verdict = job->supervisor.decide(f);
-    warn("microlib_sweepd: worker ", c.name, ": ", verdict.why);
-    if (verdict.quarantined && job->queue.quarantine(verdict.task))
-        progress(ProgressEvent("quarantine")
-                     .field("job", job->id)
-                     .field("task", std::uint64_t(verdict.task))
-                     .field("desc",
-                            job->plan.describe(verdict.task,
-                                               ShardSpec{})));
-    progress(ProgressEvent("worker")
-                 .field("name", c.name)
-                 .field("state", stalled ? "stalled" : "died")
-                 .field("requeued", std::uint64_t(requeued.size())));
+    const JsonLine lost =
+        ProgressEvent("worker")
+            .field("name", c.name)
+            .field("state", stalled ? "stalled" : "died")
+            .field("requeued", std::uint64_t(requeued.size()));
+    endLease(c, *job, detail, stalled, &lost);
+}
+
+void
+SweepService::endLease(Conn &c, ServiceJob &job,
+                       const std::string &failure, bool stalled,
+                       const JsonLine *lost)
+{
+    if (!failure.empty()) {
+        WorkerFailure f;
+        f.worker = c.id;
+        f.stalled = stalled;
+        f.detail = failure;
+        f.has_task = c.stream.lastHeartbeatTask(f.task);
+        const SupervisionVerdict verdict = job.supervisor.decide(f);
+        warn("microlib_sweepd: worker ", c.name, ": ", verdict.why);
+        if (verdict.quarantined && job.queue.quarantine(verdict.task))
+            progress(ProgressEvent("quarantine")
+                         .field("job", job.id)
+                         .field("task", std::uint64_t(verdict.task))
+                         .field("desc",
+                                job.plan.describe(verdict.task,
+                                                  ShardSpec{})));
+    }
+    if (lost)
+        progress(*lost);
     c.lease_count = 0;
-    _jobs.sweepCompleted();
-    if (job->completed)
+    // Before sweepCompleted(), which may evict (free) a done job.
+    if (job.completed || job.queue.done())
         progress(ProgressEvent("job_done")
-                     .field("job", job->id)
-                     .field("executed",
-                            std::uint64_t(job->executed))
+                     .field("job", job.id)
+                     .field("executed", std::uint64_t(job.executed))
                      .field("quarantined",
                             std::uint64_t(
-                                job->queue.quarantined().size()))
-                     .field("exit",
-                            std::uint64_t(job->exitCode())));
+                                job.queue.quarantined().size()))
+                     .field("exit", std::uint64_t(job.exitCode())));
+    _jobs.sweepCompleted();
 }
 
 } // namespace microlib

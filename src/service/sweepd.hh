@@ -12,7 +12,7 @@
  *    dedup against the daemon's global ResultStore;
  *  - LeaseQueue (core/lease.hh): pull scheduling — workers ask,
  *    the daemon never pushes;
- *  - ProgressStreamFollower (core/supervisor.hh): per-connection
+ *  - ProgressFollower (core/supervisor.hh): per-connection
  *    JSONL reassembly; worker `event` lines relay into the daemon's
  *    own progress stream and their heartbeats become blame evidence;
  *  - SweepSupervisor (core/supervisor.hh): the PR-7 strike /
@@ -110,7 +110,7 @@ class SweepService
     {
         int fd = -1;
         std::size_t id = 0;           ///< stable per-connection
-        ProgressStreamFollower stream; ///< line reassembly + blame
+        ProgressFollower stream;       ///< line reassembly + blame
         bool is_worker = false;        ///< sent a hello
         std::string name;              ///< worker display name
         std::string store_path;        ///< worker's store (hello)
@@ -142,9 +142,17 @@ class SweepService
     void workerFailed(Conn &c, bool stalled,
                       const std::string &detail);
 
+    /** End @p c's lease on @p job. A non-empty @p failure (its
+     *  detail text) strikes the task its last heartbeat blames:
+     *  decide, warn, and a "quarantine" event if that quarantines
+     *  it. Then @p lost (the worker's own event, when the connection
+     *  is gone), and "job_done" if the lease was the job's last. */
+    void endLease(Conn &c, ServiceJob &job, const std::string &failure,
+                  bool stalled, const JsonLine *lost);
+
     void statusReply(Conn &c, ServiceJob &job);
     bool send(Conn &c, const std::string &line);
-    void progress(const ProgressEvent &ev);
+    void progress(const JsonLine &ev);
 
     SweepServiceOptions _opts;
     std::unique_ptr<ResultStore> _store;

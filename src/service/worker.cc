@@ -32,14 +32,6 @@ defaultName()
     return std::string(host) + ":" + std::to_string(::getpid());
 }
 
-/** One request/reply exchange; false when the connection is gone. */
-bool
-exchange(LineSocket &sock, const std::string &request,
-         std::string &reply)
-{
-    return sock.sendLine(request) && sock.recvLine(reply);
-}
-
 } // namespace
 
 int
@@ -71,13 +63,12 @@ runWorkerLoop(const WorkerOptions &wopts)
     }
 
     std::string reply;
-    if (!exchange(sock,
-                  ProtocolMsg("cmd", "hello")
-                      .field("name", name)
-                      .field("schema", schemaTuple())
-                      .field("store", store_path)
-                      .str(),
-                  reply)) {
+    if (!sock.exchange(ProtocolMsg("cmd", "hello")
+                           .field("name", name)
+                           .field("schema", schemaTuple())
+                           .field("store", store_path)
+                           .str(),
+                       reply)) {
         warn("worker: daemon hung up during hello");
         return exit_infrastructure;
     }
@@ -112,8 +103,7 @@ runWorkerLoop(const WorkerOptions &wopts)
            " (store ", store_path, ")");
 
     for (;;) {
-        if (!exchange(sock, ProtocolMsg("cmd", "lease").str(),
-                      reply)) {
+        if (!sock.exchange(ProtocolMsg("cmd", "lease").str(), reply)) {
             // The daemon closing the socket between leases is the
             // normal end of service (shutdown after drain).
             inform("worker ", name, ": daemon closed; exiting");
@@ -177,7 +167,7 @@ runWorkerLoop(const WorkerOptions &wopts)
             complete.field("ok", std::uint64_t{0})
                 .field("error", e.what());
         }
-        if (!exchange(sock, complete.str(), reply)) {
+        if (!sock.exchange(complete.str(), reply)) {
             warn("worker: daemon hung up mid-lease");
             return exit_infrastructure;
         }

@@ -215,6 +215,34 @@ TEST(Protocol, MissingKeysAndEmptyArray)
     EXPECT_FALSE(jsonFindU64(line, "count", u));
 }
 
+TEST(Protocol, NumbersMustStartWithADigit)
+{
+    // strtoull would skip blanks and accept a sign: {"records":-1}
+    // read as 2^64-1. Socket bytes are outside input, so a number is
+    // a digit run, as on the command line, and must fit in 64 bits.
+    std::uint64_t u = 7;
+    EXPECT_FALSE(jsonFindU64("{\"records\":-1}", "records", u));
+    EXPECT_FALSE(jsonFindU64("{\"records\":+1}", "records", u));
+    EXPECT_FALSE(jsonFindU64("{\"records\": 1}", "records", u));
+    EXPECT_FALSE(jsonFindU64("{\"records\":18446744073709551616}",
+                             "records", u));
+    ASSERT_TRUE(jsonFindU64("{\"records\":18446744073709551615}",
+                            "records", u));
+    EXPECT_EQ(u, UINT64_MAX);
+    ASSERT_TRUE(jsonFindU64("{\"records\":0}", "records", u));
+    EXPECT_EQ(u, 0u);
+
+    std::vector<std::size_t> tasks;
+    EXPECT_FALSE(jsonFindArray("{\"tasks\":[1,-2,+3]}", "tasks", tasks));
+    EXPECT_FALSE(jsonFindArray("{\"tasks\":[-1]}", "tasks", tasks));
+    EXPECT_FALSE(jsonFindArray("{\"tasks\":[1, 2]}", "tasks", tasks));
+    EXPECT_FALSE(jsonFindArray("{\"tasks\":[ 1]}", "tasks", tasks));
+    EXPECT_FALSE(jsonFindArray("{\"tasks\":[1,]}", "tasks", tasks));
+    EXPECT_FALSE(jsonFindArray("{\"tasks\":[1,2", "tasks", tasks));
+    ASSERT_TRUE(jsonFindArray("{\"tasks\":[10,2,300]}", "tasks", tasks));
+    EXPECT_EQ(tasks, (std::vector<std::size_t>{10, 2, 300}));
+}
+
 TEST(Protocol, KeyTextInsideAValueIsNotAField)
 {
     // A value containing what looks like another field must not
@@ -534,6 +562,71 @@ TEST(SweepService, StrikesQuarantineAPoisonTask)
     fix.shutdown();
     t.join();
     EXPECT_EQ(rc, exit_ok);
+}
+
+TEST(SweepService, JobEvictedAsItsLastLeaseEndsIsStillReported)
+{
+    // Room for one finished job: the older job, finishing second, is
+    // evicted by the very call that ends its last lease. Its job_done
+    // line must still be written, from state read before the
+    // eviction frees the job.
+    SweepServiceOptions opts;
+    opts.listen = "unix:" + tmpPath("evict.sock");
+    opts.store_path = tmpPath("evict.store");
+    opts.progress_path = tmpPath("evict.progress");
+    opts.lease_size = 1;
+    opts.quarantine_strikes = 1;
+    opts.max_done_jobs = 1;
+    std::remove(opts.store_path.c_str());
+    std::remove(opts.progress_path.c_str());
+    SweepService service(opts);
+    std::string error;
+    ASSERT_TRUE(service.start(&error)) << error;
+    std::thread loop([&] { service.run(); });
+
+    const std::string tail = "mech Base\n"
+                             "base window.trace_length=100000\n"
+                             "base window.interval=100000\n";
+    RawClient client(service.address());
+    for (const char *bench : {"swim", "gzip"})
+        client.exchange(ProtocolMsg("cmd", "submit")
+                            .field("spec", "sweep-spec v1\nbench " +
+                                               std::string(bench) +
+                                               "\n" + tail)
+                            .str());
+
+    // One fake worker per job, each holding its job's only task. A
+    // lease failed after a heartbeat strikes that task, one strike
+    // quarantines it, and that finishes the job.
+    RawClient older(service.address()), newer(service.address());
+    std::string jobs[2];
+    RawClient *workers[2] = {&older, &newer};
+    for (int i = 0; i < 2; ++i) {
+        workers[i]->exchange(ProtocolMsg("cmd", "hello")
+                                 .field("name", "fake" + std::to_string(i))
+                                 .field("schema", schemaTuple())
+                                 .field("store", tmpPath("absent3.store"))
+                                 .str());
+        const std::string reply =
+            workers[i]->exchange(ProtocolMsg("cmd", "lease").str());
+        EXPECT_TRUE(jsonFindString(reply, "job", jobs[i])) << reply;
+    }
+    EXPECT_NE(jobs[0], jobs[1]);
+    for (int i : {1, 0}) { // the newer job finishes first
+        workers[i]->sendRaw(ProgressEvent("heartbeat")
+                                .field("task", std::uint64_t{0})
+                                .str());
+        workers[i]->exchange(ProtocolMsg("cmd", "complete")
+                                 .field("job", jobs[i])
+                                 .field("tasks",
+                                        std::vector<std::size_t>{0})
+                                 .field("ok", std::uint64_t{1})
+                                 .str());
+    }
+    EXPECT_EQ(countEvents(opts.progress_path, "job_done"), 2u);
+
+    service.requestStop();
+    loop.join();
 }
 
 TEST(SweepService, HelloRefusesSchemaMismatchAndReadOnlyRefusals)

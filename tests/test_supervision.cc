@@ -215,17 +215,27 @@ TEST(ProgressFollower, ConsumesOnlyCompleteLines)
 
 TEST(ProgressFollower, ParsesOnlyHeartbeats)
 {
+    // Each line alone through a fresh follower: only a heartbeat
+    // with an unsigned task index is blame evidence.
+    const auto blames = [](const std::string &line, std::size_t &task) {
+        ProgressFollower f;
+        f.feed(line + "\n");
+        return f.lastHeartbeatTask(task);
+    };
     std::size_t task = 99;
-    EXPECT_TRUE(ProgressFollower::parseHeartbeat(
+    EXPECT_TRUE(blames(
         "{\"event\":\"heartbeat\",\"task\":42,\"bench\":\"swim\"}",
         task));
     EXPECT_EQ(task, 42u);
-    EXPECT_FALSE(ProgressFollower::parseHeartbeat(
-        "{\"event\":\"run\",\"task\":42}", task));
-    EXPECT_FALSE(ProgressFollower::parseHeartbeat(
-        "{\"event\":\"heartbeat\",\"bench\":\"swim\"}", task));
-    EXPECT_FALSE(ProgressFollower::parseHeartbeat(
-        "{\"event\":\"heartbeat\",\"task\":", task));
+    EXPECT_FALSE(blames("{\"event\":\"run\",\"task\":42}", task));
+    EXPECT_FALSE(
+        blames("{\"event\":\"heartbeat\",\"bench\":\"swim\"}", task));
+    EXPECT_FALSE(blames("{\"event\":\"heartbeat\",\"task\":", task));
+    // Bytes from a socket are outside input: a signed or blank-
+    // prefixed task never blames task 2^64-3.
+    EXPECT_FALSE(blames("{\"event\":\"heartbeat\",\"task\":-3}", task));
+    EXPECT_FALSE(blames("{\"event\":\"heartbeat\",\"task\":+3}", task));
+    EXPECT_FALSE(blames("{\"event\":\"heartbeat\",\"task\": 3}", task));
 }
 
 // ---------------------------------------------------------------
@@ -553,9 +563,9 @@ TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
     cleanWorkerFiles(path, 2);
 }
 
-TEST(ProgressStreamFollower, SurfacesOnlyCompleteLinesAcrossTornFeeds)
+TEST(ProgressFollower, SurfacesOnlyCompleteLinesAcrossTornFeeds)
 {
-    ProgressStreamFollower f;
+    ProgressFollower f;
     // A line split across three arbitrary chunk boundaries — the
     // byte splits a socket read can produce.
     f.feed("{\"event\":\"run\",\"be");
@@ -590,11 +600,11 @@ TEST(ProgressStreamFollower, SurfacesOnlyCompleteLinesAcrossTornFeeds)
     EXPECT_EQ(f.pending(), 0u);
 }
 
-TEST(ProgressStreamFollower, FeedFdReassemblesAPipeStream)
+TEST(ProgressFollower, FeedFdReassemblesAPipeStream)
 {
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
-    ProgressStreamFollower f;
+    ProgressFollower f;
 
     // Partial write: no newline yet, so bytes buffer but no line
     // surfaces.

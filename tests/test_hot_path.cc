@@ -7,6 +7,8 @@
  * in the core loop, a cache, a mechanism or the trace path, on every
  * execution path at once — fails with the differing cells named.
  * Every cell is also checked against the model's counter identities.
+ * A second table pins three L2-size variants per program, each
+ * (program, mechanism) cell a three-member lockstep group.
  * A second suite pins the full stat snapshot across MICROLIB_THREADS
  * 1/4/8 so the scheduler cannot leak ordering into the results.
  */
@@ -23,6 +25,8 @@
 
 #include "core/registry.hh"
 #include "core/scheduler.hh"
+#include "core/sweep_spec.hh"
+#include "core/task_plan.hh"
 #include "sim/fingerprint.hh"
 #include "trace/spec_suite.hh"
 
@@ -133,6 +137,53 @@ constexpr std::size_t kGoldenMechanisms = 13;
 
 using GoldenRow =
     std::pair<std::string, std::array<std::uint64_t, kGoldenMechanisms>>;
+
+/** Row @p label of a golden table: the digest of column @p b of
+ *  @p m, one per mechanism. */
+GoldenRow
+digestRow(const std::string &label, const MatrixResult &m, std::size_t b)
+{
+    GoldenRow row{label, {}};
+    for (std::size_t i = 0; i < kGoldenMechanisms; ++i)
+        row.second[i] = cellDigest(m.outputs[i][b]);
+    return row;
+}
+
+/** Compare computed rows @p got against @p golden. A mismatch names
+ *  every differing cell and prints the new table to paste, with a
+ *  CHANGES.md note saying why the results moved. */
+void
+expectGolden(const std::vector<GoldenRow> &golden,
+             const std::vector<GoldenRow> &got,
+             const std::vector<std::string> &mechanisms)
+{
+    std::ostringstream table;
+    std::ostringstream differing;
+    for (std::size_t r = 0; r < got.size(); ++r) {
+        const GoldenRow *want =
+            r < golden.size() && golden[r].first == got[r].first
+                ? &golden[r]
+                : nullptr;
+        table << "        {\"" << got[r].first << "\",\n         {";
+        for (std::size_t i = 0; i < kGoldenMechanisms; ++i) {
+            char hex[32];
+            std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                          static_cast<unsigned long long>(
+                              got[r].second[i]));
+            if (i > 0)
+                table << (i % 3 == 0 ? ",\n          " : ", ");
+            table << hex;
+            if (!want || want->second[i] != got[r].second[i])
+                differing << "  " << got[r].first << "/"
+                          << mechanisms[i] << "\n";
+        }
+        table << "}},\n";
+    }
+    EXPECT_EQ(golden.size(), got.size());
+    EXPECT_TRUE(differing.str().empty())
+        << "cells whose results changed:\n" << differing.str()
+        << "new table:\n" << table.str();
+}
 
 } // namespace
 
@@ -312,31 +363,127 @@ TEST(HotPath, GoldenCellDigests)
     const std::vector<std::string> names = goldenBenchmarks();
     ASSERT_EQ(m.benchmarks, names);
 
-    std::ostringstream table;
-    std::ostringstream differing;
-    for (std::size_t b = 0; b < names.size(); ++b) {
-        const GoldenRow *want =
-            b < golden.size() && golden[b].first == names[b]
-                ? &golden[b]
-                : nullptr;
-        table << "        {\"" << names[b] << "\",\n         {";
-        for (std::size_t i = 0; i < kGoldenMechanisms; ++i) {
-            const std::uint64_t got = cellDigest(m.outputs[i][b]);
-            char hex[32];
-            std::snprintf(hex, sizeof(hex), "0x%016llxull",
-                          static_cast<unsigned long long>(got));
-            if (i > 0)
-                table << (i % 3 == 0 ? ",\n          " : ", ");
-            table << hex;
-            if (!want || want->second[i] != got)
-                differing << "  " << names[b] << "/" << m.mechanisms[i]
-                          << "\n";
-        }
-        table << "}},\n";
-    }
-    EXPECT_TRUE(differing.str().empty())
-        << "cells whose results changed:\n" << differing.str()
-        << "new table:\n" << table.str();
+    std::vector<GoldenRow> got;
+    for (std::size_t b = 0; b < names.size(); ++b)
+        got.push_back(digestRow(names[b], m, b));
+    expectGolden(golden, got, m.mechanisms);
+}
+
+TEST(HotPath, GoldenLockstepDigests)
+{
+    // The golden cells above run one config each, so no two tasks
+    // ever share a lockstep group. This sweep has three L2-size
+    // variants over one window: every (program, mechanism) cell is a
+    // three-member group advanced over a single trace pass. One row
+    // per (program, variant) in plan order, one digest per mechanism
+    // in allMechanismNames() order.
+    std::string text = "sweep-spec v1\n"
+                       "bench pchase swim mcf gzip\n"
+                       "mech";
+    for (const std::string &mech : allMechanismNames())
+        text += " " + mech;
+    text += "\n"
+            "base window.selection=arbitrary\n"
+            "base window.skip=25000\n"
+            "base window.length=80000\n"
+            "axis hier.l2.size 256k 512k 1M\n";
+    SweepSpec spec;
+    std::string error;
+    ASSERT_TRUE(SweepSpec::parse(text, spec, &error)) << error;
+
+    const TaskPlan plan(spec);
+    const std::vector<char> none(plan.size(), 0);
+    const auto groups = plan.lockstepGroups(none, ShardSpec{});
+    ASSERT_EQ(groups.size(), 4 * kGoldenMechanisms);
+    for (const auto &g : groups)
+        ASSERT_EQ(g.size(), 3u);
+
+    const std::vector<GoldenRow> golden = {
+        {"pchase hier.l2.size=256k",
+         {0x1b5d759035efe8beull, 0x5f97fbff4a22bd1aull, 0xdb6d6634460701f0ull,
+          0x3360607db650ff28ull, 0x05c03e9d99729d79ull, 0x26ea96a29651de4aull,
+          0x9dce56c6b300fe26ull, 0xc7833dc0400d1faeull, 0x33280da946864163ull,
+          0xe1e32d57fbac66d6ull, 0x71b1eb4ac8801c17ull, 0x160ee17f5d3eb858ull,
+          0x74c91c218f27f14dull}},
+        {"pchase hier.l2.size=512k",
+         {0x880fa1de34a88c9bull, 0xe38eda464a255eb9ull, 0x1b9f5ae1c72182a0ull,
+          0x8d3c8d37b22db5f2ull, 0xa2e8856387465685ull, 0xcf6b997c0f995d9bull,
+          0x4993c77398a73be7ull, 0xb3c19a78dd814dcfull, 0x11bc83baa94211efull,
+          0xd615aadb56ad2123ull, 0xa63ff246cffb1588ull, 0x4c85d007b7b27399ull,
+          0x5bbadbb8ca342803ull}},
+        {"pchase hier.l2.size=1M",
+         {0x14a03ded443ca6a2ull, 0x366ae182fc8d7aa2ull, 0x7c57fdb34efb3e47ull,
+          0x0679f91ac6d0ee36ull, 0xd0394d38b8915ce4ull, 0xbaa1efb6a6258991ull,
+          0x7975cc99c61ce7c6ull, 0x0f41c17de786dbc0ull, 0x95b2d9bf4f8eb66bull,
+          0x50dea4bb8f36633cull, 0x2f1d88932f23aacbull, 0xebb5b267ddb23726ull,
+          0x8850b408baa1332bull}},
+        {"swim hier.l2.size=256k",
+         {0xd0a499aab5693d1eull, 0x6b3cb2eeff38ccb9ull, 0xefdd6841e6e4d313ull,
+          0xd08dbd28975cf687ull, 0xe5a3a712789e8e65ull, 0xcf0804c2d1ed6f3full,
+          0x1a52e42b3021fd7aull, 0x32b6fdbe8c46d2f0ull, 0x7e5c2b9730abfe49ull,
+          0xbd6a8527d0acff84ull, 0x1770b0608bdca0c6ull, 0x02ff46f8d9548897ull,
+          0x49977c0547652e1eull}},
+        {"swim hier.l2.size=512k",
+         {0xa5e7185dd943e52full, 0xd2e3e2050f27cc41ull, 0x443e689e98d8727dull,
+          0xe930c04f6e719f16ull, 0x5a835a46295ea5daull, 0x0e746443e747191full,
+          0x181400b77575f7dcull, 0x5598ab3a5b78f160ull, 0x73b44ffa136c302full,
+          0xfd1e730c60d5c96bull, 0xd70f71dc7d7baa9bull, 0x190096b401d47644ull,
+          0x74d99f9554365c34ull}},
+        {"swim hier.l2.size=1M",
+         {0xdb78b59a13dfea18ull, 0x0c4a1ab78bd4d824ull, 0xc1439cc2db9c7d8aull,
+          0x959502d67867a2b8ull, 0xb8037aefe1e62d0dull, 0xc324edced51a5882ull,
+          0xe6f53a855b1068fdull, 0xdc82530807176687ull, 0x8412f9898ef06c63ull,
+          0x788d837b52350e36ull, 0x734ace07c9079d15ull, 0x01c44b307e3cdaddull,
+          0x8062b7611d4cf164ull}},
+        {"mcf hier.l2.size=256k",
+         {0xfd3c516a61194cf2ull, 0x16882131e521a7daull, 0x24e0890f9daae0bdull,
+          0x2ad11bc0181e3c29ull, 0xe965e456ecd9e879ull, 0x79f85c4544065288ull,
+          0x2790c3be511bdf9aull, 0x44dd5402f80d04edull, 0x6174a4bf36f65da0ull,
+          0xa6a4ba37b3b6e6acull, 0x11af8be427d58eeaull, 0x494fd7c31e380c5cull,
+          0x47e7761b85a0b858ull}},
+        {"mcf hier.l2.size=512k",
+         {0x5fa0d08d784741ebull, 0xf93cea94a4d56f91ull, 0x30ba085c155e1e65ull,
+          0x857e97eb064fe217ull, 0x9c100f5031ede534ull, 0x5667b4c586dafe99ull,
+          0xe1ce8f545f6b51fbull, 0x0df3af267b25142aull, 0xed6da478c7111957ull,
+          0xc51c3b76e89f32c9ull, 0xa3bd65742dfdf752ull, 0x5842528d6f1a444cull,
+          0xaae29394ca12ccd9ull}},
+        {"mcf hier.l2.size=1M",
+         {0x9377cc8a513a2d7dull, 0x9b81267880fe1b7bull, 0x01d7403de9d33f8cull,
+          0xca9e1275b17cadebull, 0xb4b9f04a63a30361ull, 0x3df9a22bdaa34a58ull,
+          0x0f29cd9f35529fb9ull, 0x8120d841aaa0192bull, 0x4391fcd0b0be8b06ull,
+          0x67785fdb7301e1c0ull, 0xa67b3db2bbb17337ull, 0xc6ed9ec33eeb76f5ull,
+          0x696d8e3a9caac04aull}},
+        {"gzip hier.l2.size=256k",
+         {0x2c32f9112435d94eull, 0xaa1549586ececd9full, 0x6138a23bb6a0337dull,
+          0xade78a4ccd1724b8ull, 0x38683992a2b0904eull, 0x276cfb2c9ba45076ull,
+          0xfb9c683c920e15c0ull, 0x1b30651761c758c8ull, 0xe88c813555746b38ull,
+          0x42ea2c040ecbdec8ull, 0x4cce33bc9ad99cedull, 0xf02240863b93ebfcull,
+          0x8f48d3d19645604eull}},
+        {"gzip hier.l2.size=512k",
+         {0x3d8d32cc8c722772ull, 0xa79ad7af73325b6dull, 0xadec3a2608f9059aull,
+          0x38362ecad8de9e72ull, 0x2beddc4e8753fbc5ull, 0x0f610649c05a7739ull,
+          0x97b28b4b9f449ef5ull, 0x04fb6bc0be30994full, 0x221baf3850d2cd6cull,
+          0xf8d9d0929d2df32cull, 0x854983ca5bf8b813ull, 0xdc854cc2120207d0ull,
+          0xf078c9a5d431b8caull}},
+        {"gzip hier.l2.size=1M",
+         {0x3d8d32cc8c722772ull, 0x87ba35023fe96ce8ull, 0xadec3a2608f9059aull,
+          0x38362ecad8de9e72ull, 0x2beddc4e8753fbc5ull, 0x0f610649c05a7739ull,
+          0x97b28b4b9f449ef5ull, 0x04fb6bc0be30994full, 0x221baf3850d2cd6cull,
+          0xf8d9d0929d2df32cull, 0x854983ca5bf8b813ull, 0x82e2e4c14e79dc48ull,
+          0xf078c9a5d431b8caull}},
+
+    };
+
+    ExperimentEngine engine;
+    const SweepResult res = engine.run(spec);
+    ASSERT_EQ(res.variants.size(), 3u);
+    std::vector<GoldenRow> got;
+    for (std::size_t b = 0; b < spec.benchmarks().size(); ++b)
+        for (std::size_t v = 0; v < res.variants.size(); ++v)
+            got.push_back(digestRow(spec.benchmarks()[b] + " " +
+                                        res.variants[v],
+                                    res.matrix(v), b));
+    expectGolden(golden, got, res.matrix(0).mechanisms);
 }
 
 TEST(HotPath, CounterInvariantsHoldOnEveryGoldenCell)

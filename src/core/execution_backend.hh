@@ -70,7 +70,7 @@ struct RunCounters
 struct ExecutionContext
 {
     ExperimentEngine &engine;   ///< trace cache + worker pool owner
-    const EngineOptions &opts;  ///< verbose/store/shard/keep_traces
+    const EngineOptions &opts;  ///< verbose/store/shard/backend
     ProgressWriter *progress;   ///< may be nullptr (disabled)
 };
 

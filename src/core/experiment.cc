@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/scheduler.hh"
 #include "cpu/lockstep.hh"
 #include "sim/logging.hh"
 #include "trace/spec_suite.hh"
@@ -46,9 +45,9 @@ resolveWindow(const std::string &benchmark, const RunConfig &cfg)
     TraceWindow window;
     if (cfg.selection == TraceSelection::SimPoint) {
         // The process-wide cache: SimPoint choices are pure
-        // (benchmark, interval, k) functions and expensive, so
-        // one-shot engines (runMatrix) must not recompute what an
-        // earlier call already profiled.
+        // (benchmark, interval, k) functions and expensive, so a
+        // fresh engine must not recompute what an earlier one
+        // already profiled.
         const SimPointChoice sp = TraceCache::process().simPoint(
             benchmark, cfg.scale.simpoint_interval,
             cfg.scale.simpoint_k);
@@ -205,18 +204,6 @@ MatrixResult::avgSpeedup(std::size_t m,
     for (const std::size_t b : idx)
         sum += speedup(m, b);
     return idx.empty() ? 1.0 : sum / static_cast<double>(idx.size());
-}
-
-MatrixResult
-runMatrix(const std::vector<std::string> &mechanisms,
-          const std::vector<std::string> &benchmarks,
-          const RunConfig &cfg, bool verbose)
-{
-    EngineOptions opts;
-    opts.verbose = verbose;
-    opts.keep_traces = false; // one-shot: the old memory profile
-    ExperimentEngine engine(opts);
-    return engine.run(mechanisms, benchmarks, cfg);
 }
 
 } // namespace microlib

@@ -58,9 +58,9 @@ struct RunOutput
 /**
  * Canonical string describing the trace window @p cfg selects — the
  * selection mode plus every scale field that shapes the window, but
- * not the benchmark. ExperimentEngine::traceKey() appends this to
- * the benchmark name to key the trace cache, and the result store
- * mixes it into the config fingerprint, so "same window" means
+ * not the benchmark. traceCacheKey() (core/task_plan.hh) appends
+ * this to the benchmark name to key the trace cache, and the result
+ * store mixes it into the config fingerprint, so "same window" means
  * exactly one thing across both subsystems. Deliberately built from
  * the raw scale parameters, not the resolved SimPoint choice:
  * computing the key must never trigger BBV profiling.
@@ -150,26 +150,6 @@ struct MatrixResult
     std::unordered_map<std::string, std::size_t> _mech_index;
     std::unordered_map<std::string, std::size_t> _bench_index;
 };
-
-/**
- * Run the full matrix: a thin compatibility wrapper that builds a
- * one-shot ExperimentEngine (see core/scheduler.hh), runs every
- * (benchmark, mechanism) pair on its persistent worker pool, and
- * drops each trace once its runs complete. Each trace is still
- * materialized exactly once, and the result is bit-identical for any
- * MICROLIB_THREADS value. Long-lived callers running several
- * matrices should hold an ExperimentEngine instead and reuse its
- * trace cache.
- *
- * @param mechanisms mechanism acronyms; must include "Base" for
- *        speedup computation
- * @param benchmarks benchmark names
- * @param cfg shared run configuration
- * @param verbose print per-run progress
- */
-MatrixResult runMatrix(const std::vector<std::string> &mechanisms,
-                       const std::vector<std::string> &benchmarks,
-                       const RunConfig &cfg, bool verbose = false);
 
 } // namespace microlib
 

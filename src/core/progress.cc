@@ -5,8 +5,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "sim/logging.hh"
@@ -101,10 +101,12 @@ unescapeFrom(const std::string &line, std::size_t at, std::string &out)
         }
         if (esc != 'u' || at + 6 > line.size())
             return false;
-        const std::string hex = line.substr(at + 2, 4);
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(hex.c_str(), &end, 16);
-        if (!end || *end != '\0' || v > 0xff)
+        // Exactly four hex digits: from_chars takes no sign, space
+        // or 0x prefix.
+        const char *hex = line.data() + at + 2;
+        unsigned v = 0;
+        const auto [end, ec] = std::from_chars(hex, hex + 4, v, 16);
+        if (ec != std::errc() || end != hex + 4 || v > 0xff)
             return false; // appendEscaped only emits \u00xx
         out += static_cast<char>(v);
         at += 6;

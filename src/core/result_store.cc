@@ -130,11 +130,7 @@ readU64(std::istringstream &is, const char *prefix, std::uint64_t &out)
     if (!(is >> tok))
         return false;
     const std::string p = std::string(prefix) + "=";
-    if (tok.rfind(p, 0) != 0)
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str() + p.size(), &end, 10);
-    return end && *end == '\0' && end != tok.c_str() + p.size();
+    return tok.rfind(p, 0) == 0 && parseCount(tok.substr(p.size()), out);
 }
 
 /** Consume "prefix=<name>" (no '=' in the value) from @p is. */

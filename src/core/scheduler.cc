@@ -41,16 +41,6 @@ resolveTraceDir(const EngineOptions &opts)
     return (env && *env) ? std::string(env) : std::string();
 }
 
-/** Effective lockstep toggle: MICROLIB_LOCKSTEP (0/1) wins over the
- *  option, so CLI runs can flip the path without a flag. */
-bool
-resolveLockstep(const EngineOptions &opts)
-{
-    if (const auto env = envCount("MICROLIB_LOCKSTEP", 1))
-        return *env == 1;
-    return opts.lockstep;
-}
-
 } // namespace
 
 ExperimentEngine::ExperimentEngine(EngineOptions opts)
@@ -63,7 +53,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions opts)
     if (_opts.shard.index >= _opts.shard.count)
         fatal("EngineOptions::shard.index ", _opts.shard.index,
               " out of range for ", _opts.shard.count, " shard(s)");
-    _opts.lockstep = resolveLockstep(opts);
     _cache.setByteBudget(resolveTraceBudget(_opts));
     _opts.trace_dir = resolveTraceDir(opts);
     if (!_opts.trace_dir.empty())
@@ -72,13 +61,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions opts)
 }
 
 ExperimentEngine::~ExperimentEngine() = default;
-
-std::string
-ExperimentEngine::traceKey(const std::string &benchmark,
-                           const RunConfig &cfg)
-{
-    return traceCacheKey(benchmark, cfg);
-}
 
 std::shared_ptr<const MaterializedTrace>
 ExperimentEngine::materializeInto(TraceCache &cache,
@@ -124,7 +106,7 @@ std::shared_ptr<const MaterializedTrace>
 ExperimentEngine::trace(const std::string &benchmark,
                         const RunConfig &cfg)
 {
-    const std::string key = traceKey(benchmark, cfg);
+    const std::string key = traceCacheKey(benchmark, cfg);
     TraceCache::Future fut;
     if (_cache.claim(key, fut) == TraceCache::Claim::Owner)
         return materializeInto(_cache, key, benchmark, cfg);
@@ -182,9 +164,6 @@ ExperimentEngine::runPlan(const TaskPlan &plan)
             plan.pendingTasks(done, _opts.shard).size();
         progress.write(ProgressEvent("plan")
                            .field("backend", backend->name())
-                           .field("lockstep",
-                                  static_cast<std::uint64_t>(
-                                      _opts.lockstep ? 1 : 0))
                            .field("shard", _opts.shard.str())
                            .field("total", plan.size())
                            .field("pending", pending)

@@ -66,14 +66,6 @@ struct EngineOptions
     bool verbose = false;
 
     /**
-     * Keep traces cached after their runs complete, so later
-     * matrices on the same engine reuse them. Disable to drop each
-     * benchmark's trace the moment its last run finishes — the old
-     * runMatrix() memory profile.
-     */
-    bool keep_traces = true;
-
-    /**
      * Versioned result store (core/result_store.hh); not owned, may
      * be nullptr. When set, every finished run is persisted as a
      * fingerprinted record, and run() skips any task whose
@@ -122,19 +114,6 @@ struct EngineOptions
     /** Execution strategy; not owned, may be nullptr = the engine's
      *  built-in ThreadPoolBackend. See core/execution_backend.hh. */
     ExecutionBackend *backend = nullptr;
-
-    /**
-     * Advance the config variants of each (benchmark-window,
-     * mechanism) group in lockstep over a single trace pass — one
-     * decode, V state machines per block (cpu/lockstep.hh) — instead
-     * of re-streaming the trace once per variant. On by default;
-     * results are bit-identical either way, and the off path (each
-     * task simulated alone, today's loop) is the correctness oracle.
-     * The MICROLIB_LOCKSTEP environment variable (0 = off, 1 = on)
-     * overrides this option, so CLI sweeps can cross-check both
-     * paths without a flag — CI byte-diffs the two.
-     */
-    bool lockstep = true;
 };
 
 /** Where a fulfilled trace came from (progress telemetry: the warm-
@@ -197,11 +176,6 @@ class ExperimentEngine
      *  their task queues on it). */
     ThreadPool &pool() { return _pool; }
 
-    /** Attach/replace the result store (nullptr detaches). Takes
-     *  effect on the next run(); the store must outlive the engine
-     *  or be detached first. */
-    void setResultStore(ResultStore *store) { _opts.store = store; }
-
     /** The attached result store, or nullptr. */
     ResultStore *resultStore() const { return _opts.store; }
 
@@ -210,14 +184,6 @@ class ExperimentEngine
 
     /** Executed/resumed/skipped counts of the most recent run(). */
     RunCounters lastRun() const { return _last; }
-
-    /**
-     * Cache key for (@p benchmark, @p cfg): benchmark plus the
-     * resolved trace window — everything a materialized trace
-     * depends on. Delegates to traceCacheKey (core/task_plan.hh).
-     */
-    static std::string traceKey(const std::string &benchmark,
-                                const RunConfig &cfg);
 
     /**
      * Owner-side materialization: fulfill @p key in @p cache with

@@ -50,9 +50,8 @@ struct ThreadPoolBackend::State
     SweepResult &res;
 
     /** Scheduling units, each a list of plan task indices sharing
-     *  (trace slot, mechanism): the plan's lockstep groups, or one
-     *  singleton per pending task when lockstep is off. Their union
-     *  is exactly this process's pending tasks, in plan order. */
+     *  (trace slot, mechanism): the plan's lockstep groups. Their
+     *  union is exactly this process's pending tasks, in plan order. */
     std::vector<std::vector<std::size_t>> groups;
     /** Total pending member tasks (progress/ETA stay in task units,
      *  one event per member, whatever the grouping). */
@@ -81,19 +80,11 @@ struct ThreadPoolBackend::State
           const ExecutionContext &c, SweepResult &r,
           std::size_t resumed_count)
         : plan(p), ctx(c), res(r),
+          groups(p.lockstepGroups(done_mask, c.opts.shard)),
           remaining(p.pendingPerTraceSlot(done_mask, c.opts.shard)),
           bench_total(p.pendingPerBenchmark(done_mask, c.opts.shard)),
           bench_done(p.benchmarks().size(), 0), resumed(resumed_count)
     {
-        if (c.opts.lockstep) {
-            groups = p.lockstepGroups(done_mask, c.opts.shard);
-        } else {
-            // Oracle path: every task is its own unit — exactly the
-            // pre-lockstep per-variant drain loop.
-            for (const std::size_t i :
-                 p.pendingTasks(done_mask, c.opts.shard))
-                groups.push_back({i});
-        }
         for (const auto &g : groups)
             pending_count += g.size();
     }
@@ -266,14 +257,10 @@ ThreadPoolBackend::drain(State &st)
                 bench_done_now = ++st.bench_done[task.b];
                 last_of_slot = --st.remaining[slot] == 0;
             }
-            if (last_of_slot) {
-                // No pending task references this trace anymore:
-                // release it for byte-budget eviction, or drop it
-                // outright in one-shot (keep_traces=false) mode.
+            // No pending task references this trace anymore: release
+            // it for byte-budget eviction.
+            if (last_of_slot)
                 cache.unpin(key);
-                if (!opts.keep_traces)
-                    cache.evict(key);
-            }
             if (st.ctx.progress) {
                 const double elapsed = secondsSince(st.start);
                 const double eta =

@@ -6,8 +6,7 @@
  * ShardSpec) on the owning engine's persistent worker pool. The
  * scheduling unit is a *lockstep group* — the pending config variants
  * of one (benchmark-window, mechanism), advanced over a single shared
- * trace pass (cpu/lockstep.hh) when EngineOptions::lockstep is on,
- * or a single task each when it is off (the oracle path):
+ * trace pass (cpu/lockstep.hh); a one-member group runs alone:
  *
  *  - the first worker to need a benchmark's trace becomes its owner
  *    and materializes it once into the engine's TraceCache;
@@ -25,9 +24,8 @@
  * plan's unique (benchmark, window) pairs, so config variants that
  * share a window are counted once. The per-slot pending count comes
  * from the plan (resumed and out-of-shard tasks excluded), so a
- * slot's trace is released — unpinned for byte-budget eviction, and
- * evicted outright when keep_traces is off — the moment its last
- * task *this process will ever run* completes, and a slot with
+ * slot's trace is unpinned for byte-budget eviction the moment its
+ * last task *this process will ever run* completes, and a slot with
  * nothing pending is never materialized at all.
  *
  * This is the leaf executor every other backend bottoms out in: a

@@ -87,7 +87,6 @@ runWorkerLoop(const WorkerOptions &wopts)
     EngineOptions opts;
     opts.threads = wopts.threads;
     opts.verbose = wopts.verbose;
-    opts.keep_traces = true;
     opts.trace_dir = wopts.trace_dir;
     opts.trace_budget_bytes = wopts.trace_budget_bytes;
     opts.store = &store;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "core/experiment.hh"
+#include "core/scheduler.hh"
 #include "core/selections.hh"
 #include "trace/spec_suite.hh"
 
@@ -22,6 +23,17 @@ quickConfig()
     cfg.scale.arbitrary_skip = 50'000;
     cfg.scale.arbitrary_length = 100'000;
     return cfg;
+}
+
+/** The @p mechanisms x @p benchmarks matrix on a fresh engine with
+ *  default options. */
+MatrixResult
+freshMatrix(const std::vector<std::string> &mechanisms,
+            const std::vector<std::string> &benchmarks,
+            const RunConfig &cfg)
+{
+    ExperimentEngine engine;
+    return engine.run(mechanisms, benchmarks, cfg);
 }
 
 } // namespace
@@ -53,7 +65,7 @@ TEST(Experiment, MatrixShape)
     const RunConfig cfg = quickConfig();
     const std::vector<std::string> mechs = {"Base", "TP"};
     const std::vector<std::string> benchs = {"crafty", "swim"};
-    const MatrixResult res = runMatrix(mechs, benchs, cfg);
+    const MatrixResult res = freshMatrix(mechs, benchs, cfg);
     ASSERT_EQ(res.ipc.size(), 2u);
     ASSERT_EQ(res.ipc[0].size(), 2u);
     for (const auto &row : res.ipc)
@@ -67,7 +79,7 @@ TEST(Experiment, SpeedupAlgebra)
 {
     const RunConfig cfg = quickConfig();
     const MatrixResult res =
-        runMatrix({"Base", "SP"}, {"swim"}, cfg);
+        freshMatrix({"Base", "SP"}, {"swim"}, cfg);
     const std::size_t base = res.mechIndex("Base");
     const std::size_t sp = res.mechIndex("SP");
     EXPECT_DOUBLE_EQ(res.speedup(base, 0), 1.0);
@@ -84,10 +96,10 @@ TEST(Experiment, MatrixParallelismInvariant)
     const RunConfig cfg = quickConfig();
     setenv("MICROLIB_THREADS", "1", 1);
     const MatrixResult serial =
-        runMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
+        freshMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
     setenv("MICROLIB_THREADS", "2", 1);
     const MatrixResult parallel =
-        runMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
+        freshMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
     unsetenv("MICROLIB_THREADS");
     for (std::size_t m = 0; m < serial.ipc.size(); ++m) {
         EXPECT_EQ(serial.ipc[m][0], parallel.ipc[m][0]);
@@ -100,7 +112,7 @@ TEST(Experiment, IndexLookups)
 {
     const RunConfig cfg = quickConfig();
     const MatrixResult res =
-        runMatrix({"Base", "TP"}, {"crafty", "swim"}, cfg);
+        freshMatrix({"Base", "TP"}, {"crafty", "swim"}, cfg);
     // Engine-produced matrices carry prebuilt indices.
     EXPECT_EQ(res.mechIndex("Base"), 0u);
     EXPECT_EQ(res.mechIndex("TP"), 1u);

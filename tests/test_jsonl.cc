@@ -128,6 +128,18 @@ TEST(JsonlWire, ReadersDecodeWhatTheBuildersWrite)
     EXPECT_FALSE(protocolKind(line, "cmd", kind));
 }
 
+TEST(JsonlWire, UnicodeEscapeTakesExactlyFourHexDigits)
+{
+    std::string v;
+    ASSERT_TRUE(jsonFindString("{\"v\":\"\\u0041\"}", "v", v));
+    EXPECT_EQ(v, "A");
+    for (const char *bad : {"0x41", "+041", " 041"}) {
+        const std::string line =
+            std::string("{\"v\":\"\\u") + bad + "\"}";
+        EXPECT_FALSE(jsonFindString(line, "v", v)) << line;
+    }
+}
+
 TEST(JsonlWire, FileFollowerTornTailTruncationAndInterleavedHeartbeats)
 {
     const std::string path = tmpPath("follow.jsonl");

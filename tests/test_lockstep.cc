@@ -1,9 +1,10 @@
 /** @file Lockstep multi-variant execution tests: the lockstep path
  *  (one SoA trace pass advancing V variant simulations block by
  *  block) must be bit-identical — every CoreResult field and every
- *  stat — to the per-variant oracle, for any thread count, across a
- *  ProcessShardBackend merge, and when an interrupted sweep resumes
- *  mid-group (only the missing variants re-execute). Also covers
+ *  stat — to each task simulated alone by runOne(), for any thread
+ *  count, across a ProcessShardBackend merge, and when an
+ *  interrupted sweep resumes mid-group (only the missing variants
+ *  re-execute). Also covers
  *  TaskPlan::lockstepGroups' grouping/ordering contract and the raw
  *  LockstepGroup API against OoOCore::run(). */
 
@@ -112,17 +113,42 @@ expectIdentical(const RunOutput &a, const RunOutput &b)
 
 /** Run the reference spec on a fresh engine. */
 SweepResult
-runSweep(bool lockstep, unsigned threads,
-         ResultStore *store = nullptr,
+runSweep(unsigned threads, ResultStore *store = nullptr,
          ExecutionBackend *backend = nullptr)
 {
     EngineOptions opts;
     opts.threads = threads;
-    opts.lockstep = lockstep;
     opts.store = store;
     opts.backend = backend;
     ExperimentEngine engine(opts);
     return engine.run(lockstepSpec());
+}
+
+/** The reference spec with every task simulated alone: runOne()
+ *  over a materializeFor() trace, one trace per slot. */
+const SweepResult &
+oracleSweep()
+{
+    static const SweepResult res = [] {
+        const TaskPlan plan(lockstepSpec());
+        SweepResult out = plan.emptyResult();
+        std::vector<std::unique_ptr<MaterializedTrace>> traces(
+            plan.traceSlotCount());
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            const PlanTask &t = plan.task(i);
+            const RunConfig &cfg = plan.config(t.v);
+            auto &trace = traces[plan.traceSlot(i)];
+            if (!trace)
+                trace = std::make_unique<MaterializedTrace>(
+                    materializeFor(plan.benchmarks()[t.b], cfg));
+            MatrixResult &m = out.matrix(t.v);
+            m.outputs[t.m][t.b] =
+                runOne(*trace, plan.mechanisms()[t.m], cfg);
+            m.ipc[t.m][t.b] = m.outputs[t.m][t.b].core.ipc;
+        }
+        return out;
+    }();
+    return res;
 }
 
 /** Copy the first @p n record lines of @p src to @p dst — the store
@@ -285,19 +311,12 @@ TEST(Lockstep, RunLockstepMatchesRunOne)
 
 TEST(Lockstep, SweepBitIdenticalToOracleAcrossThreadCounts)
 {
-    // The oracle: lockstep off, each task simulated alone.
-    const SweepResult oracle = runSweep(false, 1);
-    for (const unsigned threads : {1u, 4u, 8u}) {
-        const SweepResult locked = runSweep(true, threads);
-        expectIdentical(oracle, locked);
-    }
-    // The oracle itself is also thread-count invariant.
-    expectIdentical(oracle, runSweep(false, 4));
+    for (const unsigned threads : {1u, 4u, 8u})
+        expectIdentical(oracleSweep(), runSweep(threads));
 }
 
 TEST(Lockstep, ProcessShardMergeBitIdentical)
 {
-    const SweepResult oracle = runSweep(false, 1);
 
     const std::string store_path = tmpPath("shards.store");
     std::remove(store_path.c_str());
@@ -309,8 +328,8 @@ TEST(Lockstep, ProcessShardMergeBitIdentical)
     ProcessShardOptions popts;
     popts.shards = 2;
     ProcessShardBackend backend(popts);
-    const SweepResult merged = runSweep(true, 1, &store, &backend);
-    expectIdentical(oracle, merged);
+    const SweepResult merged = runSweep(1, &store, &backend);
+    expectIdentical(oracleSweep(), merged);
     std::remove(store_path.c_str());
 }
 
@@ -319,14 +338,14 @@ TEST(Lockstep, InterruptedSweepResumesOnlyMissingGroupMembers)
     const TaskPlan plan(lockstepSpec());
     const std::size_t total = plan.size();
 
-    // Complete the sweep once (lockstep, 1 thread: group order and
-    // store record order are deterministic)...
+    // Complete the sweep once (1 thread: group order and store
+    // record order are deterministic)...
     const std::string full_path = tmpPath("resume_full.store");
     std::remove(full_path.c_str());
     SweepResult reference;
     {
         ResultStore full(full_path);
-        reference = runSweep(true, 1, &full);
+        reference = runSweep(1, &full);
         ASSERT_EQ(full.size(), total);
     }
 
@@ -341,7 +360,6 @@ TEST(Lockstep, InterruptedSweepResumesOnlyMissingGroupMembers)
     ResultStore store(half_path);
     EngineOptions opts;
     opts.threads = 1;
-    opts.lockstep = true;
     opts.store = &store;
     ExperimentEngine engine(opts);
     const SweepResult resumed = engine.run(lockstepSpec());

@@ -185,6 +185,21 @@ TEST(ResultStoreFormat, RejectsForeignSchemaAndGarbage)
     const std::string good = ResultStore::formatRecord(sampleRecord());
     EXPECT_FALSE(
         ResultStore::parseRecord(good.substr(0, good.size() / 3), rec));
+
+    // Counts are decimal digits only: a signed number in an
+    // unchecksummed line is garbage, not 2^64-1 or 7.
+    const std::string legacy = good.substr(0, good.rfind(" ck=")) + " .";
+    ASSERT_TRUE(ResultStore::parseRecord(legacy, rec));
+    auto with = [&](const std::string &from, const std::string &to) {
+        std::string line = legacy;
+        const auto at = line.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return line.replace(at, from.size(), to);
+    };
+    EXPECT_FALSE(
+        ResultStore::parseRecord(with(" instr=100000 ", " instr=-1 "), rec));
+    EXPECT_FALSE(
+        ResultStore::parseRecord(with(" seed=42 ", " seed=+7 "), rec));
 }
 
 TEST(ResultStore, PersistsAcrossReopen)

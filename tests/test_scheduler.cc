@@ -1,6 +1,5 @@
 /** @file ExperimentEngine scheduler tests: determinism across worker
- *  counts, trace sharing across matrices, and the compatibility
- *  wrapper. */
+ *  counts, trace sharing across matrices, and the trace endpoint. */
 
 #include <gtest/gtest.h>
 
@@ -69,17 +68,19 @@ TEST(Scheduler, BitIdenticalAcrossWorkerCounts)
     expectIdentical(serial, eight);
 }
 
-TEST(Scheduler, RunMatrixHonorsThreadsEnv)
+TEST(Scheduler, DefaultEngineHonorsThreadsEnv)
 {
     const RunConfig cfg = quickConfig();
-    setenv("MICROLIB_THREADS", "1", 1);
-    const MatrixResult serial =
-        runMatrix({"Base", "GHB"}, {"swim", "mcf"}, cfg);
-    setenv("MICROLIB_THREADS", "8", 1);
-    const MatrixResult parallel =
-        runMatrix({"Base", "GHB"}, {"swim", "mcf"}, cfg);
+    std::vector<MatrixResult> results;
+    for (const unsigned threads : {1u, 8u}) {
+        setenv("MICROLIB_THREADS", std::to_string(threads).c_str(), 1);
+        ExperimentEngine engine;
+        EXPECT_EQ(engine.threads(), threads);
+        results.push_back(
+            engine.run({"Base", "GHB"}, {"swim", "mcf"}, cfg));
+    }
     unsetenv("MICROLIB_THREADS");
-    expectIdentical(serial, parallel);
+    expectIdentical(results[0], results[1]);
 }
 
 TEST(Scheduler, EngineReuseAcrossMatrices)
@@ -128,25 +129,10 @@ TEST(Scheduler, ConfigsWithSameWindowShareTraces)
     EXPECT_EQ(engine.cache().traceCount(), 2u);
 }
 
-TEST(Scheduler, OneShotModeEvictsTraces)
-{
-    const RunConfig cfg = quickConfig();
-    EngineOptions opts;
-    opts.threads = 2;
-    opts.keep_traces = false;
-    ExperimentEngine engine(opts);
-    const MatrixResult res =
-        engine.run({"Base", "TP"}, {"swim", "gzip"}, cfg);
-    EXPECT_EQ(engine.cache().traceCount(), 0u);
-    for (const auto &row : res.ipc)
-        for (const double ipc : row)
-            EXPECT_GT(ipc, 0.0);
-}
-
 TEST(Scheduler, TraceEndpointSharesWithMatrixRuns)
 {
     const RunConfig cfg = quickConfig();
-    ExperimentEngine engine(EngineOptions{1, false, true});
+    ExperimentEngine engine(EngineOptions{.threads = 1});
     const auto direct = engine.trace("swim", cfg);
     engine.run({"Base"}, {"swim"}, cfg);
     EXPECT_EQ(engine.cache().traceCount(), 1u);
@@ -157,7 +143,7 @@ TEST(Scheduler, TraceEndpointSharesWithMatrixRuns)
 TEST(Scheduler, EmptyMatrixIsFine)
 {
     const RunConfig cfg = quickConfig();
-    ExperimentEngine engine(EngineOptions{2, false, true});
+    ExperimentEngine engine(EngineOptions{.threads = 2});
     const MatrixResult no_mechs = engine.run({}, {"swim"}, cfg);
     EXPECT_TRUE(no_mechs.ipc.empty());
     const MatrixResult no_benchs = engine.run({"Base"}, {}, cfg);
@@ -170,7 +156,7 @@ TEST(Scheduler, MatchesStandaloneRunOne)
     // The engine must produce exactly what a hand-rolled
     // materializeFor + runOne produces: same traces, same numbers.
     const RunConfig cfg = quickConfig();
-    ExperimentEngine engine(EngineOptions{4, false, true});
+    ExperimentEngine engine(EngineOptions{.threads = 4});
     const MatrixResult res =
         engine.run({"Base", "GHB"}, {"crafty"}, cfg);
     const MaterializedTrace trace = materializeFor("crafty", cfg);

@@ -4,9 +4,9 @@
  *  stat — to each task simulated alone by runOne(), for any thread
  *  count, across a ProcessShardBackend merge, and when an
  *  interrupted sweep resumes mid-group (only the missing variants
- *  re-execute). Also covers
- *  TaskPlan::lockstepGroups' grouping/ordering contract and the raw
- *  LockstepGroup API against OoOCore::run(). */
+ *  re-execute). Also covers TaskPlan::lockstepGroups' grouping and
+ *  ordering contract and the raw LockstepGroup API against
+ *  OoOCore::run(). */
 
 #include <gtest/gtest.h>
 
@@ -317,7 +317,6 @@ TEST(Lockstep, SweepBitIdenticalToOracleAcrossThreadCounts)
 
 TEST(Lockstep, ProcessShardMergeBitIdentical)
 {
-
     const std::string store_path = tmpPath("shards.store");
     std::remove(store_path.c_str());
     for (std::size_t i = 0; i < 4; ++i)

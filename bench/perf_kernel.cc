@@ -250,22 +250,6 @@ BM_TraceGeneration(benchmark::State &state, const char *program)
 BENCHMARK_CAPTURE(BM_TraceGeneration, swim, "swim");
 BENCHMARK_CAPTURE(BM_TraceGeneration, pchase, "pchase");
 
-void
-BM_FullSimulation(benchmark::State &state)
-{
-    const TraceWindow window{0, 200'000};
-    const MaterializedTrace trace =
-        materialize(specProgram("crafty"), window);
-    const BaselineConfig cfg = makeBaseline();
-    for (auto _ : state) {
-        Hierarchy hier(cfg.hier, trace.image);
-        OoOCore core(cfg.core);
-        benchmark::DoNotOptimize(core.run(trace.view(), hier));
-    }
-    state.SetItemsProcessed(state.iterations() * window.length);
-}
-BENCHMARK(BM_FullSimulation);
-
 // --- The SoA block loop over a prebuilt TraceView. ---
 //
 // BM_TraceViewRun drives OoOCore::run over a materialized window;

@@ -6,12 +6,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -117,32 +114,6 @@ runShardWorker(const TaskPlan &plan, const std::vector<char> &done,
     }
 }
 
-/** Unique pending-task records already sitting in the store file at
- *  @p path — a killed worker's leftovers, which the restarted worker
- *  will *resume* rather than execute. Counted so the parent's
- *  RunCounters stay truthful: executed means simulated this call. */
-std::size_t
-countPendingRecords(const std::string &path,
-                    const std::set<std::string> &pending_keys)
-{
-    std::ifstream in(path);
-    if (!in)
-        return 0;
-    std::set<std::string> seen;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        ResultRecord rec;
-        if (!ResultStore::parseRecord(line, rec))
-            continue;
-        std::string key = rec.key.str();
-        if (pending_keys.count(key))
-            seen.insert(std::move(key));
-    }
-    return seen.size();
-}
-
 /** One supervised shard worker (possibly across several process
  *  incarnations: the shard, its files and its follower are stable;
  *  the pid changes on restart). */
@@ -219,12 +190,6 @@ ProcessShardBackend::execute(const TaskPlan &plan,
     const unsigned worker_threads =
         _opts.threads_per_shard ? _opts.threads_per_shard : 1;
 
-    // Keys of every task a worker might run, for the resume
-    // accounting below.
-    std::set<std::string> pending_keys;
-    for (std::size_t i : pending)
-        pending_keys.insert(plan.resultKey(i).str());
-
     const SupervisionPolicy &policy = _opts.supervision;
     SweepSupervisor supervisor(policy);
 
@@ -246,11 +211,11 @@ ProcessShardBackend::execute(const TaskPlan &plan,
         const ShardSpec shard{i, nshards};
         // A shard with nothing pending (all resumed, or the plan is
         // smaller than the shard count) gets no process.
-        const bool has_work =
-            std::any_of(pending.begin(), pending.end(),
-                        [&](std::size_t t)
-                        { return TaskPlan::inShard(t, shard); });
-        if (!has_work)
+        std::vector<std::size_t> mine;
+        for (std::size_t t : pending)
+            if (TaskPlan::inShard(t, shard))
+                mine.push_back(t);
+        if (mine.empty())
             continue;
 
         Worker w;
@@ -274,8 +239,10 @@ ProcessShardBackend::execute(const TaskPlan &plan,
         // within THIS call need no recount: whatever an incarnation
         // persisted was simulated by this call, so it stays
         // `executed` even when a successor resumes it.
-        worker_resumed +=
-            countPendingRecords(w.store_path, pending_keys);
+        const ResultStore left(w.store_path,
+                               ResultStore::Mode::ReadOnly);
+        for (std::size_t t : mine)
+            worker_resumed += left.find(plan.resultKey(t)) ? 1 : 0;
         workers.push_back(std::move(w));
     }
 
@@ -452,9 +419,9 @@ ProcessShardBackend::execute(const TaskPlan &plan,
                                   " (shard stores kept for resume)");
     }
 
-    // All workers succeeded: merge shard stores by concatenation
-    // into the parent store, then fill the matrix from the merged
-    // records — the same resume path a restarted sweep takes.
+    // All workers succeeded: merge the shard stores into the parent
+    // store, then fill the matrix from the merged records — the same
+    // resume path a restarted sweep takes.
     for (const Worker &w : workers)
         store->merge(w.store_path);
     std::vector<char> merged_done = done;

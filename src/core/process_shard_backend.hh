@@ -24,7 +24,7 @@
  *    sweep completes, the cell is flagged in MatrixResult::fault and
  *    listed in RunCounters::quarantined;
  *  - once every shard finishes, the parent merges the shard stores
- *    into the attached store by record concatenation and fills the
+ *    into the attached store (ResultStore::merge) and fills the
  *    matrix from the merged records.
  *
  * Because every record round-trips bit-exactly (hexfloat text) and

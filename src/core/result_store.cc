@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -335,7 +336,9 @@ ResultStore::ResultStore(const std::string &path, Mode mode)
         if (!parent.empty())
             std::filesystem::create_directories(parent);
     }
-    loadFile();
+    // A missing file is an empty store (first use).
+    readFile(_path, [this](ResultRecord &&rec)
+             { _records[rec.key.str()] = std::move(rec); });
     // The append stream opens lazily (ensureAppend) on the first
     // put(): a store opened only to be queried — status tools, the
     // daemon's read-only mode — must not create an empty backing file
@@ -348,12 +351,13 @@ ResultStore::~ResultStore()
         std::fclose(_append);
 }
 
-void
-ResultStore::loadFile()
+bool
+ResultStore::readFile(const std::string &path,
+                      const std::function<void(ResultRecord &&)> &sink)
 {
-    std::ifstream in(_path);
+    std::ifstream in(path);
     if (!in)
-        return; // first use: empty store
+        return false;
     std::string line;
     std::size_t skipped = 0;
     while (std::getline(in, line)) {
@@ -361,16 +365,20 @@ ResultStore::loadFile()
             continue;
         ResultRecord rec;
         if (parseRecord(line, rec))
-            _records[rec.key.str()] = std::move(rec);
+            sink(std::move(rec));
         else
             ++skipped; // unknown schema, torn line or bad checksum
     }
     if (skipped) {
-        _unreadable += skipped;
-        warn("result store ", _path, ": skipped ", skipped,
+        {
+            std::lock_guard<std::mutex> lock(_mu);
+            _unreadable += skipped;
+        }
+        warn("result store ", path, ": skipped ", skipped,
              " unreadable record(s) (older schema, torn write or "
              "checksum mismatch)");
     }
+    return true;
 }
 
 std::size_t
@@ -406,15 +414,26 @@ void
 ResultStore::put(const ResultRecord &rec)
 {
     std::lock_guard<std::mutex> lock(_mu);
-    if (!_path.empty()) {
+    if (!_path.empty())
         ensureAppend();
-        const std::string line = formatRecord(rec) + '\n';
+    auto [it, fresh] = _records.try_emplace(rec.key.str(), rec);
+    std::string line = formatRecord(rec);
+    if (!fresh) {
+        // Every held record is already a line of the backing file
+        // (it came from the load, a put or a compaction): an
+        // identical one adds nothing. A changed one is appended and
+        // wins, on reload too.
+        if (formatRecord(it->second) == line)
+            return;
+        it->second = rec;
+    }
+    if (_append) {
+        line += '\n';
         std::fwrite(line.data(), 1, line.size(), _append);
         std::fflush(_append); // a killed sweep keeps this run
         if (_fsync)
             ::fsync(fileno(_append)); // ...and so does a killed host
     }
-    _records[rec.key.str()] = rec;
 }
 
 std::size_t
@@ -490,33 +509,13 @@ ResultStore::merge(const std::string &input_path)
             return 0;
         }
     }
-    std::ifstream in(input_path);
-    if (!in) {
-        warn("result store merge: cannot read ", input_path);
-        return 0;
-    }
-    std::string line;
     std::size_t merged = 0;
-    std::size_t skipped = 0;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        ResultRecord rec;
-        if (!parseRecord(line, rec)) {
-            ++skipped;
-            continue;
-        }
-        put(rec);
-        ++merged;
-    }
-    if (skipped) {
-        {
-            std::lock_guard<std::mutex> lock(_mu);
-            _unreadable += skipped;
-        }
-        warn("result store merge from ", input_path, ": skipped ",
-             skipped, " unreadable record(s)");
-    }
+    if (!readFile(input_path, [this, &merged](ResultRecord &&rec)
+                  {
+                      put(rec);
+                      ++merged;
+                  }))
+        warn("result store merge: cannot read ", input_path);
     return merged;
 }
 

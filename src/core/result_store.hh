@@ -18,9 +18,12 @@
  * the current configuration is simply never found: stale results are
  * ignored, never silently reused.
  *
- * The file is append-only with no header; each line stands alone.
- * Two stores (e.g. from sharded sweeps on different hosts) merge by
- * concatenating their files. Lines with an unknown schema tag, a
+ * The file is append-only with no header; each line stands alone and
+ * holds one record. put() appends a record only when the store does
+ * not already hold it identically, so merges and reruns add no
+ * duplicate lines. Two stores (e.g. from sharded sweeps on different
+ * hosts) combine with merge(), or by concatenating their files and
+ * compacting the result. Lines with an unknown schema tag, a
  * parse error, or a per-record FNV checksum mismatch (the trailing
  * `ck=` field catches bit rot and splices, not just torn tails) are
  * skipped on load and counted (unreadable(), surfaced as
@@ -36,6 +39,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -162,35 +166,39 @@ class ResultStore
      *  simulation path. */
     std::optional<ResultRecord> find(const ResultKey &key) const;
 
-    /** Insert @p rec (and append it to the backing file, flushed).
-     *  A duplicate key overwrites in memory — by the determinism
-     *  contract both records hold identical values, and merge-by-
-     *  concatenation needs last-wins semantics, not an error. */
+    /** Insert @p rec and append its line to the backing file,
+     *  flushed — unless the store already holds @p rec identically
+     *  (the same formatted line), which changes nothing: every held
+     *  record is already a line of the file. A changed record under
+     *  a held key is appended and wins, in memory and on reload (by
+     *  the determinism contract it does not occur in one sweep).
+     *  fatal() on a ReadOnly store, held record or not. */
     void put(const ResultRecord &rec);
 
     std::size_t size() const;
 
     /**
-     * Merge-by-concatenation: append every readable record of the
-     * store file at @p input_path into this store (and its backing
-     * file, when present). Unreadable lines are skipped, exactly as
-     * loadFile() skips them. Duplicate keys overwrite — identical by
-     * the determinism contract. Returns the number of records read.
-     * This is how sharded sweeps combine their per-shard stores; see
-     * docs/SHARDING.md.
+     * put() every readable record of the store file at @p input_path
+     * into this store, so only records this store does not already
+     * hold reach its backing file: merging the same file twice
+     * leaves the file as it was. Unreadable lines are skipped and
+     * counted, exactly as the load skips them. Returns the number
+     * of records read. This is how sharded sweeps and the sweep
+     * daemon combine stores; see docs/SHARDING.md.
      */
     std::size_t merge(const std::string &input_path);
 
     /**
      * Rewrite the backing file to exactly one record per key — the
-     * in-memory (last-wins) view — in sorted key order, dropping the
-     * duplicate lines that merges and reruns accumulate and any
-     * unreadable lines loadFile() skipped. The rewrite goes through
-     * a temporary file renamed into place, so a crash mid-compact
-     * leaves either the old or the new file, never a torn one. The
-     * sorted order makes a compacted store a pure function of its
-     * record set: two stores holding the same records compact to
-     * byte-identical files, however differently they were built.
+     * in-memory (last-wins) view — in sorted key order, dropping
+     * duplicate lines of `cat`-joined files, records superseded
+     * under their key, and any unreadable lines the load skipped.
+     * The rewrite goes through a temporary file renamed into place,
+     * so a crash mid-compact leaves either the old or the new file,
+     * never a torn one. The sorted order makes a compacted store a
+     * pure function of its record set: two stores holding the same
+     * records compact to byte-identical files, however differently
+     * they were built.
      * A memory-only store compacts trivially. Returns the number of
      * records in the compacted store.
      */
@@ -215,7 +223,11 @@ class ResultStore
     static bool parseRecord(const std::string &line, ResultRecord &rec);
 
   private:
-    void loadFile();
+    /** Feed every readable record of the store file at @p path to
+     *  @p sink, skipping empty lines; count and warn about the
+     *  unreadable ones. False when @p path cannot be opened. */
+    bool readFile(const std::string &path,
+                  const std::function<void(ResultRecord &&)> &sink);
     /** Open the append stream if not already open (lock held);
      *  fatal() in ReadOnly mode. */
     void ensureAppend();

@@ -17,7 +17,7 @@
  * The default backend is ThreadPoolBackend (the in-process drain
  * loop over the engine's persistent worker pool); EngineOptions can
  * swap in ProcessShardBackend (forked shard workers, one store per
- * shard, merged by concatenation) or any custom ExecutionBackend.
+ * shard, merged record by record) or any custom ExecutionBackend.
  * EngineOptions::shard restricts an in-process run to one shard of
  * the plan — the `microlib_sweep --shard i/N` building block for
  * cluster-scale sweeps.

@@ -82,6 +82,11 @@ ServiceBackend::execute(const TaskPlan &plan,
                     "(variant config drift); spec-file sweeps only");
     }
 
+    // Everything resumed from the caller's store: nothing to submit
+    // or fetch, so the daemon need not even be reachable.
+    if (plan.pendingTasks(done, ShardSpec{}).empty())
+        return;
+
     ignoreSigpipe();
     std::string error;
     const int fd = connectTo(_addr, &error);

@@ -15,7 +15,8 @@
  * Dedup is the daemon's: a spec already executed (by anyone)
  * completes without a single new simulation, and per-task records
  * shared with other sweeps are never re-run. The backend cannot know
- * or care which worker ran what.
+ * or care which worker ran what. A plan the caller's own store
+ * already holds in full never contacts the daemon at all.
  *
  * Infrastructure failures — daemon unreachable, connection lost
  * mid-job, refused submit — throw InfrastructureError, which the CLI

@@ -20,7 +20,7 @@
  *
  * That agreement is what makes sharding trivial: shard i of N is
  * simply the tasks whose index is congruent to i mod N, shard stores
- * merge by concatenation, and the merged result is bit-identical to a
+ * merge record by record, and the merged result is bit-identical to a
  * single-process run because every task writes the same slot with the
  * same fingerprinted result no matter which process ran it.
  *

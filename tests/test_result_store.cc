@@ -56,6 +56,53 @@ sampleRecord()
     return rec;
 }
 
+/** Count the record lines of a store file. */
+std::size_t
+countLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::size_t n = 0;
+    while (std::getline(in, line))
+        if (!line.empty())
+            ++n;
+    return n;
+}
+
+/** Whole file contents, for byte-identity checks. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string out, line;
+    while (std::getline(in, line)) {
+        out += line;
+        out += '\n';
+    }
+    return out;
+}
+
+/** A family of distinct records (benchmark names differ). */
+ResultRecord
+numberedRecord(unsigned i)
+{
+    ResultRecord rec = sampleRecord();
+    rec.key.benchmark = "bench" + std::to_string(i);
+    rec.core.cycles = 1000 + i;
+    rec.core.ipc = 100000.0 / rec.core.cycles;
+    return rec;
+}
+
+/** Append the lines of numberedRecord(first..last-1) to the file at
+ *  @p path as raw text, bypassing put(). */
+void
+appendLines(const std::string &path, unsigned first, unsigned last)
+{
+    std::ofstream out(path, std::ios::app);
+    for (unsigned i = first; i < last; ++i)
+        out << ResultStore::formatRecord(numberedRecord(i)) << '\n';
+}
+
 } // namespace
 
 TEST(Fingerprint, HexRoundTrip)
@@ -269,6 +316,13 @@ TEST(ResultStore, MergesByConcatenation)
     EXPECT_EQ(store.size(), 2u);
     EXPECT_TRUE(store.find(ra.key).has_value());
     EXPECT_TRUE(store.find(rb.key).has_value());
+
+    // merge() reads every record but writes only those the store
+    // does not hold: merging the same file twice adds no line.
+    for (int pass = 0; pass < 2; ++pass) {
+        EXPECT_EQ(store.merge(a), 1u);
+        EXPECT_EQ(countLines(merged), 2u) << "pass " << pass;
+    }
     for (const auto &p : {a, b, merged})
         std::remove(p.c_str());
 }
@@ -299,6 +353,10 @@ TEST(ResultStore, DuplicateKeyLastWins)
         store.put(first);
         store.put(second);
         EXPECT_EQ(store.size(), 1u);
+        EXPECT_EQ(countLines(path), 2u);
+        // A record the store already holds identically adds no line.
+        store.put(second);
+        EXPECT_EQ(countLines(path), 2u);
     }
     ResultStore store(path);
     ASSERT_EQ(store.size(), 1u);
@@ -331,61 +389,17 @@ TEST(ResultStore, MemoryOnlyStoreWorks)
     EXPECT_TRUE(store.path().empty());
 }
 
-namespace
-{
-
-/** Count the record lines of a store file. */
-std::size_t
-countLines(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string line;
-    std::size_t n = 0;
-    while (std::getline(in, line))
-        if (!line.empty())
-            ++n;
-    return n;
-}
-
-/** Whole file contents, for byte-identity checks. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string out, line;
-    while (std::getline(in, line)) {
-        out += line;
-        out += '\n';
-    }
-    return out;
-}
-
-/** A family of distinct records (benchmark names differ). */
-ResultRecord
-numberedRecord(unsigned i)
-{
-    ResultRecord rec = sampleRecord();
-    rec.key.benchmark = "bench" + std::to_string(i);
-    rec.core.cycles = 1000 + i;
-    rec.core.ipc = 100000.0 / rec.core.cycles;
-    return rec;
-}
-
-} // namespace
-
 TEST(ResultStore, CompactRewritesToOneRecordPerKey)
 {
     const std::string path = tmpPath("compact.store");
     std::remove(path.c_str());
     {
+        // A `cat`-joined store (or one written by an older version):
+        // every record's line appears twice. put() never writes such
+        // duplicates, so the lines are appended raw.
+        appendLines(path, 0, 4);
+        appendLines(path, 0, 4);
         ResultStore store(path);
-        // A rerun-after-merge store: every record appended twice
-        // (merge-by-concatenation keeps duplicate lines; only the
-        // in-memory view is last-wins).
-        for (unsigned i = 0; i < 4; ++i)
-            store.put(numberedRecord(i));
-        for (unsigned i = 0; i < 4; ++i)
-            store.put(numberedRecord(i));
         ASSERT_EQ(store.size(), 4u);
         ASSERT_EQ(countLines(path), 8u);
 
@@ -419,10 +433,10 @@ TEST(ResultStore, CompactIsAPureFunctionOfTheRecordSet)
         ResultStore a(a_path);
         for (unsigned i = 0; i < 5; ++i)
             a.put(numberedRecord(i));
-        ResultStore b(b_path);
         for (unsigned i = 5; i-- > 0;)
-            b.put(numberedRecord(i));
-        b.put(numberedRecord(2)); // duplicate line
+            appendLines(b_path, i, i + 1);
+        appendLines(b_path, 2, 3); // duplicate line
+        ResultStore b(b_path);
         a.compact();
         b.compact();
     }

@@ -70,6 +70,19 @@ countEvents(const std::string &progress_path, const std::string &name)
     return n;
 }
 
+/** Non-empty lines of the file at @p path. */
+std::size_t
+countLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::size_t n = 0;
+    while (std::getline(in, line))
+        if (!line.empty())
+            ++n;
+    return n;
+}
+
 /** Bit-identity over everything the store persists (the same check
  *  the shard tests apply to merged shard results). */
 void
@@ -476,11 +489,43 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
         EXPECT_EQ(dedup, "job");
         EXPECT_EQ(state, "done");
     }
-    ExperimentEngine resub_engine(client_opts);
-    const SweepResult resubmitted = resub_engine.runPlan(plan);
-    expectIdentical(reference, resubmitted);
-    EXPECT_EQ(countEvents(fix.opts.progress_path, "run"),
-              runs_before);
+    // The daemon store holds one line per record, although it
+    // merged each worker's whole store after every lease.
+    EXPECT_EQ(countLines(fix.opts.store_path), plan.size());
+
+    // Resubmit twice against one client store file: the first run
+    // fetches every record into it, the second resumes them all, and
+    // the file keeps one line per record.
+    const std::string client_path = tmpPath("e2e_client.store");
+    std::remove(client_path.c_str());
+    for (int rerun = 0; rerun < 2; ++rerun) {
+        ResultStore client_store(client_path);
+        EngineOptions resub_opts = client_opts;
+        resub_opts.store = &client_store;
+        ExperimentEngine resub_engine(resub_opts);
+        const SweepResult resubmitted = resub_engine.runPlan(plan);
+        expectIdentical(reference, resubmitted);
+        EXPECT_EQ(countEvents(fix.opts.progress_path, "run"),
+                  runs_before);
+        EXPECT_EQ(countLines(client_path), plan.size())
+            << "rerun " << rerun;
+    }
+
+    // With every task resumed from the client store, the backend
+    // returns before dialling: an unreachable daemon does not matter.
+    {
+        ResultStore client_store(client_path);
+        ServiceBackend nowhere("unix:" + tmpPath("nobody.sock"), 0.02);
+        EngineOptions opts;
+        opts.store = &client_store;
+        opts.backend = &nowhere;
+        ExperimentEngine engine(opts);
+        SweepResult resumed;
+        EXPECT_NO_THROW(resumed = engine.runPlan(plan));
+        expectIdentical(reference, resumed);
+        EXPECT_EQ(engine.lastRun().executed, 0u);
+    }
+    std::remove(client_path.c_str());
 
     fix.shutdown();
     t0.join();

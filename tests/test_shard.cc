@@ -1,5 +1,5 @@
 /** @file Sharded execution: shard partitions of the TaskPlan are
- *  disjoint and exhaustive, shard stores merged by concatenation
+ *  disjoint and exhaustive, shard stores merged record by record
  *  reproduce the single-process MatrixResult bit-identically (both
  *  via in-process --shard style runs and via the forked
  *  ProcessShardBackend), and a killed-and-resumed shard re-executes
@@ -180,7 +180,7 @@ TEST(Shard, MergedShardStoresMatchSingleProcess)
         EXPECT_EQ(store.size(), mine);
     }
 
-    // Merge by concatenation, then resume the whole plan from the
+    // Merge the shard stores, then resume the whole plan from the
     // merged store: nothing executes and the matrix is bit-identical
     // to the single-process run.
     const std::string merged_path = tmpPath("merge_all.store");

@@ -250,7 +250,7 @@ TEST(SweepSpec, TwoVariantShardDeterminism)
     }
 
     // Two shards, separate engines and stores — the separate-host
-    // workflow — then merge by concatenation.
+    // workflow — then merge their stores.
     std::vector<std::string> shard_paths;
     for (std::size_t i = 0; i < 2; ++i) {
         const std::string path =

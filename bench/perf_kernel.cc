@@ -290,8 +290,9 @@ BENCHMARK(BM_TraceViewRun);
 // instructions across all V members, so dividing by BM_TraceViewRun's
 // items_per_second gives the lockstep throughput gain over V
 // independent passes (the locality win of touching each trace block
-// once while it is hot in cache). V=1 is the degenerate group; the
-// sweep path uses it only when a group has a single pending variant.
+// once while it is hot in cache). V=1 is the degenerate group, kept
+// as the lockstep machinery's overhead baseline: the sweep path never
+// runs one, since a one-member group takes runOne.
 
 void
 BM_LockstepVariants(benchmark::State &state)

@@ -29,13 +29,6 @@ RequestQueue::add(Cycle done)
     _inflight.push_back(done);
 }
 
-std::size_t
-RequestQueue::inFlight(Cycle now)
-{
-    std::erase_if(_inflight, [now](Cycle c) { return c <= now; });
-    return _inflight.size();
-}
-
 // ------------------------------------------------------------ LineBuffer
 
 LineBuffer::LineBuffer(unsigned lines, std::uint64_t line_bytes)

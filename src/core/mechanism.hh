@@ -76,7 +76,6 @@ class RequestQueue
     void add(Cycle done);
 
     unsigned capacity() const { return _capacity; }
-    std::size_t inFlight(Cycle now);
 
   private:
     unsigned _capacity;

@@ -1,6 +1,8 @@
 #include "core/process_shard_backend.hh"
 
 #include <errno.h>
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -9,8 +11,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <stdexcept>
-#include <thread>
 
 #include "core/exit_codes.hh"
 #include "core/progress.hh"
@@ -18,6 +20,7 @@
 #include "core/scheduler.hh"
 #include "core/supervisor.hh"
 #include "core/thread_pool_backend.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 
 namespace microlib
@@ -35,21 +38,19 @@ secondsSince(Clock::time_point start)
 }
 
 /** Worker body, run between fork() and _exit(): execute shard
- *  @p shard of @p plan into its own store. Never returns. */
+ *  @p shard of @p plan into its own store, reporting progress over
+ *  the pipe @p progress_fd. @p faults, when not null, is the fault
+ *  budget left for this incarnation. Never returns. */
 [[noreturn]] void
 runShardWorker(const TaskPlan &plan, const std::vector<char> &done,
                const ExecutionContext &parent_ctx,
                const ShardSpec &shard, const std::string &store_path,
-               const std::string &progress_path,
-               const std::string &fault_state, unsigned threads)
+               int progress_fd, const FaultPlan *faults,
+               unsigned threads)
 {
     try {
-        // Per-worker fault-injection firing state, derived by the
-        // parent when MICROLIB_FAULT is armed without an explicit
-        // state file: "first N encounters" must count across this
-        // worker's restarts, or crash@t:1 would re-fire forever.
-        if (!fault_state.empty())
-            setenv("MICROLIB_FAULT_STATE", fault_state.c_str(), 1);
+        if (faults)
+            setenv("MICROLIB_FAULT", faults->str().c_str(), 1);
 
         // Fresh engine: own thread pool, own trace cache. The
         // parent's pool threads do not exist in this process; its
@@ -64,11 +65,10 @@ runShardWorker(const TaskPlan &plan, const std::vector<char> &done,
         opts.backend = nullptr; // the in-process drain below
         opts.store = &store;
         opts.shard = shard;
-        opts.progress_path = progress_path;
+        opts.progress_path.clear(); // the parent writes the stream
         ExperimentEngine engine(opts);
-        ProgressWriter progress(opts.progress_path);
-        const ExecutionContext ctx{
-            engine, opts, progress.enabled() ? &progress : nullptr};
+        ProgressWriter progress(progress_fd);
+        const ExecutionContext ctx{engine, opts, &progress};
 
         // The parent's resume mask rides through fork(): tasks whose
         // record the parent store already held — and tasks the parent
@@ -81,23 +81,21 @@ runShardWorker(const TaskPlan &plan, const std::vector<char> &done,
         counters.resumed =
             plan.prefill(store, res, worker_done);
 
-        if (progress.enabled())
-            progress.write(ProgressEvent("plan")
-                               .field("backend", "process-shard/worker")
-                               .field("shard", shard.str())
-                               .field("total", plan.size())
-                               .field("resumed", counters.resumed));
+        progress.write(ProgressEvent("plan")
+                           .field("backend", "process-shard/worker")
+                           .field("shard", shard.str())
+                           .field("total", plan.size())
+                           .field("resumed", counters.resumed));
 
         ThreadPoolBackend leaf;
         leaf.execute(plan, worker_done, ctx, res, counters);
 
-        if (progress.enabled())
-            progress.write(ProgressEvent("done")
-                               .field("backend", "process-shard/worker")
-                               .field("shard", shard.str())
-                               .field("executed", counters.executed)
-                               .field("resumed", counters.resumed)
-                               .field("skipped", counters.skipped));
+        progress.write(ProgressEvent("done")
+                           .field("backend", "process-shard/worker")
+                           .field("shard", shard.str())
+                           .field("executed", counters.executed)
+                           .field("resumed", counters.resumed)
+                           .field("skipped", counters.skipped));
         std::fflush(stdout);
         std::fflush(stderr);
         _exit(0);
@@ -115,21 +113,84 @@ runShardWorker(const TaskPlan &plan, const std::vector<char> &done,
 }
 
 /** One supervised shard worker (possibly across several process
- *  incarnations: the shard, its files and its follower are stable;
- *  the pid changes on restart). */
+ *  incarnations: the shard, its store and its stream are stable; the
+ *  pid, the pipe and the follower change on restart). */
 struct Worker
 {
+    Worker(ShardSpec s, std::string store, const std::string &stream_path)
+        : shard(s), store_path(std::move(store)), stream(stream_path)
+    {
+    }
+    ~Worker()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+    Worker(const Worker &) = delete;
+    Worker &operator=(const Worker &) = delete;
+
     pid_t pid = -1;
     ShardSpec shard;
     std::string store_path;
-    std::string progress_path;
-    bool derived_progress = false; ///< we invented the path: clean up
-    std::string fault_state;       ///< derived firing-state file ("")
+    int fd = -1; ///< read end of the incarnation's pipe; -1 after EOF
     ProgressFollower follower;
+    /** `<progress>.shard<i>`, open for the whole execute() so every
+     *  incarnation's lines stay; disabled without --progress. */
+    ProgressWriter stream;
     Clock::time_point last_activity{};
     Clock::time_point restart_at{}; ///< when pid < 0: relaunch gate
     bool finished = false;
 };
+
+/** Move the bytes worker @p w's pipe holds into its follower, until
+ *  the pipe is empty or at EOF (then closed), and hand each completed
+ *  line on: appended to the shard stream, and a `fault` event charges
+ *  one firing to @p budget's clause for that task. Returns true when
+ *  a line completed: liveness. */
+bool
+drain(Worker &w, FaultPlan &budget)
+{
+    while (w.fd >= 0) {
+        const int n = w.follower.feedFd(w.fd);
+        if (n == 0) {
+            ::close(w.fd);
+            w.fd = -1;
+        } else if (n < 0) {
+            break; // drained (EAGAIN), or EINTR: the next turn reads
+        }
+    }
+    bool live = false;
+    std::string line;
+    while (w.follower.nextLine(line)) {
+        live = true;
+        w.stream.writeLine(line);
+        std::string event;
+        std::uint64_t task = 0;
+        if (!jsonFindString(line, "event", event) || event != "fault" ||
+            !jsonFindU64(line, "task", task))
+            continue;
+        auto &clauses = budget.clauses;
+        for (auto it = clauses.begin(); it != clauses.end(); ++it) {
+            if (it->task == task) {
+                if (--it->count == 0)
+                    clauses.erase(it);
+                break;
+            }
+        }
+    }
+    return live;
+}
+
+/** Block until a worker's pipe has bytes or @p timeout_ms passes. */
+void
+awaitBytes(const std::deque<Worker> &workers, int timeout_ms)
+{
+    std::vector<pollfd> fds;
+    for (const Worker &w : workers)
+        if (w.fd >= 0)
+            fds.push_back({w.fd, POLLIN, 0});
+    ::poll(fds.data(), fds.size(), timeout_ms);
+}
 
 /** EINTR-proof waitpid. Returns the waitpid result with EINTR
  *  retried: an interrupted wait is not a shard failure. */
@@ -198,14 +259,16 @@ ProcessShardBackend::execute(const TaskPlan &plan,
     // worker never re-runs the task that has been killing it.
     std::vector<char> live_done = done;
 
-    // Fault injection needs per-worker firing state to count "first
-    // N encounters" across restarts; derive one next to each shard
-    // store when the user armed a plan without naming a state file.
-    const bool derive_fault_state =
-        std::getenv("MICROLIB_FAULT") != nullptr &&
-        std::getenv("MICROLIB_FAULT_STATE") == nullptr;
+    // The fault-injection budget: MICROLIB_FAULT's clauses, each
+    // charged one firing per `fault` event a worker reports. Every
+    // (re)launched worker is armed with what is left.
+    const char *fault_env = std::getenv("MICROLIB_FAULT");
+    FaultPlan budget;
+    std::string fault_error;
+    if (fault_env && !FaultPlan::parse(fault_env, budget, &fault_error))
+        fatal(fault_error);
 
-    std::vector<Worker> workers;
+    std::deque<Worker> workers; // pinned: each owns its pipe and stream
     std::size_t worker_resumed = 0;
     for (std::size_t i = 0; i < nshards; ++i) {
         const ShardSpec shard{i, nshards};
@@ -218,21 +281,12 @@ ProcessShardBackend::execute(const TaskPlan &plan,
         if (mine.empty())
             continue;
 
-        Worker w;
-        w.shard = shard;
-        w.store_path = shardStorePath(store->path(), i, nshards);
-        // Supervision needs the heartbeat stream even when the
-        // caller asked for no progress output; derive a path from
-        // the shard store and clean it up on success.
-        if (!ctx.opts.progress_path.empty()) {
-            w.progress_path = ctx.opts.progress_path + ".shard" +
-                              std::to_string(shard.index);
-        } else {
-            w.progress_path = w.store_path + ".progress";
-            w.derived_progress = true;
-        }
-        if (derive_fault_state)
-            w.fault_state = w.store_path + ".faultstate";
+        const Worker &w = workers.emplace_back(
+            shard, shardStorePath(store->path(), i, nshards),
+            ctx.opts.progress_path.empty()
+                ? std::string()
+                : ctx.opts.progress_path + ".shard" +
+                      std::to_string(shard.index));
         // Records a previous (killed) worker left behind will be
         // resumed by the restarted worker, not re-executed; count
         // them now, before the child starts appending. Restarts
@@ -243,10 +297,18 @@ ProcessShardBackend::execute(const TaskPlan &plan,
                                ResultStore::Mode::ReadOnly);
         for (std::size_t t : mine)
             worker_resumed += left.find(plan.resultKey(t)) ? 1 : 0;
-        workers.push_back(std::move(w));
     }
 
     auto launch = [&](Worker &w, std::size_t attempt) {
+        if (w.fd >= 0)
+            ::close(w.fd); // a predecessor's pipe not yet at EOF
+        // The parent's end never blocks: a live worker's drain stops
+        // at an empty pipe.
+        int fds[2];
+        if (::pipe2(fds, O_CLOEXEC) != 0 ||
+            ::fcntl(fds[0], F_SETFL, O_NONBLOCK) != 0)
+            fatal("ProcessShardBackend: pipe() failed for shard ",
+                  w.shard.str());
         // Parent-side buffered output must not be replayed by every
         // child's own writes later; flush before the address space
         // is duplicated.
@@ -256,14 +318,21 @@ ProcessShardBackend::execute(const TaskPlan &plan,
         if (w.pid < 0)
             fatal("ProcessShardBackend: fork() failed for shard ",
                   w.shard.str());
-        if (w.pid == 0)
+        if (w.pid == 0) {
+            // Keep only this worker's write end: no child holds a
+            // read end, so a dead parent closes the pipe for good.
+            ::close(fds[0]);
+            for (const Worker &o : workers)
+                if (o.fd >= 0)
+                    ::close(o.fd);
             runShardWorker(plan, live_done, ctx, w.shard,
-                           w.store_path, w.progress_path,
-                           w.fault_state,
+                           w.store_path, fds[1],
+                           fault_env ? &budget : nullptr,
                            worker_threads); // never returns
-        // The new incarnation truncates its progress stream on open;
-        // follow it from the top.
-        w.follower = ProgressFollower(w.progress_path);
+        }
+        ::close(fds[1]);
+        w.fd = fds[0];
+        w.follower = ProgressFollower();
         w.last_activity = Clock::now();
         if (ctx.progress)
             ctx.progress->write(
@@ -278,16 +347,16 @@ ProcessShardBackend::execute(const TaskPlan &plan,
         launch(w, 0);
 
     // Supervision loop: poll every worker for death (WNOHANG reap),
-    // stall (no progress-stream growth within the heartbeat timeout)
-    // and due restarts, until all shards finish or the supervisor
-    // gives up. Failures never leave siblings running unsupervised:
-    // GiveUp kills and reaps every live worker before throwing.
+    // stall (no completed line within the heartbeat timeout) and due
+    // restarts, until all shards finish or the supervisor gives up.
+    // Failures never leave siblings running unsupervised: GiveUp
+    // kills and reaps every live worker before throwing.
     std::string give_up;
     auto onFailure = [&](Worker &w, bool stalled,
                          std::string detail) {
-        // Drain the stream one last time: the heartbeat written just
-        // before the fatal task is the blame evidence.
-        w.follower.poll();
+        // The caller drained the dead worker's pipe to its EOF: the
+        // heartbeat written just before the fatal task is the blame
+        // evidence.
         WorkerFailure f;
         f.worker = w.shard.index;
         f.stalled = stalled;
@@ -327,16 +396,13 @@ ProcessShardBackend::execute(const TaskPlan &plan,
 
     std::size_t active = workers.size();
     while (active > 0 && give_up.empty()) {
-        bool any_event = false;
         for (Worker &w : workers) {
             if (w.finished || !give_up.empty())
                 continue;
             if (w.pid < 0) {
                 // Waiting out its restart backoff.
-                if (Clock::now() >= w.restart_at) {
+                if (Clock::now() >= w.restart_at)
                     launch(w, supervisor.retries(w.shard.index));
-                    any_event = true;
-                }
                 continue;
             }
 
@@ -351,6 +417,7 @@ ProcessShardBackend::execute(const TaskPlan &plan,
             if (r == w.pid) {
                 const bool ok =
                     WIFEXITED(status) && WEXITSTATUS(status) == 0;
+                drain(w, budget); // the stream's last lines, to EOF
                 if (ctx.progress)
                     ctx.progress->write(
                         ProgressEvent("shard_exit")
@@ -369,21 +436,20 @@ ProcessShardBackend::execute(const TaskPlan &plan,
                                         std::to_string(
                                             WEXITSTATUS(status)));
                 }
-                any_event = true;
                 continue;
             }
 
-            // Alive. Stream growth (any complete line) is liveness;
-            // silence past the timeout means wedged — SIGKILL and
-            // let the supervisor decide about the restart.
-            if (w.follower.poll()) {
+            // Alive. Any completed line is liveness; silence past the
+            // timeout means wedged — SIGKILL and let the supervisor
+            // decide about the restart.
+            if (drain(w, budget)) {
                 w.last_activity = Clock::now();
-                any_event = true;
             } else if (policy.heartbeat_timeout > 0 &&
                        secondsSince(w.last_activity) >
                            policy.heartbeat_timeout) {
                 kill(w.pid, SIGKILL);
                 waitFor(w.pid, &status, 0);
+                drain(w, budget);
                 if (ctx.progress)
                     ctx.progress->write(
                         ProgressEvent("worker_stall")
@@ -395,12 +461,10 @@ ProcessShardBackend::execute(const TaskPlan &plan,
                               std::to_string(
                                   policy.heartbeat_timeout) +
                               "s");
-                any_event = true;
             }
         }
-        if (!any_event && active > 0 && give_up.empty())
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(15));
+        if (active > 0 && give_up.empty())
+            awaitBytes(workers, 15);
     }
 
     if (!give_up.empty()) {
@@ -442,15 +506,9 @@ ProcessShardBackend::execute(const TaskPlan &plan,
             "produced no record for " +
             plan.describe(missing, ShardSpec{0, nshards}));
 
-    if (!_opts.keep_shard_stores) {
-        for (const Worker &w : workers) {
+    if (!_opts.keep_shard_stores)
+        for (const Worker &w : workers)
             std::remove(w.store_path.c_str());
-            if (w.derived_progress)
-                std::remove(w.progress_path.c_str());
-            if (!w.fault_state.empty())
-                std::remove(w.fault_state.c_str());
-        }
-    }
 }
 
 } // namespace microlib

@@ -11,18 +11,23 @@
  *  - each worker appends to its OWN result store
  *    (`<store>.shard<i>of<N>`), so workers never contend on a file
  *    and a killed worker's store resumes its shard on the next run;
+ *  - each worker reports its JSONL progress stream over one pipe to
+ *    the parent, which appends the completed lines to
+ *    `<progress>.shard<i>` when the caller asked for progress;
  *  - the parent SUPERVISES the workers (core/supervisor.hh, see
  *    docs/FAULT_TOLERANCE.md): it polls instead of blocking in
- *    waitpid, tails each worker's JSONL progress stream for
- *    heartbeat liveness, SIGKILLs a worker that stops heartbeating
- *    past ProcessShardOptions::supervision.heartbeat_timeout,
+ *    waitpid, reads each worker's pipe for heartbeat liveness,
+ *    SIGKILLs a worker that stops heartbeating past
+ *    ProcessShardOptions::supervision.heartbeat_timeout,
  *    restarts dead/stalled workers with exponential backoff up to
  *    supervision.max_worker_retries (the restarted worker resumes
  *    from its shard store, so only missing tasks re-execute), and
  *    quarantines a task that keeps killing its worker after
  *    supervision.quarantine_strikes failures — the rest of the
  *    sweep completes, the cell is flagged in MatrixResult::fault and
- *    listed in RunCounters::quarantined;
+ *    listed in RunCounters::quarantined; it also owns the
+ *    MICROLIB_FAULT budget (sim/fault.hh), charging each `fault`
+ *    event a worker reports and arming restarts with what is left;
  *  - once every shard finishes, the parent merges the shard stores
  *    into the attached store (ResultStore::merge) and fills the
  *    matrix from the merged records.

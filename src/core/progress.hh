@@ -13,9 +13,12 @@
  *   {"event":"heartbeat",...} per task, immediately BEFORE it
  *                             simulates: the flat task index about to
  *                             run (plus bench/mech). The liveness
- *                             signal supervised sharding tails — and
+ *                             signal supervised sharding reads — and
  *                             the blame evidence when the process
  *                             dies or wedges on that task
+ *   {"event":"fault",...}     an armed MICROLIB_FAULT clause firing at
+ *                             the task just heartbeat, written before
+ *                             it acts (sim/fault.hh)
  *   {"event":"run",...}       per finished task: benchmark, mechanism,
  *                             per-benchmark and overall completed/total
  *                             counters, elapsed seconds, ETA seconds
@@ -31,9 +34,9 @@
  * "quarantine" (a task excluded after repeated strikes) and
  * "shard_exit" (a worker finished).
  *
- * Each shard of a multi-process sweep writes its own stream (the
- * parent derives per-shard paths), so shards are monitored
- * independently. Progress output never feeds back into results: it
+ * Each shard worker of a multi-process sweep streams its lines over
+ * a pipe, and the parent appends each completed one to a per-shard
+ * file, so shards are monitored independently. Progress output never feeds back into results: it
  * carries wall-clock times but the determinism contract is untouched.
  * Consumers must tolerate a torn final line — a writer can die
  * mid-write; core/supervisor.hh's ProgressFollower (which only ever

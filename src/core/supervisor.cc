@@ -1,7 +1,5 @@
 #include "core/supervisor.hh"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <iterator>
@@ -15,7 +13,6 @@ std::size_t
 ProgressFollower::feed(const char *data, std::size_t n)
 {
     _buf.append(data, n);
-    _fed += n;
     // Surface every completed line; the unterminated tail stays
     // buffered (it may be half a line — the next chunk finishes it,
     // or EOF orphans it).
@@ -54,31 +51,6 @@ ProgressFollower::feedFd(int fd)
 }
 
 bool
-ProgressFollower::poll()
-{
-    const int fd = ::open(_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    bool live = false;
-    struct stat st;
-    if (::fstat(fd, &st) == 0 &&
-        static_cast<std::uint64_t>(st.st_size) < _fed) {
-        // Shrunk: a restarted worker reopened (truncated) its
-        // stream. Start over; the reopen itself is liveness.
-        reset();
-        live = true;
-    } else if (::lseek(fd, static_cast<off_t>(_fed), SEEK_SET) >= 0) {
-        char chunk[4096];
-        ssize_t n;
-        while ((n = ::read(fd, chunk, sizeof(chunk))) > 0)
-            live |= feed(chunk, static_cast<std::size_t>(n)) > 0;
-    }
-    ::close(fd);
-    _lines.clear();
-    return live;
-}
-
-bool
 ProgressFollower::nextLine(std::string &line)
 {
     if (_lines.empty())
@@ -104,16 +76,6 @@ ProgressFollower::lastHeartbeatTask(std::size_t &task) const
         return false;
     task = _task;
     return true;
-}
-
-void
-ProgressFollower::reset()
-{
-    _fed = 0;
-    _buf.clear();
-    _lines.clear();
-    _has_task = false;
-    _task = 0;
 }
 
 SupervisionVerdict

@@ -8,12 +8,11 @@
  * everything the poll loop decides with:
  *
  *  - ProgressFollower reassembles a worker's JSONL progress stream
- *    — a file it tails, or a socket it is fed — into whole lines:
- *    any newly completed line is liveness, and the last `heartbeat`
+ *    — fed from the worker's pipe or socket — into whole lines: any
+ *    newly completed line is liveness, and the last `heartbeat`
  *    event names the flat task index the worker was about to run —
  *    the task a crash or stall is blamed on. A line torn by a dying
- *    writer is simply not yet visible (and a restarted worker
- *    truncating its stream resets the follower).
+ *    writer is never surfaced.
  *
  *  - SweepSupervisor turns a worker death or stall into a Verdict:
  *    restart after an exponentially backed-off delay, quarantine the
@@ -33,7 +32,6 @@
 #define MICROLIB_CORE_SUPERVISOR_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
@@ -46,7 +44,7 @@ namespace microlib
  *  docs/FAULT_TOLERANCE.md). */
 struct SupervisionPolicy
 {
-    /** Seconds without progress-stream growth before a worker is
+    /** Seconds without a completed progress line before a worker is
      *  declared stalled and SIGKILLed; <= 0 disables stall
      *  detection (crash supervision still applies). */
     double heartbeat_timeout = 0.0;
@@ -76,20 +74,14 @@ struct SupervisionPolicy
  * stays buffered: a line torn by a dying writer is never surfaced
  * and never counts as liveness.
  *
- * Three transports feed it: the daemon feeds each connection's
- * socket (feedFd, one per poll turn), LineSocket receives through it
- * (nextLine), and the shard supervisor follows a worker's progress
- * file (poll: the bytes appended since the last read).
+ * One transport feeds it, a file descriptor: the daemon feeds each
+ * connection's socket and the shard supervisor each worker's pipe
+ * (feedFd, one read per poll turn), and LineSocket receives through
+ * it (nextLine).
  */
 class ProgressFollower
 {
   public:
-    ProgressFollower() = default;
-
-    /** Follow the file at @p path through poll(). */
-    explicit ProgressFollower(std::string path) : _path(std::move(path))
-    {
-    }
 
     /** Buffer @p n raw bytes; any lines they complete queue for
      *  nextLine()/takeLines() and update the heartbeat blame state.
@@ -105,13 +97,6 @@ class ProgressFollower
      *  result: bytes consumed (> 0), 0 on EOF (the writer hung up),
      *  or -1 with errno (EAGAIN on a drained non-blocking fd). */
     int feedFd(int fd);
-
-    /** Feed the bytes appended to the followed file since the last
-     *  read. Returns true on liveness: at least one completed line,
-     *  or a truncation (a restarted worker reopening its stream),
-     *  which resets the follower. A file is followed for liveness and
-     *  blame only; its lines are not queued. */
-    bool poll();
 
     /** Pop the oldest completed line, newline stripped. */
     bool nextLine(std::string &line);
@@ -129,12 +114,7 @@ class ProgressFollower
      *  EOF, the torn tail's length. */
     std::size_t pending() const { return _buf.size(); }
 
-    /** Forget buffered bytes, queued lines and blame state. */
-    void reset();
-
   private:
-    std::string _path;
-    std::uint64_t _fed = 0; ///< bytes fed since reset: the file offset
     std::string _buf;
     std::deque<std::string> _lines;
     bool _has_task = false;

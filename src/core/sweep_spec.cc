@@ -28,10 +28,11 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
-/** Shared numeric parse: positive integer with k/M/G suffixes. */
+/** Shared numeric parse: an integer >= @p min_value, k/M/G suffixes
+ *  allowed (sim/options.hh parseCount takes plain digits only). */
 bool
-parseCount(const std::string &v, std::uint64_t &out,
-           std::string *error, std::uint64_t min_value)
+parseScaledAtLeast(const std::string &v, std::uint64_t &out,
+                   std::string *error, std::uint64_t min_value)
 {
     if (!parseScaledU64(v, out) || out < min_value)
         return fail(error, "expected an integer >= " +
@@ -53,7 +54,7 @@ u64Param(const char *key, const char *what,
     p.apply = [field, min_value](RunConfig &cfg, const std::string &v,
                                  std::string *error) {
         std::uint64_t n = 0;
-        if (!parseCount(v, n, error, min_value))
+        if (!parseScaledAtLeast(v, n, error, min_value))
             return false;
         field(cfg) = n;
         return true;
@@ -75,7 +76,7 @@ unsignedParam(const char *key, const char *what,
     p.apply = [field, min_value](RunConfig &cfg, const std::string &v,
                                  std::string *error) {
         std::uint64_t n = 0;
-        if (!parseCount(v, n, error, min_value))
+        if (!parseScaledAtLeast(v, n, error, min_value))
             return false;
         if (n > 0xffffffffull)
             return fail(error, "value '" + v + "' does not fit in 32 bits");

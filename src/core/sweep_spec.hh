@@ -160,11 +160,6 @@ class SweepSpec
         _mechanisms = std::move(m);
     }
 
-    /** Settings applied to every variant, in application order. */
-    const std::vector<AxisSetting> &baseSettings() const
-    {
-        return _base;
-    }
     /** Declared axes, first = slowest-varying. */
     const std::vector<AxisDecl> &axes() const { return _axes; }
 

@@ -191,18 +191,29 @@ ThreadPoolBackend::drain(State &st)
         // about to run (flushed per line), so if this process now
         // dies or wedges — for real or because an armed FaultClause
         // fires at exactly this index — a supervising parent's last
-        // heartbeat blames the right task.
-        FaultInjector &injector = FaultInjector::instance();
+        // heartbeat blames the right task. A firing clause is
+        // reported before it acts: the parent charges the clause's
+        // budget with that line.
+        const FaultInjector &injector = FaultInjector::instance();
         for (const std::size_t flat : group) {
+            const std::size_t index = st.plan.task(flat).index;
             if (st.ctx.progress)
                 st.ctx.progress->write(
                     ProgressEvent("heartbeat")
-                        .field("task", st.plan.task(flat).index)
+                        .field("task", index)
                         .field("bench", benchmark)
                         .field("mech", mechanism)
                         .field("elapsed_s", secondsSince(st.start)));
-            if (injector.armed())
-                injector.checkpoint(st.plan.task(flat).index);
+            const FaultClause *fault =
+                injector.armed() ? injector.clauseAt(index) : nullptr;
+            if (fault) {
+                if (st.ctx.progress)
+                    st.ctx.progress->write(
+                        ProgressEvent("fault")
+                            .field("task", index)
+                            .field("clause", fault->str()));
+                FaultInjector::fire(*fault);
+            }
         }
 
         // Simulate: one lockstep pass over the shared trace for a
@@ -315,8 +326,8 @@ ThreadPoolBackend::execute(const TaskPlan &plan,
 {
     // (Re)arm fault injection from the environment every execute():
     // a forked shard worker inherits the parent's (possibly inert)
-    // singleton, and the worker may also carry a different
-    // MICROLIB_FAULT_STATE than its parent did.
+    // singleton, and a restarted worker carries a narrower
+    // MICROLIB_FAULT than its parent did.
     FaultInjector::instance().armFromEnv();
 
     State st(plan, done, ctx, res, counters.resumed);

@@ -90,7 +90,6 @@ class Hierarchy
     Cache &l2() { return *_l2; }
     const Cache &l1d() const { return *_l1d; }
     const Cache &l2() const { return *_l2; }
-    Bus &l1l2Bus() { return *_l1l2_bus; }
     Bus &fsb() { return *_fsb; }
 
     /** SDRAM model or nullptr when constant-latency memory is used. */

@@ -7,7 +7,7 @@
  * recovery path of the supervised ProcessShardBackend provable on
  * demand: the MICROLIB_FAULT environment variable names exact flat
  * task indices at which a worker process must die or wedge, and the
- * execution backends call FaultInjector::checkpoint(task) immediately
+ * execution backends ask FaultInjector::clauseAt(task) immediately
  * before simulating each task, so the failure lands at a precise,
  * reproducible point of the plan.
  *
@@ -21,16 +21,16 @@
  *   crash@7:99   crash at task 7 on (effectively) every encounter —
  *                the poison-task shape the quarantine logic exists for
  *
- * "First N encounters" is counted across worker restarts when
- * MICROLIB_FAULT_STATE names a state file: every firing appends one
- * line to it (flushed before the fault acts), and a clause whose
- * firing count has reached <count> no longer triggers. The supervised
- * ProcessShardBackend points each worker at a per-shard state file
- * derived from its store path when the variable is unset, so
- * `crash@7:1` means exactly one crash followed by a clean resumed
- * rerun — the recovery proof CI runs. Without a state file (plain
- * in-process runs) counts are per process, so every restarted worker
- * re-fires: the shape the quarantine tests use.
+ * The count is a budget across worker restarts, and the supervising
+ * parent owns it. Just before a clause acts, the drain loop writes a
+ * `{"event":"fault","task":T,"clause":"crash@T:N"}` progress line.
+ * The supervised ProcessShardBackend reads it from the worker's pipe,
+ * subtracts one firing from clause T, and starts a restarted worker
+ * with MICROLIB_FAULT narrowed to the clauses that still have firings
+ * left. So `crash@7:1` means exactly one crash followed by a clean
+ * resumed rerun: the recovery proof CI runs. A process with no
+ * supervising parent (a plain in-process run, a service worker) fires
+ * a clause at most once, because it dies or wedges doing so.
  *
  * The injector is completely inert — not even an env lookup on the
  * task path — unless MICROLIB_FAULT is set, and it never touches
@@ -75,6 +75,10 @@ struct FaultPlan
 
     bool empty() const { return clauses.empty(); }
 
+    /** Canonical text, clauses joined by ',': "crash@7:2,hang@3:1"
+     *  ("" for an empty plan). parse() reads it back. */
+    std::string str() const;
+
     /** Parse the grammar above; false + *error on malformed input
      *  (unknown kind, missing '@', non-numeric index/count, zero
      *  count, duplicate task). Empty text parses to an empty plan. */
@@ -86,9 +90,10 @@ struct FaultPlan
  * Process-wide injector. Execution backends arm it once per
  * execute() (armFromEnv — cheap, and re-reading the environment each
  * time keeps long-lived test processes honest when the variable
- * changes between runs), then call checkpoint(task) before each
- * simulated task. checkpoint() may abort the process or never
- * return; it is thread-safe, as backends call it from pool workers.
+ * changes between runs), then ask clauseAt(task) before each
+ * simulated task and fire() what it returns. Arming happens before
+ * the backend's threads start, so clauseAt() is safe to call from
+ * pool workers.
  */
 class FaultInjector
 {
@@ -96,39 +101,26 @@ class FaultInjector
     /** The process-wide instance (inert until armed). */
     static FaultInjector &instance();
 
-    /**
-     * (Re)read MICROLIB_FAULT and MICROLIB_FAULT_STATE. A malformed
-     * plan is a fatal error — a mistyped injection must never
-     * silently run a sweep un-faulted. Re-arming with unchanged text
-     * keeps the in-memory firing counts; a changed value resets them.
-     */
+    /** (Re)read MICROLIB_FAULT. A malformed plan is a fatal error —
+     *  a mistyped injection must never silently run a sweep
+     *  un-faulted. */
     void armFromEnv();
 
     bool armed() const { return !_plan.empty(); }
 
-    /**
-     * Fire any clause matching @p task whose firing budget remains:
-     * record the firing (state file when configured, else in
-     * memory), then crash or hang. Returns normally when nothing
-     * matches. Never touches results.
-     */
-    void checkpoint(std::size_t task);
+    /** The clause armed at flat task @p task, or nullptr. */
+    const FaultClause *clauseAt(std::size_t task) const;
+
+    /** Act out @p clause: abort() for a crash, sleep forever for a
+     *  hang. Never touches results. */
+    [[noreturn]] static void fire(const FaultClause &clause);
 
   private:
     FaultInjector() = default;
 
-    /** Times @p clause has already fired (state file wins). */
-    std::size_t firedCount(const FaultClause &clause);
-
-    /** Append one firing line to the state file (flushed + synced);
-     *  in-memory count otherwise. */
-    void recordFiring(const FaultClause &clause);
-
-    std::mutex _mu;
-    std::string _text;       ///< raw MICROLIB_FAULT last armed
-    std::string _state_path; ///< MICROLIB_FAULT_STATE ("" = memory)
+    std::mutex _mu;    ///< serializes armFromEnv between engines
+    std::string _text; ///< raw MICROLIB_FAULT last armed
     FaultPlan _plan;
-    std::vector<std::size_t> _fired; ///< per clause, memory mode
 };
 
 } // namespace microlib

@@ -9,16 +9,8 @@ namespace microlib
 
 namespace
 {
-bool logging_enabled = true;
-
 /** Serializes output: experiment workers log concurrently. */
 std::mutex log_mu;
-}
-
-void
-setLoggingEnabled(bool enabled)
-{
-    logging_enabled = enabled;
 }
 
 namespace detail
@@ -42,16 +34,14 @@ void
 warnImpl(const std::string &msg)
 {
     std::lock_guard<std::mutex> lock(log_mu);
-    if (logging_enabled)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
     std::lock_guard<std::mutex> lock(log_mu);
-    if (logging_enabled)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
+    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -68,9 +68,6 @@ inform(Args &&...args)
     detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Enable/disable warn()/inform() output (tests silence it). */
-void setLoggingEnabled(bool enabled);
-
 } // namespace microlib
 
 #endif // MICROLIB_SIM_LOGGING_HH

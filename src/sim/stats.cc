@@ -7,37 +7,6 @@
 namespace microlib
 {
 
-Distribution::Distribution(double bucket_width, std::size_t buckets)
-    : _width(bucket_width), _counts(buckets, 0)
-{
-    if (bucket_width <= 0.0 || buckets == 0)
-        fatal("Distribution requires positive bucket width and count");
-}
-
-void
-Distribution::sample(double v)
-{
-    const auto idx = static_cast<std::size_t>(v / _width);
-    if (v < 0)
-        panic("Distribution sample below zero: ", v);
-    if (idx < _counts.size())
-        ++_counts[idx];
-    else
-        ++_overflow;
-    ++_total;
-    _sum += v;
-}
-
-void
-Distribution::reset()
-{
-    for (auto &c : _counts)
-        c = 0;
-    _overflow = 0;
-    _total = 0;
-    _sum = 0.0;
-}
-
 StatSet::StatSet()
 {
     // A full hierarchy plus mechanism registers ~40 stats; reserving

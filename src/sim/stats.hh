@@ -52,33 +52,6 @@ class Average
 };
 
 /**
- * Fixed-bucket histogram over [0, bucket_width * buckets); values past
- * the end accumulate in the overflow bucket.
- */
-class Distribution
-{
-  public:
-    Distribution(double bucket_width = 1.0, std::size_t buckets = 16);
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t total() const { return _total; }
-    double mean() const { return _total ? _sum / _total : 0.0; }
-    std::uint64_t bucket(std::size_t i) const { return _counts.at(i); }
-    std::uint64_t overflow() const { return _overflow; }
-    std::size_t buckets() const { return _counts.size(); }
-    double bucketWidth() const { return _width; }
-
-  private:
-    double _width;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _total = 0;
-    double _sum = 0.0;
-};
-
-/**
  * Name → value registry. Components register their counters once;
  * values are read through the registered pointers at query time, so no
  * per-event registry cost is paid. Hash-indexed with capacity

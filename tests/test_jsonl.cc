@@ -2,16 +2,16 @@
  *  stream (`{"event":...}`) and the sweep-service protocol
  *  (`{"cmd":...}` / `{"reply":...}`) share one escaping and number
  *  format, and perfbench, `tail -f` readers and remote pollers parse
- *  these exact bytes. Also pins the file follower's contract: a torn
- *  tail never counts and never blames, a truncated file rewinds the
- *  follower and counts as liveness, and the last complete heartbeat
- *  names the task in flight. */
+ *  these exact bytes. Also pins the follower's contract on a pipe: a
+ *  torn tail never counts and never blames, and the last complete
+ *  heartbeat names the task in flight. */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -24,19 +24,21 @@ using namespace microlib;
 namespace
 {
 
-std::string
-tmpPath(const std::string &name)
+void
+writeAll(int fd, const std::string &bytes)
 {
-    return testing::TempDir() + "microlib_jsonl_" + name;
+    ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
 }
 
-void
-writeFile(const std::string &path, const std::string &bytes,
-          std::ios::openmode mode)
+/** Read everything a non-blocking pipe holds into @p f; true when a
+ *  line completed (the supervisor's liveness test). */
+bool
+pump(ProgressFollower &f, int fd)
 {
-    std::ofstream out(path, mode | std::ios::binary);
-    out << bytes;
-    out.flush();
+    while (f.feedFd(fd) > 0) {
+    }
+    return !f.takeLines().empty();
 }
 
 } // namespace
@@ -140,59 +142,49 @@ TEST(JsonlWire, UnicodeEscapeTakesExactlyFourHexDigits)
     }
 }
 
-TEST(JsonlWire, FileFollowerTornTailTruncationAndInterleavedHeartbeats)
+TEST(JsonlWire, PipeFollowerTornTailAndInterleavedHeartbeats)
 {
-    const std::string path = tmpPath("follow.jsonl");
-    std::remove(path.c_str());
-    ProgressFollower follower(path);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+    ProgressFollower follower;
     std::size_t task = 0;
 
     // Heartbeats interleaved with other events: the last complete
     // heartbeat is the blame, whatever follows it.
-    writeFile(path,
-              "{\"event\":\"plan\",\"total\":8}\n"
-              "{\"event\":\"heartbeat\",\"task\":3,\"bench\":\"swim\"}\n"
-              "{\"event\":\"run\",\"task\":3}\n"
-              "{\"event\":\"heartbeat\",\"task\":5,\"bench\":\"gzip\"}\n"
-              "{\"event\":\"run\",\"task\":5}\n",
-              std::ios::trunc);
+    writeAll(fds[1],
+             "{\"event\":\"plan\",\"total\":8}\n"
+             "{\"event\":\"heartbeat\",\"task\":3,\"bench\":\"swim\"}\n"
+             "{\"event\":\"run\",\"task\":3}\n"
+             "{\"event\":\"heartbeat\",\"task\":5,\"bench\":\"gzip\"}\n"
+             "{\"event\":\"run\",\"task\":5}\n");
     EXPECT_FALSE(follower.lastHeartbeatTask(task));
-    EXPECT_TRUE(follower.poll());
+    EXPECT_TRUE(pump(follower, fds[0]));
     ASSERT_TRUE(follower.lastHeartbeatTask(task));
     EXPECT_EQ(task, 5u);
-    EXPECT_FALSE(follower.poll()); // nothing new
+    EXPECT_FALSE(pump(follower, fds[0])); // nothing new
 
     // A torn heartbeat: neither liveness nor blame, however many
-    // times it is polled, until its newline lands.
-    writeFile(path, "{\"event\":\"heartbeat\",\"task\":6",
-              std::ios::app);
-    EXPECT_FALSE(follower.poll());
-    EXPECT_FALSE(follower.poll());
+    // times the pipe is read, until its newline lands.
+    writeAll(fds[1], "{\"event\":\"heartbeat\",\"task\":6");
+    EXPECT_FALSE(pump(follower, fds[0]));
+    EXPECT_FALSE(pump(follower, fds[0]));
     ASSERT_TRUE(follower.lastHeartbeatTask(task));
     EXPECT_EQ(task, 5u);
-    writeFile(path, "}\n{\"event\":\"run\",\"ta", std::ios::app);
-    EXPECT_TRUE(follower.poll());
+    writeAll(fds[1], "}\n{\"event\":\"run\",\"ta");
+    EXPECT_TRUE(pump(follower, fds[0]));
     ASSERT_TRUE(follower.lastHeartbeatTask(task));
     EXPECT_EQ(task, 6u);
-    EXPECT_FALSE(follower.poll()); // the new torn tail is no liveness
+    EXPECT_FALSE(pump(follower, fds[0])); // a torn tail: no liveness
 
-    // A restarted writer truncates: the shrink is liveness and drops
-    // the old blame; the fresh stream is then read from its start.
-    writeFile(path, "{\"event\":\"plan\",\"total\":8}\n",
-              std::ios::trunc);
-    EXPECT_TRUE(follower.poll());
-    EXPECT_FALSE(follower.lastHeartbeatTask(task));
-    EXPECT_TRUE(follower.poll());
-    EXPECT_FALSE(follower.lastHeartbeatTask(task));
-    writeFile(path,
-              "{\"event\":\"heartbeat\",\"task\":1}\n"
-              "{\"event\":\"run\",\"task\":1}\n",
-              std::ios::app);
-    EXPECT_TRUE(follower.poll());
+    // The writer hanging up mid-line is not liveness either: EOF
+    // leaves the torn tail buffered and the blame where it was.
+    ::close(fds[1]);
+    EXPECT_FALSE(pump(follower, fds[0]));
+    EXPECT_EQ(follower.feedFd(fds[0]), 0);
+    EXPECT_EQ(follower.pending(),
+              std::string("{\"event\":\"run\",\"ta").size());
     ASSERT_TRUE(follower.lastHeartbeatTask(task));
-    EXPECT_EQ(task, 1u);
-
-    // The file vanishing is not liveness.
-    std::remove(path.c_str());
-    EXPECT_FALSE(follower.poll());
+    EXPECT_EQ(task, 6u);
+    ::close(fds[0]);
 }

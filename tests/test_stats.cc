@@ -30,30 +30,6 @@ TEST(Stats, AverageBasics)
     EXPECT_DOUBLE_EQ(a.sum(), 6.0);
 }
 
-TEST(Stats, DistributionBuckets)
-{
-    Distribution d(10.0, 4); // buckets [0,10) [10,20) [20,30) [30,40)
-    d.sample(5);
-    d.sample(15);
-    d.sample(15);
-    d.sample(99); // overflow
-    EXPECT_EQ(d.bucket(0), 1u);
-    EXPECT_EQ(d.bucket(1), 2u);
-    EXPECT_EQ(d.bucket(2), 0u);
-    EXPECT_EQ(d.overflow(), 1u);
-    EXPECT_EQ(d.total(), 4u);
-    EXPECT_NEAR(d.mean(), (5 + 15 + 15 + 99) / 4.0, 1e-9);
-}
-
-TEST(Stats, DistributionReset)
-{
-    Distribution d(1.0, 4);
-    d.sample(1);
-    d.reset();
-    EXPECT_EQ(d.total(), 0u);
-    EXPECT_EQ(d.bucket(1), 0u);
-}
-
 TEST(Stats, StatSetLookup)
 {
     StatSet set;

@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/exit_codes.hh"
 #include "core/process_shard_backend.hh"
 #include "core/result_store.hh"
 #include "core/scheduler.hh"
@@ -61,19 +65,30 @@ struct EnvGuard
     const char *_name;
 };
 
-/** Remove the derived per-worker files a supervised run creates (and
- *  a failed earlier test may have left behind). */
+/** Remove the store and the shard stores a supervised run creates
+ *  (and a failed earlier test may have left behind). */
 void
 cleanWorkerFiles(const std::string &store, std::size_t nshards)
 {
     std::remove(store.c_str());
+    for (std::size_t i = 0; i < nshards; ++i)
+        std::remove(
+            ProcessShardBackend::shardStorePath(store, i, nshards)
+                .c_str());
+}
+
+/** The `fault` events across the per-shard streams of @p progress. */
+std::size_t
+faultEvents(const std::string &progress, std::size_t nshards)
+{
+    std::size_t n = 0;
     for (std::size_t i = 0; i < nshards; ++i) {
-        const std::string shard =
-            ProcessShardBackend::shardStorePath(store, i, nshards);
-        std::remove(shard.c_str());
-        std::remove((shard + ".progress").c_str());
-        std::remove((shard + ".faultstate").c_str());
+        std::ifstream in(progress + ".shard" + std::to_string(i));
+        std::string line;
+        while (std::getline(in, line))
+            n += line.find("\"event\":\"fault\"") != std::string::npos;
     }
+    return n;
 }
 
 /** Bit-identity over everything the store persists. */
@@ -173,44 +188,39 @@ TEST(FaultPlan, RejectsMalformedInput)
 
 TEST(ProgressFollower, ConsumesOnlyCompleteLines)
 {
-    const std::string path = tmpPath("follower.jsonl");
-    std::remove(path.c_str());
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+    // Liveness as the supervisor sees it: a line completed.
+    const auto live = [&](ProgressFollower &f) {
+        while (f.feedFd(fds[0]) > 0) {
+        }
+        return !f.takeLines().empty();
+    };
+    const auto put = [&](const std::string &bytes) {
+        return ::write(fds[1], bytes.data(), bytes.size()) ==
+               static_cast<ssize_t>(bytes.size());
+    };
 
-    ProgressFollower follower(path);
-    EXPECT_FALSE(follower.poll()); // no file yet
+    ProgressFollower follower;
+    EXPECT_FALSE(live(follower)); // nothing written yet
 
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << "{\"event\":\"heartbeat\",\"task\":7}\n";
-        out << "{\"event\":\"heartbeat\",\"task\":9"; // torn: no '\n'
-        out.flush();
-    }
+    ASSERT_TRUE(put("{\"event\":\"heartbeat\",\"task\":7}\n"));
+    ASSERT_TRUE(put("{\"event\":\"heartbeat\",\"task\":9")); // torn
     std::size_t task = 0;
-    EXPECT_TRUE(follower.poll()); // the complete line is liveness...
+    EXPECT_TRUE(live(follower)); // the complete line is liveness...
     ASSERT_TRUE(follower.lastHeartbeatTask(task));
     EXPECT_EQ(task, 7u); // ...but the torn line is invisible
-    EXPECT_FALSE(follower.poll()); // and not liveness either
+    EXPECT_FALSE(live(follower)); // and not liveness either
 
-    { // the writer finishes the line: now it counts
-        std::ofstream out(path, std::ios::app);
-        out << ",\"x\":1}\n";
-        out.flush();
-    }
-    EXPECT_TRUE(follower.poll());
+    // The writer finishes the line: now it counts.
+    ASSERT_TRUE(put(",\"x\":1}\n"));
+    EXPECT_TRUE(live(follower));
     ASSERT_TRUE(follower.lastHeartbeatTask(task));
     EXPECT_EQ(task, 9u);
 
-    { // restarted worker: truncate-and-rewrite rewinds the follower
-        std::ofstream out(path, std::ios::trunc);
-        out << "{\"event\":\"heartbeat\",\"task\":2}\n";
-        out.flush();
-    }
-    EXPECT_TRUE(follower.poll()); // the shrink itself
-    EXPECT_TRUE(follower.poll()); // the fresh stream's line
-    ASSERT_TRUE(follower.lastHeartbeatTask(task));
-    EXPECT_EQ(task, 2u);
-
-    std::remove(path.c_str());
+    ::close(fds[1]);
+    ::close(fds[0]);
 }
 
 TEST(ProgressFollower, ParsesOnlyHeartbeats)
@@ -455,16 +465,20 @@ TEST(StoreHardening, TornTailIsSkippedCountedAndResumedPast)
 TEST(SupervisedSweep, CrashRecoveryIsBitIdenticalAcrossThreadCounts)
 {
     // crash@5:1 aborts the owning worker the first time task 5 is
-    // about to run. The supervisor restarts it; the per-worker
-    // firing-state file stops a second firing; the restarted worker
-    // resumes its own records and finishes. The merged result must
-    // be bit-identical to the undisturbed reference — whatever the
-    // worker thread count.
+    // about to run. The worker reports the firing before it acts;
+    // the parent charges the clause, so the restarted worker runs
+    // with no firings left, resumes its own records and finishes.
+    // The merged result must be bit-identical to the undisturbed
+    // reference — whatever the worker thread count — and the shard
+    // streams, which keep every incarnation's lines, hold exactly
+    // the one firing.
     reference(); // materialize BEFORE arming the fault plan
     EnvGuard fault("MICROLIB_FAULT", "crash@5:1");
     for (const unsigned threads : {1u, 4u, 8u}) {
         const std::string path = tmpPath(
             "crash_t" + std::to_string(threads) + ".store");
+        const std::string progress = tmpPath(
+            "crash_t" + std::to_string(threads) + ".jsonl");
         cleanWorkerFiles(path, 2);
 
         ResultStore store(path);
@@ -475,6 +489,7 @@ TEST(SupervisedSweep, CrashRecoveryIsBitIdenticalAcrossThreadCounts)
         opts.threads = 1;
         opts.store = &store;
         opts.backend = &backend;
+        opts.progress_path = progress;
         ExperimentEngine engine(opts);
 
         const SweepResult res = supervisedRun(engine);
@@ -483,8 +498,47 @@ TEST(SupervisedSweep, CrashRecoveryIsBitIdenticalAcrossThreadCounts)
         EXPECT_EQ(counts.executed + counts.resumed,
                   mechs.size() * benchs.size());
         expectIdentical(reference(), res.matrices.front());
+        EXPECT_EQ(faultEvents(progress, 2), 1u) << threads << " threads";
         cleanWorkerFiles(path, 2);
+        for (const std::string &f :
+             {progress, progress + ".shard0", progress + ".shard1"})
+            std::remove(f.c_str());
     }
+}
+
+TEST(SupervisedSweep, GiveUpLeavesOnlyStores)
+{
+    // A poison task with neither retries nor quarantine sinks the
+    // sweep at its first crash. The shard stores are kept for the
+    // resume; nothing else is left next to the store.
+    reference();
+    EnvGuard fault("MICROLIB_FAULT", "crash@5:99");
+    const std::filesystem::path dir = tmpPath("giveup");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "sweep.store").string();
+
+    ResultStore store(path);
+    ProcessShardOptions sopts; // 2 shards, one thread each
+    sopts.supervision.max_worker_retries = 0;
+    sopts.supervision.quarantine_strikes = 0;
+    ProcessShardBackend backend(sopts);
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.store = &store;
+    opts.backend = &backend;
+    ExperimentEngine engine(opts);
+
+    EXPECT_THROW(supervisedRun(engine), InfrastructureError);
+    const std::set<std::string> allowed = {
+        "sweep.store", "sweep.store.shard0of2", "sweep.store.shard1of2"};
+    std::set<std::string> left;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        left.insert(entry.path().filename().string());
+    for (const std::string &f : left)
+        EXPECT_TRUE(allowed.count(f)) << "left behind: " << f;
+    EXPECT_TRUE(left.count("sweep.store.shard1of2")); // task 5's shard
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SupervisedSweep, HangIsDetectedKilledAndRecovered)
@@ -594,10 +648,6 @@ TEST(ProgressFollower, SurfacesOnlyCompleteLinesAcrossTornFeeds)
     EXPECT_EQ(f.takeLines().size(), 2u);
     ASSERT_TRUE(f.lastHeartbeatTask(task));
     EXPECT_EQ(task, 9u);
-
-    f.reset();
-    EXPECT_FALSE(f.lastHeartbeatTask(task));
-    EXPECT_EQ(f.pending(), 0u);
 }
 
 TEST(ProgressFollower, FeedFdReassemblesAPipeStream)
@@ -628,8 +678,7 @@ TEST(ProgressFollower, FeedFdReassemblesAPipeStream)
     EXPECT_EQ(task, 3u);
 
     // Writer dies mid-line: EOF is reported as 0, and the torn tail
-    // is never surfaced as a line — exactly the file follower's
-    // whole-lines-only contract.
+    // is never surfaced as a line — the whole-lines-only contract.
     ::close(fds[1]);
     EXPECT_EQ(f.feedFd(fds[0]), 0);
     EXPECT_FALSE(f.hasLines());

@@ -254,10 +254,13 @@ BENCHMARK_CAPTURE(BM_TraceGeneration, pchase, "pchase");
 //
 // BM_TraceViewRun drives OoOCore::run over a materialized window;
 // items_per_second is instructions simulated per second, and
-// run_allocs pins the loop allocation-free.
+// run_allocs pins the loop allocation-free. BM_MechanismRun/<acronym>
+// is the same run with a mechanism attached: VC exercises the
+// LineBuffer side store on every L1 miss, DBCP its correlation table
+// plus a LineBuffer prefetch buffer.
 
 void
-BM_TraceViewRun(benchmark::State &state)
+BM_MechanismRun(benchmark::State &state, const char *mechanism)
 {
     const TraceWindow window{0, 200'000};
     const MaterializedTrace trace =
@@ -266,10 +269,16 @@ BM_TraceViewRun(benchmark::State &state)
     bool counted = false;
     for (auto _ : state) {
         Hierarchy hier(cfg.hier, trace.image);
+        const auto mech = makeMechanism(mechanism, MechanismConfig{});
+        if (mech) {
+            mech->bind(hier);
+            hier.setClient(mech.get());
+        }
         OoOCore core(cfg.core);
         // run_allocs counts heap activity of one full 200k-record
-        // run() call (hierarchy/core construction excluded): the SoA
-        // loop and the miss path beneath it should report 0.
+        // run() call (hierarchy/mechanism/core construction
+        // excluded): the SoA loop and the miss path beneath it
+        // should report 0.
         const std::uint64_t before = t_alloc_count;
         benchmark::DoNotOptimize(core.run(trace.view(), hier));
         if (!counted) {
@@ -280,7 +289,15 @@ BM_TraceViewRun(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * window.length);
 }
+
+void
+BM_TraceViewRun(benchmark::State &state)
+{
+    BM_MechanismRun(state, "Base");
+}
 BENCHMARK(BM_TraceViewRun);
+BENCHMARK_CAPTURE(BM_MechanismRun, VC, "VC");
+BENCHMARK_CAPTURE(BM_MechanismRun, DBCP, "DBCP");
 
 // --- Lockstep multi-variant execution: V cores, one trace pass. ---
 //

@@ -19,7 +19,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/module.hh"
@@ -86,6 +85,12 @@ class RequestQueue
  * Small fully-associative line store with LRU replacement and
  * optional per-line ready times: victim caches, frequent-value
  * caches and prefetch buffers are all instances.
+ *
+ * Allocation-free after construction: lines live in a fixed slot
+ * array threaded on an intrusive LRU list (head = most recent), and
+ * a linear-probing index of at least twice as many cells as slots
+ * maps a line address to its slot. Deletion shifts later probe-chain
+ * cells back, so the index never accumulates tombstones.
  */
 class LineBuffer
 {
@@ -104,7 +109,7 @@ class LineBuffer
     void insert(Addr line_addr, Cycle ready);
 
     bool contains(Addr line_addr) const;
-    std::size_t occupancy() const;
+    std::size_t occupancy() const { return _size; }
     unsigned capacity() const { return _lines; }
     std::uint64_t lineBytes() const { return _line_bytes; }
 
@@ -112,17 +117,38 @@ class LineBuffer
     std::uint64_t unusedEvictions() const { return _unused_evictions; }
 
   private:
-    struct Entry
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    struct Slot
     {
+        Addr line = 0;
         Cycle ready = 0;
-        std::uint64_t stamp = 0;
+        std::uint32_t prev = none; ///< toward the MRU head
+        std::uint32_t next = none; ///< toward the LRU tail; free list
     };
 
     unsigned _lines;
     std::uint64_t _line_bytes;
-    std::uint64_t _tick = 0;
+    unsigned _line_shift;
+    unsigned _index_shift;        ///< 64 - log2(index cells)
+    std::uint64_t _index_mask;    ///< index cells - 1
     std::uint64_t _unused_evictions = 0;
-    std::unordered_map<Addr, Entry> _entries;
+    std::size_t _size = 0;
+    std::uint32_t _head = none;   ///< most recently inserted/refreshed
+    std::uint32_t _tail = none;   ///< least recent: the next victim
+    std::uint32_t _free = 0;      ///< free-slot list through Slot::next
+    std::vector<Slot> _slots;
+    std::vector<std::uint32_t> _index; ///< slot number or `none`
+
+    std::uint64_t home(Addr line) const;
+    /** Index cell holding @p line, or the empty cell ending its
+     *  probe chain. */
+    std::uint64_t cellOf(Addr line) const;
+    void unlink(std::uint32_t s);
+    void pushFront(std::uint32_t s);
+    /** Drop slot @p s from the index at @p cell, the list and the
+     *  occupancy, and return it to the free list. */
+    void remove(std::uint64_t cell, std::uint32_t s);
 };
 
 /** Base class for all data-cache mechanisms. */

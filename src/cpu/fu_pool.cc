@@ -1,91 +1,35 @@
 #include "cpu/fu_pool.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace microlib
 {
 
-FuPool::FuPool(const FuPoolParams &p) : _p(p)
+FuPool::FuPool(const FuPoolParams &p)
+    : _p(p),
+      _latency{p.int_alu_latency, p.int_mult_latency, p.fp_alu_latency,
+               p.fp_mult_latency, p.agen_latency,     p.agen_latency,
+               p.int_alu_latency}
 {
-    if (!p.int_alu || !p.int_mult || !p.fp_alu || !p.fp_mult ||
-        !p.ls_units)
-        fatal("every functional unit class needs at least one unit");
-    _units[0].resize(p.int_alu);
-    _units[1].resize(p.int_mult);
-    _units[2].resize(p.fp_alu);
-    _units[3].resize(p.fp_mult);
-    _units[4].resize(p.ls_units);
+    for (const unsigned n :
+         {p.int_alu, p.int_mult, p.fp_alu, p.fp_mult, p.ls_units}) {
+        if (n == 0)
+            fatal("every functional unit class needs at least one unit");
+        if (n > max_units)
+            fatal("functional unit class of ", n, " units exceeds the ",
+                  max_units, "-unit pool limit");
+    }
     reset();
 }
 
 void
 FuPool::reset()
 {
-    for (auto &cls : _units)
-        std::fill(cls.begin(), cls.end(), 0);
-}
-
-unsigned
-FuPool::unitClass(OpClass op) const
-{
-    switch (op) {
-      case OpClass::IntAlu:
-      case OpClass::Branch:
-        return 0;
-      case OpClass::IntMult:
-        return 1;
-      case OpClass::FpAlu:
-        return 2;
-      case OpClass::FpMult:
-        return 3;
-      case OpClass::Load:
-      case OpClass::Store:
-        return 4;
-    }
-    panic("unknown op class");
-}
-
-Cycle
-FuPool::issueInterval(OpClass op) const
-{
-    // Multipliers accept a new op every other cycle; everything else
-    // is fully pipelined.
-    return (op == OpClass::IntMult || op == OpClass::FpMult) ? 2 : 1;
-}
-
-Cycle
-FuPool::acquire(OpClass op, Cycle ready)
-{
-    auto &cls = _units[unitClass(op)];
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < cls.size(); ++i)
-        if (cls[i] < cls[best])
-            best = i;
-    const Cycle issue = std::max(ready, cls[best]);
-    cls[best] = issue + issueInterval(op);
-    return issue;
-}
-
-Cycle
-FuPool::latency(OpClass op) const
-{
-    switch (op) {
-      case OpClass::IntAlu:
-      case OpClass::Branch:
-        return _p.int_alu_latency;
-      case OpClass::IntMult:
-        return _p.int_mult_latency;
-      case OpClass::FpAlu:
-        return _p.fp_alu_latency;
-      case OpClass::FpMult:
-        return _p.fp_mult_latency;
-      case OpClass::Load:
-      case OpClass::Store:
-        return _p.agen_latency;
-    }
-    panic("unknown op class");
+    const unsigned counts[num_unit_classes] = {
+        _p.int_alu, _p.int_mult, _p.fp_alu, _p.fp_mult, _p.ls_units};
+    for (std::size_t c = 0; c < num_unit_classes; ++c)
+        for (unsigned u = 0; u < max_units; ++u)
+            _units[c][u] = u < counts[c] ? 0 : never;
 }
 
 } // namespace microlib

@@ -13,8 +13,9 @@
 #ifndef MICROLIB_CPU_FU_POOL_HH
 #define MICROLIB_CPU_FU_POOL_HH
 
+#include <algorithm>
 #include <array>
-#include <vector>
+#include <cstdint>
 
 #include "sim/types.hh"
 #include "trace/record.hh"
@@ -42,6 +43,9 @@ struct FuPoolParams
 class FuPool
 {
   public:
+    /** Largest unit count of one class (Table 1's widest is 8). */
+    static constexpr unsigned max_units = 8;
+
     explicit FuPool(const FuPoolParams &p);
 
     /** Reset all units to free-at-zero. */
@@ -51,21 +55,59 @@ class FuPool
      * Acquire a unit for @p op at or after @p ready.
      * @return issue cycle (>= ready).
      */
-    Cycle acquire(OpClass op, Cycle ready);
+    Cycle
+    acquire(OpClass op, Cycle ready)
+    {
+        const auto o = static_cast<std::size_t>(op);
+        auto &units = _units[unit_class[o]];
+        // Branch-free first-minimum over all max_units slots: slots
+        // beyond the class's unit count hold `never` and lose.
+        unsigned best = 0;
+        Cycle best_free = units[0];
+        for (unsigned u = 1; u < max_units; ++u) {
+            const bool earlier = units[u] < best_free;
+            best = earlier ? u : best;
+            best_free = earlier ? units[u] : best_free;
+        }
+        const Cycle issue = std::max(ready, best_free);
+        units[best] = issue + issue_interval[o];
+        return issue;
+    }
 
     /** Execution latency of @p op (cache time excluded for memory). */
-    Cycle latency(OpClass op) const;
+    Cycle
+    latency(OpClass op) const
+    {
+        return _latency[static_cast<std::size_t>(op)];
+    }
 
     const FuPoolParams &params() const { return _p; }
 
   private:
+    /** Unit classes: IntALU, IntMult, FpALU, FpMult, LS. */
+    static constexpr std::size_t num_unit_classes = 5;
+
+    /** OpClass -> unit class; branches use an IntALU, loads and
+     *  stores share the LS units. */
+    static constexpr std::array<std::uint8_t, num_op_classes> unit_class{
+        0, 1, 2, 3, 4, 4, 0};
+
+    /** OpClass -> issue-to-issue interval: multipliers accept a new op
+     *  every other cycle; everything else is fully pipelined. */
+    static constexpr std::array<Cycle, num_op_classes> issue_interval{
+        1, 2, 1, 2, 1, 1, 1};
+
+    static_assert(num_op_classes == 7 &&
+                      static_cast<int>(OpClass::Branch) == 6,
+                  "the OpClass tables above follow the enum's order");
+
     FuPoolParams _p;
 
-    /** Unit classes: IntALU, IntMult, FpALU, FpMult, LS. */
-    std::array<std::vector<Cycle>, 5> _units;
+    /** Next-free cycle per unit; unused slots hold `never`. */
+    std::array<std::array<Cycle, max_units>, num_unit_classes> _units;
 
-    unsigned unitClass(OpClass op) const;
-    Cycle issueInterval(OpClass op) const;
+    /** OpClass -> execution latency, from the params. */
+    std::array<Cycle, num_op_classes> _latency;
 };
 
 } // namespace microlib

@@ -12,17 +12,22 @@ void
 CacheHookShim::refillContent(Addr line_addr, AccessKind cause,
                              Cycle now) const
 {
-    std::vector<Word> words;
+    if (_nesting == _words.size())
+        _words.emplace_back();
+    std::vector<Word> &words = _words[_nesting];
     if (_image)
         _image->readLine(line_addr, _line_bytes, words);
     else
         words.assign(_line_bytes / 8, 0);
+    ++_nesting;
     _client->lineContent(_level, line_addr, words, cause, now);
+    --_nesting;
 }
 
 Cache::Cache(const CacheParams &p, MemDevice *parent, Bus *parent_bus)
     : _p(p), _parent(parent), _parent_bus(parent_bus),
-      _sets(p.size / (p.line * p.assoc)),
+      _sets(p.size / (p.line * p.assoc)), _line_shift(floorLog2(p.line)),
+      _set_mask(_sets - 1),
       _lines(_sets * p.assoc),
       _lru(_sets, p.assoc),
       _mshr(p.mshrs, p.reads_per_mshr, !p.finite_mshr),
@@ -261,10 +266,6 @@ Cache::access(const MemRequest &req)
             _hooks.onRefill(line, req.kind, t + _p.latency + extra);
             return t + _p.latency + extra;
         }
-    } else if (_p.pipeline_stalls) {
-        // A prefetch that hits needs no further resources; a missing
-        // prefetch continues below but must not block the pipeline
-        // beyond its port slot.
     }
 
     Cycle miss_t = t + _p.latency;
@@ -286,7 +287,6 @@ Cache::access(const MemRequest &req)
         return std::max(out.data_ready, miss_t) + 1;
     }
     miss_t = out.start;
-    const bool used_mshr = true;
 
     const Cycle resp = fetchFromParent(line, req.kind, req.pc, miss_t);
 
@@ -299,8 +299,7 @@ Cache::access(const MemRequest &req)
             req.kind == AccessKind::Prefetch, fill, fill + 1);
     if (req.kind == AccessKind::Prefetch)
         ++prefetch_fills;
-    if (used_mshr)
-        _mshr.complete(line, fill + 1);
+    _mshr.complete(line, fill + 1);
     _hooks.onRefill(line, req.kind, fill);
 
     return fill + 1;

@@ -24,6 +24,7 @@
 #ifndef MICROLIB_MEM_CACHE_HH
 #define MICROLIB_MEM_CACHE_HH
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,13 @@ class CacheHookShim final
     /** Cold path: materialize the refilled line's words for CDP. */
     void refillContent(Addr line_addr, AccessKind cause,
                        Cycle now) const;
+
+    /** Reused line-content buffers, one per nesting level: a client
+     *  may refill (prefetch) another line from inside lineContent(),
+     *  and the outer scan's words must survive the inner refill
+     *  (a deque: growing it never moves a buffer in use). */
+    mutable std::deque<std::vector<Word>> _words;
+    mutable std::size_t _nesting = 0;
 
     HierarchyClient *_client = nullptr;
     const MemoryImage *_image = nullptr;
@@ -210,6 +218,8 @@ class Cache : public MemDevice
     CacheHookShim _hooks;
 
     std::uint64_t _sets;
+    unsigned _line_shift;     ///< log2(line): setIndex shifts, never divides
+    std::uint64_t _set_mask;  ///< sets - 1
     std::vector<Line> _lines; // sets x assoc
     LruState _lru;
     MshrFile _mshr;
@@ -222,7 +232,7 @@ class Cache : public MemDevice
 
     std::uint64_t setIndex(Addr addr) const
     {
-        return (addr / _p.line) % _sets;
+        return (addr >> _line_shift) & _set_mask;
     }
     Addr lineAddr(Addr addr) const { return alignDown(addr, _p.line); }
     Line &lineAt(std::uint64_t set, unsigned way)

@@ -10,6 +10,22 @@
  * many acquisitions landed on each cycle (over a sliding window) so a
  * request can claim any gap where capacity remains — which is what
  * pipelined ports do in hardware.
+ *
+ * Layout: the window is a ring of 64-cycle words. Each word holds the
+ * epoch of the 64 cycles it currently describes, a per-cycle booking
+ * count and a "cycle full" bit mask, so the first cycle with spare
+ * capacity is one count-trailing-zeros away and a saturated run is
+ * skipped 64 cycles at a time. The default 8192-cycle window is 128
+ * words, 10 KiB per cache or bus.
+ *
+ * Window invariant: every booking lands within `window` cycles of
+ * every other booking still live in the schedule. A word is reused
+ * for a later epoch once all of its cycles lie a full window in the
+ * past; a booking whose word already holds a *later* epoch would
+ * alias two distinct cycles, so it is a fatal error, never a silent
+ * overwrite. The window must be a power of two of at least 64 cycles
+ * and the capacity at most 255 acquisitions per cycle (the per-cycle
+ * count is one byte).
  */
 
 #ifndef MICROLIB_MEM_RESOURCE_HH
@@ -27,10 +43,15 @@ namespace microlib
 class ResourceSchedule
 {
   public:
+    /** Largest capacity_per_cycle (the per-cycle count is a byte). */
+    static constexpr unsigned max_capacity = 255;
+
     /**
-     * @param capacity_per_cycle simultaneous acquisitions per cycle
-     * @param window how far apart bookings may be without aliasing;
-     *        must exceed the largest plausible latency spread
+     * @param capacity_per_cycle simultaneous acquisitions per cycle,
+     *        1..max_capacity
+     * @param window how far apart bookings may be without aliasing,
+     *        in cycles; a power of two >= 64 that must exceed the
+     *        largest latency spread between live bookings
      */
     explicit ResourceSchedule(unsigned capacity_per_cycle,
                               std::size_t window = 8192);
@@ -44,14 +65,20 @@ class ResourceSchedule
     unsigned capacity() const { return _capacity; }
 
   private:
-    struct Slot
+    static constexpr unsigned word_shift = 6;
+    static constexpr Cycle word_cycles = Cycle{1} << word_shift;
+
+    /** 64 consecutive cycles: cycle (epoch - 1) * 64 + i is slot i. */
+    struct Word
     {
-        Cycle cycle = never;
-        std::uint16_t used = 0;
+        std::uint64_t epoch = 0;   ///< (cycle >> 6) + 1; 0 = unused
+        std::uint64_t full = 0;    ///< bit i: slot i is at capacity
+        std::uint8_t used[word_cycles] = {};
     };
 
     unsigned _capacity;
-    std::vector<Slot> _slots;
+    std::uint64_t _word_mask;      ///< words in the ring - 1
+    std::vector<Word> _words;
 };
 
 } // namespace microlib

@@ -154,6 +154,35 @@ TEST(Core, MispredictsSlowFetch)
     EXPECT_LT(r.ipc, ipc_perfect);
 }
 
+TEST(FuPool, PicksEarliestFreeUnitPerClass)
+{
+    FuPoolParams p;
+    p.int_mult = 2;
+    FuPool fu(p);
+    // Two multipliers, issue interval two: the third op at cycle 0
+    // waits for the first unit to free at cycle 2.
+    EXPECT_EQ(fu.acquire(OpClass::IntMult, 0), 0u);
+    EXPECT_EQ(fu.acquire(OpClass::IntMult, 0), 0u);
+    EXPECT_EQ(fu.acquire(OpClass::IntMult, 0), 2u);
+    // Branches share the IntALU class; loads and stores the LS units.
+    EXPECT_EQ(fu.acquire(OpClass::Branch, 5), 5u);
+    EXPECT_EQ(fu.latency(OpClass::Branch), p.int_alu_latency);
+    EXPECT_EQ(fu.latency(OpClass::Store), p.agen_latency);
+    EXPECT_EQ(fu.latency(OpClass::FpMult), p.fp_mult_latency);
+}
+
+TEST(FuPoolDeathTest, RejectsEmptyOrOversizedClass)
+{
+    FuPoolParams wide;
+    wide.int_alu = FuPool::max_units + 1;
+    EXPECT_EXIT(FuPool{wide}, ::testing::ExitedWithCode(1),
+                "exceeds the 8-unit pool limit");
+    FuPoolParams empty;
+    empty.ls_units = 0;
+    EXPECT_EXIT(FuPool{empty}, ::testing::ExitedWithCode(1),
+                "at least one unit");
+}
+
 TEST(Core, EmptyTrace)
 {
     const BaselineConfig c = cfg();

@@ -250,6 +250,21 @@ BM_TraceGeneration(benchmark::State &state, const char *program)
 BENCHMARK_CAPTURE(BM_TraceGeneration, swim, "swim");
 BENCHMARK_CAPTURE(BM_TraceGeneration, pchase, "pchase");
 
+// Fast-forward, ns per skipped instruction: skip() makes the same
+// draws and image writes as next() but builds no records, which is
+// how SimPoint profiling and the prefix before a window are paid.
+void
+BM_TraceSkip(benchmark::State &state, const char *program)
+{
+    constexpr std::uint64_t chunk = 10'000;
+    SpecGenerator gen(specProgram(program));
+    for (auto _ : state)
+        gen.skip(chunk);
+    state.SetItemsProcessed(state.iterations() * chunk);
+}
+BENCHMARK_CAPTURE(BM_TraceSkip, swim, "swim");
+BENCHMARK_CAPTURE(BM_TraceSkip, pchase, "pchase");
+
 // --- The SoA block loop over a prebuilt TraceView. ---
 //
 // BM_TraceViewRun drives OoOCore::run over a materialized window;

@@ -156,12 +156,16 @@ ThreadPoolBackend::drain(State &st)
             switch (cache.claim(key, fut)) {
               case TraceCache::Claim::Owner: {
                 TraceOrigin origin = TraceOrigin::Generated;
+                const Clock::time_point claimed = Clock::now();
                 trace = ExperimentEngine::materializeInto(
                     cache, key, benchmark, st.plan.config(first.v),
                     &origin);
+                const double dur = secondsSince(claimed);
                 // One event per owner-side materialization: a fully
                 // warm arena run contains zero src=gen trace events
                 // (the cold-vs-warm CI smoke greps for exactly that).
+                // dur_s is the materialization's own time, SimPoint
+                // resolution included.
                 if (st.ctx.progress)
                     st.ctx.progress->write(
                         ProgressEvent("trace")
@@ -171,7 +175,8 @@ ThreadPoolBackend::drain(State &st)
                                        ? "arena"
                                        : "gen")
                             .field("elapsed_s",
-                                   secondsSince(st.start)));
+                                   secondsSince(st.start))
+                            .field("dur_s", dur));
                 break;
               }
               case TraceCache::Claim::Ready:

@@ -83,6 +83,12 @@ class Rng
      *  precomputed table (see Geometric). */
     std::uint64_t nextGeometric(const Geometric &g);
 
+    /** Consume the Rng step nextGeometric(g) would, without computing
+     *  its value: one next(), or none when @p g has no steps (mean
+     *  <= 1). For callers that must stay in step with a draw whose
+     *  result nobody reads. */
+    void skipGeometric(const Geometric &g);
+
   private:
     std::uint64_t s[4];
 
@@ -169,6 +175,13 @@ Rng::nextGeometric(const Geometric &g)
     if (g._breaks.empty())
         return 1;
     return g.at(next() >> 11);
+}
+
+inline void
+Rng::skipGeometric(const Geometric &g)
+{
+    if (!g._breaks.empty())
+        next();
 }
 
 } // namespace microlib

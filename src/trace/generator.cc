@@ -35,8 +35,8 @@ SpecGenerator::reset()
     _segment_left = _prog.segments[0].instructions;
     _emitted = 0;
     _last_load.fill(0);
-    _block_counter = 0;
     _stack_pos = 0;
+    _segment_visits = 0;
     _block.clear();
     _block_pos = 0;
 }
@@ -51,33 +51,48 @@ SpecGenerator::advanceSegment()
     _segment_left = _prog.segments[_segment].instructions;
 }
 
+template <bool Emit>
 OpClass
-SpecGenerator::pickComputeOp()
+SpecGenerator::computeOp()
 {
-    // Both outcomes take exactly two draws, so the choice is made
-    // without branches: the draws are unpredictable.
-    static constexpr OpClass ops[2][2] = {
-        {OpClass::IntAlu, OpClass::IntMult},
-        {OpClass::FpAlu, OpClass::FpMult},
-    };
-    const bool fp = _rng.chance(_prog.fp_frac);
-    const bool mult = _rng.chance(fp ? 0.3 : 0.05);
-    return ops[fp][mult];
+    if constexpr (Emit) {
+        // Both outcomes take exactly two draws, so the choice is made
+        // without branches: the draws are unpredictable.
+        static constexpr OpClass ops[2][2] = {
+            {OpClass::IntAlu, OpClass::IntMult},
+            {OpClass::FpAlu, OpClass::FpMult},
+        };
+        const bool fp = _rng.chance(_prog.fp_frac);
+        const bool mult = _rng.chance(fp ? 0.3 : 0.05);
+        return ops[fp][mult];
+    } else {
+        _rng.next();
+        _rng.next();
+        return OpClass::IntAlu;
+    }
 }
 
+template <bool Emit>
 std::uint8_t
 SpecGenerator::depDistance()
 {
-    const std::uint64_t d = _rng.nextGeometric(_dep_draw);
-    return static_cast<std::uint8_t>(std::min<std::uint64_t>(d, 255));
+    if constexpr (Emit) {
+        const std::uint64_t d = _rng.nextGeometric(_dep_draw);
+        return static_cast<std::uint8_t>(std::min<std::uint64_t>(d, 255));
+    } else {
+        _rng.skipGeometric(_dep_draw);
+        return 0;
+    }
 }
 
-void
+template <bool Emit>
+SpecGenerator::BlockShape
 SpecGenerator::buildBlock()
 {
-    _block.clear();
-    _block_pos = 0;
-    ++_block_counter;
+    if constexpr (Emit) {
+        _block.clear();
+        _block_pos = 0;
+    }
 
     const unsigned kernel_idx = _prog.segments[_segment].kernel;
     PatternKernel &kernel = *_kernels[kernel_idx];
@@ -127,18 +142,21 @@ SpecGenerator::buildBlock()
 
     // Number of compute instructions accompanying one memory access.
     const unsigned n_compute = static_cast<unsigned>(
-        std::min<std::uint64_t>(_rng.nextGeometric(_compute_draw), 48));
+        std::min<std::uint64_t>(_rng.nextGeometric(_compute_draw),
+                                max_compute));
 
     std::uint32_t pc = pc_base;
     const std::uint64_t mem_index_in_block = n_compute / 2;
     bool emitted_mem = false;
 
+    // Without Emit, rec is never stored: the compiler drops its
+    // fields, and only the draws and state updates remain.
     for (unsigned i = 0; i <= n_compute; ++i) {
         TraceRecord rec;
         rec.pc = pc;
         pc += 4;
         rec.bb = bb;
-        const std::uint64_t global_idx = _emitted + _block.size();
+        const std::uint64_t global_idx = _emitted + i;
 
         if (!emitted_mem && i == mem_index_in_block) {
             emitted_mem = true;
@@ -151,7 +169,7 @@ SpecGenerator::buildBlock()
             if (ref.store) {
                 rec.value = ref.store_value;
                 _image->write(ref.addr, ref.store_value);
-            } else {
+            } else if constexpr (Emit) {
                 rec.value = _image->read(ref.addr);
             }
             const std::size_t dep_key =
@@ -167,7 +185,7 @@ SpecGenerator::buildBlock()
                     std::min<std::uint64_t>(dist, 255));
             } else if (ref.store) {
                 // The stored value comes from recent computation.
-                rec.dep1 = depDistance();
+                rec.dep1 = depDistance<Emit>();
             } else {
                 // Streaming/indexed loads: addresses come from cheap
                 // induction chains that never stall, so the load
@@ -179,35 +197,62 @@ SpecGenerator::buildBlock()
             if (!ref.store)
                 _last_load[dep_key] = global_idx;
         } else {
-            rec.op = pickComputeOp();
+            rec.op = computeOp<Emit>();
             // Consumers often use the most recent load's result.
             if (emitted_mem && i == mem_index_in_block + 1 &&
                 _rng.chance(0.5)) {
                 rec.dep1 = 1;
             } else {
-                rec.dep1 = depDistance();
+                rec.dep1 = depDistance<Emit>();
             }
             if (_rng.chance(0.4))
-                rec.dep2 = depDistance();
+                rec.dep2 = depDistance<Emit>();
         }
-        _block.push_back(rec);
+        if constexpr (Emit)
+            _block.push_back(rec);
     }
 
+    std::uint64_t len = n_compute + 1;
     if (_rng.chance(_prog.branch_frac)) {
-        TraceRecord br;
-        br.op = OpClass::Branch;
-        br.pc = pc;
-        br.bb = bb;
-        br.dep1 = 1;
-        _block.push_back(br);
+        if constexpr (Emit) {
+            TraceRecord br;
+            br.op = OpClass::Branch;
+            br.pc = pc;
+            br.bb = bb;
+            br.dep1 = 1;
+            _block.push_back(br);
+        }
+        ++len;
     }
+    return {bb, len};
+}
+
+SpecGenerator::BlockShape
+SpecGenerator::skipBlock()
+{
+    const BlockShape b = buildBlock<false>();
+    _emitted += b.len;
+    // next()'s per-record segment countdown, for the whole block:
+    // the block was drawn in the segment it began in, and a
+    // boundary inside it takes effect from the next block on, as it
+    // does in next().
+    std::uint64_t left = b.len;
+    while (left > 0 && _segment_left > 0) {
+        if (left < _segment_left) {
+            _segment_left -= left;
+            break;
+        }
+        left -= _segment_left;
+        advanceSegment();
+    }
+    return b;
 }
 
 void
 SpecGenerator::next(TraceRecord &rec)
 {
     if (_block_pos >= _block.size())
-        buildBlock();
+        buildBlock<true>();
     rec = _block[_block_pos++];
     ++_emitted;
     if (_segment_left > 0 && --_segment_left == 0)
@@ -217,9 +262,7 @@ SpecGenerator::next(TraceRecord &rec)
 void
 SpecGenerator::skip(std::uint64_t n)
 {
-    TraceRecord scratch;
-    for (std::uint64_t i = 0; i < n; ++i)
-        next(scratch);
+    advance(n, [](std::uint16_t, std::uint64_t) {});
 }
 
 } // namespace microlib

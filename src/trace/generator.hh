@@ -103,8 +103,50 @@ class SpecGenerator
     /** Produce the next instruction. */
     void next(TraceRecord &rec);
 
-    /** Skip @p n instructions (still generated, for determinism). */
+    /**
+     * Skip @p n instructions. Whole blocks are fast-forwarded (see
+     * advance()): they make the same Rng draws and image writes as
+     * next() but build no records, so a later next() continues
+     * exactly where n calls of next() would have left it.
+     */
     void skip(std::uint64_t n);
+
+    /** Most records one block holds: max_compute compute
+     *  instructions, the memory reference and a closing branch. */
+    static constexpr std::uint64_t max_block = 50;
+
+    /**
+     * Advance exactly @p n instructions, reporting them as
+     * @p fn(bb, len) runs of @c len instructions of basic block
+     * @c bb (the bb field next() would have emitted). While at least
+     * one maximal block remains, whole blocks are fast-forwarded:
+     * the block builder makes its Rng draws, image writes and
+     * kernel, stack, dependence and segment updates in next()'s
+     * order, but writes no records, reads no load values and draws
+     * no unread values (a dependence distance costs one raw Rng
+     * step), calling @p fn once per block. The records of a block
+     * already begun and the final tail go through next(), one
+     * call each.
+     */
+    template <typename Fn>
+    void
+    advance(std::uint64_t n, Fn &&fn)
+    {
+        TraceRecord rec;
+        for (; n > 0 && _block_pos < _block.size(); --n) {
+            next(rec);
+            fn(rec.bb, std::uint64_t(1));
+        }
+        while (n >= max_block) {
+            const BlockShape b = skipBlock();
+            fn(b.bb, b.len);
+            n -= b.len;
+        }
+        for (; n > 0; --n) {
+            next(rec);
+            fn(rec.bb, std::uint64_t(1));
+        }
+    }
 
     const SpecProgram &program() const { return _prog; }
     const MemoryImage &image() const { return *_image; }
@@ -134,7 +176,6 @@ class SpecGenerator
     /** Index of the last emitted load per dependence key
      *  (MemRef::dep_key); key 0 is every ordinary load. */
     std::array<std::uint64_t, 8> _last_load{};
-    std::uint64_t _block_counter = 0;
     std::uint64_t _stack_pos = 0;   ///< rolling stack walk position
     std::uint64_t _segment_visits = 0; ///< phase instances so far
 
@@ -142,10 +183,26 @@ class SpecGenerator
     std::vector<TraceRecord> _block;
     std::size_t _block_pos = 0;
 
-    void buildBlock();
+    /** Compute instructions per block, at most. */
+    static constexpr unsigned max_compute = 48;
+    static_assert(max_block == max_compute + 2);
+
+    /** A built block: its length and basic-block id. */
+    struct BlockShape
+    {
+        std::uint16_t bb;
+        std::uint64_t len;
+    };
+
+    /** Draw the next block. With @p Emit its records go to _block;
+     *  without, none are written (see advance()). Both make the same
+     *  Rng draws and state updates, in the same order. */
+    template <bool Emit> BlockShape buildBlock();
+    /** Fast-forward one whole block and retire its instructions. */
+    BlockShape skipBlock();
     void advanceSegment();
-    OpClass pickComputeOp();
-    std::uint8_t depDistance();
+    template <bool Emit> OpClass computeOp();
+    template <bool Emit> std::uint8_t depDistance();
 };
 
 } // namespace microlib

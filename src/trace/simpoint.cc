@@ -96,8 +96,13 @@ SimPointChoice
 findSimPoint(const SpecProgram &prog, std::uint64_t interval_length,
              unsigned k)
 {
-    const BbvProfile profile =
-        collectBbv(prog, prog.nominal_length, interval_length);
+    return chooseSimPoint(
+        collectBbv(prog, prog.nominal_length, interval_length), k);
+}
+
+SimPointChoice
+chooseSimPoint(const BbvProfile &profile, unsigned k)
+{
     const KMeansResult km = kMeans(profile.vectors, k);
 
     // Most populated cluster.
@@ -122,7 +127,7 @@ findSimPoint(const SpecProgram &prog, std::uint64_t interval_length,
 
     SimPointChoice choice;
     choice.interval_index = best_iv;
-    choice.start_instruction = best_iv * interval_length;
+    choice.start_instruction = best_iv * profile.interval_length;
     choice.clusters = static_cast<unsigned>(km.centroids.size());
     choice.dominant_weight =
         static_cast<double>(km.cluster_sizes[big]) /

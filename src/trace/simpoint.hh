@@ -61,6 +61,11 @@ SimPointChoice findSimPoint(const SpecProgram &prog,
                             std::uint64_t interval_length,
                             unsigned k = 4);
 
+/** The SimPoint of an already collected @p profile, as findSimPoint
+ *  selects it from the profile it collects. */
+SimPointChoice chooseSimPoint(const BbvProfile &profile,
+                              unsigned k = 4);
+
 } // namespace microlib
 
 #endif // MICROLIB_TRACE_SIMPOINT_HH

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -54,16 +56,26 @@ TEST(Generator, Deterministic)
 
 TEST(Generator, ResetRestartsExactly)
 {
+    // Past two segment boundaries (the segment is 100k long): a
+    // phase change moves the code-spread copy, so a reset that kept
+    // the phase count would replay different PCs from there on.
     SpecGenerator gen(tinyProgram());
-    std::vector<TraceRecord> first(1000);
+    std::vector<TraceRecord> first(250'000);
     for (auto &r : first)
         gen.next(r);
     gen.reset();
+    EXPECT_EQ(gen.emitted(), 0u);
     TraceRecord r;
-    for (const auto &expect : first) {
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        const TraceRecord &expect = first[i];
         gen.next(r);
-        ASSERT_EQ(r.pc, expect.pc);
-        ASSERT_EQ(r.addr, expect.addr);
+        ASSERT_EQ(r.pc, expect.pc) << i;
+        ASSERT_EQ(r.addr, expect.addr) << i;
+        ASSERT_EQ(r.value, expect.value) << i;
+        ASSERT_EQ(r.op, expect.op) << i;
+        ASSERT_EQ(r.bb, expect.bb) << i;
+        ASSERT_EQ(r.dep1, expect.dep1) << i;
+        ASSERT_EQ(r.dep2, expect.dep2) << i;
     }
 }
 
@@ -268,25 +280,24 @@ struct StreamDigest
     std::uint64_t image;
 };
 
-/** Digest every field of the first @p n records of @p name, then the
- *  generator's image page by page (forEachPage order, as the trace
- *  arena serializes it). */
-StreamDigest
-streamDigest(const std::string &name, std::uint64_t n)
+/** Fold every field of @p r into @p d. */
+void
+addRecord(Digest &d, const TraceRecord &r)
 {
-    SpecGenerator gen(specProgram(name));
-    Digest rd;
-    TraceRecord r;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        gen.next(r);
-        rd.add(r.pc);
-        rd.add(r.addr);
-        rd.add(r.value);
-        rd.add(r.bb);
-        rd.add(static_cast<std::uint64_t>(r.op));
-        rd.add(r.dep1);
-        rd.add(r.dep2);
-    }
+    d.add(r.pc);
+    d.add(r.addr);
+    d.add(r.value);
+    d.add(r.bb);
+    d.add(static_cast<std::uint64_t>(r.op));
+    d.add(r.dep1);
+    d.add(r.dep2);
+}
+
+/** Digest of @p gen's image page by page (forEachPage order, as the
+ *  trace arena serializes it). */
+std::uint64_t
+imageDigest(const SpecGenerator &gen)
+{
     Digest id;
     gen.image().forEachPage(
         [&id](Addr page, const Word *words, const std::uint64_t *mask) {
@@ -297,7 +308,47 @@ streamDigest(const std::string &name, std::uint64_t n)
                  m < MemoryImage::words_per_page / 64; ++m)
                 id.add(mask[m]);
         });
-    return {rd.h, id.h};
+    return id.h;
+}
+
+/** Digest every field of the first @p n records of @p name, then the
+ *  generator's image. */
+StreamDigest
+streamDigest(const std::string &name, std::uint64_t n)
+{
+    SpecGenerator gen(specProgram(name));
+    Digest rd;
+    TraceRecord r;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        gen.next(r);
+        addRecord(rd, r);
+    }
+    return {rd.h, imageDigest(gen)};
+}
+
+/** Digest of a BBV profile: its shape, then every float's bits. */
+std::uint64_t
+profileDigest(const BbvProfile &profile)
+{
+    Digest d;
+    d.add(profile.interval_length);
+    d.add(profile.vectors.size());
+    for (const auto &vec : profile.vectors)
+        for (const float f : vec) {
+            std::uint32_t bits;
+            std::memcpy(&bits, &f, sizeof(bits));
+            d.add(bits);
+        }
+    return d.h;
+}
+
+std::vector<std::string>
+allProgramNames()
+{
+    std::vector<std::string> names = specBenchmarkNames();
+    for (const auto &extra : extraBenchmarkNames())
+        names.push_back(extra);
+    return names;
 }
 
 } // namespace
@@ -336,12 +387,8 @@ TEST(GoldenStream, FirstRecordsAndImageOfEveryProgram)
         {"pchase", {0xa29beae4ce702755ull, 0x4e6045d7d7589ffdull}},
     };
 
-    std::vector<std::string> names = specBenchmarkNames();
-    for (const auto &extra : extraBenchmarkNames())
-        names.push_back(extra);
-
     std::ostringstream diff;
-    for (const auto &name : names) {
+    for (const auto &name : allProgramNames()) {
         const StreamDigest got = streamDigest(name, 200'000);
         char line[128];
         std::snprintf(line, sizeof(line),
@@ -362,14 +409,199 @@ TEST(GoldenStream, SensitivitySweepSimPoints)
 {
     // The SimPoint starts examples/sensitivity.sweep resolves
     // (interval 100k, k = 4): the windows its reports are built on.
-    const std::vector<std::pair<std::string, std::uint64_t>> golden = {
-        {"pchase", 1'800'000},
-        {"swim", 11'700'000},
-        {"gzip", 7'800'000},
+    // The profiles behind them are pinned too, so a BBV change that
+    // happens to pick the same interval cannot pass unseen.
+    struct Golden
+    {
+        std::string name;
+        std::uint64_t start;
+        std::uint64_t profile;
     };
-    for (const auto &[name, start] : golden)
-        EXPECT_EQ(findSimPoint(specProgram(name), 100'000, 4)
-                      .start_instruction,
-                  start)
-            << name;
+    const std::vector<Golden> golden = {
+        {"pchase", 1'800'000, 0x1f765277c0b59870ull},
+        {"swim", 11'700'000, 0x820c1d95a7b2ed9bull},
+        {"gzip", 7'800'000, 0x1249b9a18c255869ull},
+    };
+    for (const auto &g : golden) {
+        const SpecProgram prog = specProgram(g.name);
+        const BbvProfile profile =
+            collectBbv(prog, prog.nominal_length, 100'000);
+        EXPECT_EQ(profileDigest(profile), g.profile)
+            << g.name << ": got 0x" << std::hex << profileDigest(profile);
+        EXPECT_EQ(chooseSimPoint(profile, 4).start_instruction, g.start)
+            << g.name;
+        EXPECT_EQ(findSimPoint(prog, 100'000, 4).start_instruction,
+                  g.start)
+            << g.name;
+    }
+}
+
+// --- Fast-forward equivalence ---------------------------------------
+//
+// skip() and collectBbv fast-forward whole blocks without building
+// records; everything after them must be exactly what a next() loop
+// leaves behind.
+
+namespace
+{
+
+/** What a generator shows after skipping to some instruction n: the
+ *  image there, then the next window of records, the image and
+ *  emitted() after them. */
+struct SkipState
+{
+    std::uint64_t image_at_n = 0;
+    std::uint64_t records = 0;
+    std::uint64_t image_after = 0;
+    std::uint64_t emitted = 0;
+
+    bool operator==(const SkipState &) const = default;
+};
+
+constexpr std::uint64_t skip_window = 20'000;
+
+/** SkipState at every n of @p ns (ascending), from one next() loop. */
+std::vector<SkipState>
+referenceSkipStates(const SpecProgram &prog,
+                    const std::vector<std::uint64_t> &ns)
+{
+    std::vector<SkipState> out(ns.size());
+    std::vector<Digest> digests(ns.size());
+    SpecGenerator gen(prog);
+    TraceRecord r;
+    const std::uint64_t end = ns.back() + skip_window;
+    for (std::uint64_t i = 0; i <= end; ++i) {
+        for (std::size_t k = 0; k < ns.size(); ++k) {
+            if (i == ns[k])
+                out[k].image_at_n = imageDigest(gen);
+            if (i == ns[k] + skip_window) {
+                out[k].records = digests[k].h;
+                out[k].image_after = imageDigest(gen);
+                out[k].emitted = gen.emitted();
+            }
+        }
+        if (i == end)
+            break;
+        gen.next(r);
+        for (std::size_t k = 0; k < ns.size(); ++k)
+            if (i >= ns[k] && i < ns[k] + skip_window)
+                addRecord(digests[k], r);
+    }
+    return out;
+}
+
+/** SkipState of a fresh generator after skip(@p n). */
+SkipState
+skippedState(const SpecProgram &prog, std::uint64_t n)
+{
+    SpecGenerator gen(prog);
+    gen.skip(n);
+    EXPECT_EQ(gen.emitted(), n);
+    SkipState s;
+    s.image_at_n = imageDigest(gen);
+    Digest d;
+    TraceRecord r;
+    for (std::uint64_t i = 0; i < skip_window; ++i) {
+        gen.next(r);
+        addRecord(d, r);
+    }
+    s.records = d.h;
+    s.image_after = imageDigest(gen);
+    s.emitted = gen.emitted();
+    return s;
+}
+
+/** collectBbv as a plain next() loop: the reference the
+ *  fast-forwarded profile must equal. */
+BbvProfile
+referenceBbv(const SpecProgram &prog, std::uint64_t total,
+             std::uint64_t interval)
+{
+    BbvProfile profile;
+    profile.interval_length = interval;
+    SpecGenerator gen(prog);
+    TraceRecord rec;
+    std::vector<std::uint64_t> counts(bbv_dims);
+    for (std::uint64_t iv = 0; iv < total / interval; ++iv) {
+        std::fill(counts.begin(), counts.end(), 0);
+        for (std::uint64_t i = 0; i < interval; ++i) {
+            gen.next(rec);
+            ++counts[rec.bb % bbv_dims];
+        }
+        std::vector<float> vec(bbv_dims);
+        for (std::size_t d = 0; d < bbv_dims; ++d)
+            vec[d] = static_cast<float>(counts[d]) /
+                     static_cast<float>(interval);
+        profile.vectors.push_back(std::move(vec));
+    }
+    return profile;
+}
+
+} // namespace
+
+TEST(FastForward, SkipMatchesNextLoopForEveryProgram)
+{
+    for (const auto &name : allProgramNames()) {
+        const SpecProgram prog = specProgram(name);
+        const std::uint64_t seg = prog.segments[0].instructions;
+        // Block-sized edges, both sides of the first segment
+        // boundary, and a long skip across several phases.
+        const std::vector<std::uint64_t> ns = {
+            0, 1, 49, 50, 51, seg - 1, seg + 1, 2'500'003};
+        ASSERT_TRUE(std::is_sorted(ns.begin(), ns.end())) << name;
+        const std::vector<SkipState> want =
+            referenceSkipStates(prog, ns);
+        for (std::size_t k = 0; k < ns.size(); ++k)
+            EXPECT_TRUE(skippedState(prog, ns[k]) == want[k])
+                << name << " skip(" << ns[k] << ")";
+    }
+}
+
+TEST(FastForward, SkipAfterNextContinuesExactly)
+{
+    // skip() from the middle of a block handed out by next(), then
+    // again from the middle of the block its own tail began.
+    SpecGenerator a(specProgram("pchase")), b(specProgram("pchase"));
+    TraceRecord ra, rb;
+    for (int i = 0; i < 7; ++i) {
+        a.next(ra);
+        b.next(rb);
+    }
+    a.skip(100'001);
+    a.skip(99'999);
+    for (int i = 0; i < 200'000; ++i)
+        b.next(rb);
+    for (int i = 0; i < 1000; ++i) {
+        a.next(ra);
+        b.next(rb);
+        Digest da, db;
+        addRecord(da, ra);
+        addRecord(db, rb);
+        ASSERT_EQ(da.h, db.h) << i;
+    }
+    EXPECT_EQ(a.emitted(), b.emitted());
+    EXPECT_EQ(imageDigest(a), imageDigest(b));
+}
+
+TEST(FastForward, CollectBbvMatchesNextLoop)
+{
+    // 3M instructions cross several phases of each program; 997 does
+    // not divide it, so the last partial interval is dropped.
+    for (const char *name : {"gzip", "swim", "pchase", "gcc"}) {
+        const SpecProgram prog = specProgram(name);
+        for (const std::uint64_t interval : {997ull, 100'000ull}) {
+            const BbvProfile got = collectBbv(prog, 3'000'000, interval);
+            const BbvProfile want =
+                referenceBbv(prog, 3'000'000, interval);
+            EXPECT_EQ(got.interval_length, interval);
+            ASSERT_EQ(got.vectors.size(), want.vectors.size())
+                << name << " / " << interval;
+            std::size_t differing = 0;
+            for (std::size_t v = 0; v < got.vectors.size(); ++v)
+                differing += std::memcmp(got.vectors[v].data(),
+                                         want.vectors[v].data(),
+                                         bbv_dims * sizeof(float)) != 0;
+            EXPECT_EQ(differing, 0u) << name << " / " << interval;
+        }
+    }
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/random.hh"
 #include "trace/spec_suite.hh"
@@ -224,5 +225,23 @@ TEST(Random, GeometricMeanAtMostOneIsOneWithoutADraw)
         for (int i = 0; i < 100; ++i)
             EXPECT_EQ(a.nextGeometric(g), 1u);
         EXPECT_EQ(a.next(), b.next()) << mean;
+    }
+}
+
+TEST(Random, SkipGeometricConsumesWhatTheDrawWould)
+{
+    // The fast-forwarding trace generator stands a skipGeometric for
+    // every draw whose value it does not read: the Rng must end up
+    // exactly where nextGeometric leaves it, step for step.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double mean : {0.0, 0.5, 1.0, 1.5, 3.0, nan, inf}) {
+        const Rng::Geometric g(mean);
+        Rng drawn(37), skipped(37);
+        for (int i = 0; i < 1000; ++i) {
+            drawn.nextGeometric(g);
+            skipped.skipGeometric(g);
+            ASSERT_EQ(drawn.next(), skipped.next()) << mean << " " << i;
+        }
     }
 }

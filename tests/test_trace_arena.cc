@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -139,6 +140,36 @@ countLines(const std::string &path, const std::string &needle)
     while (std::getline(in, line))
         if (line.find(needle) != std::string::npos)
             ++n;
+    return n;
+}
+
+/** Check every trace event of the progress stream @p path carries
+ *  dur_s, the seconds its materialization took: within the run so
+ *  far (elapsed_s). Returns how many trace events there were. */
+std::size_t
+checkTraceDurations(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::size_t n = 0;
+    while (std::getline(in, line)) {
+        if (line.find("\"event\":\"trace\"") == std::string::npos)
+            continue;
+        ++n;
+        const auto number = [&line](const std::string &key, double &out) {
+            const std::string needle = "\"" + key + "\":";
+            const std::size_t at = line.find(needle);
+            if (at == std::string::npos)
+                return false;
+            out = std::strtod(line.c_str() + at + needle.size(), nullptr);
+            return true;
+        };
+        double dur_s = -1.0, elapsed_s = -1.0;
+        EXPECT_TRUE(number("dur_s", dur_s)) << line;
+        EXPECT_TRUE(number("elapsed_s", elapsed_s)) << line;
+        EXPECT_GE(dur_s, 0.0) << line;
+        EXPECT_LE(dur_s, elapsed_s) << line;
+    }
     return n;
 }
 
@@ -397,6 +428,7 @@ TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)
     EXPECT_EQ(countLines(cold_progress, "\"src\":\"gen\""),
               benchs.size());
     EXPECT_EQ(countLines(cold_progress, "\"src\":\"arena\""), 0u);
+    EXPECT_EQ(checkTraceDurations(cold_progress), benchs.size());
 
     // A fresh engine (fresh process, as far as the cache knows) over
     // the same directory: every window mmaps, nothing generates.
@@ -411,6 +443,7 @@ TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)
     EXPECT_EQ(countLines(warm_progress, "\"src\":\"gen\""), 0u);
     EXPECT_EQ(countLines(warm_progress, "\"src\":\"arena\""),
               benchs.size());
+    EXPECT_EQ(checkTraceDurations(warm_progress), benchs.size());
 
     std::remove(cold_progress.c_str());
     std::remove(warm_progress.c_str());

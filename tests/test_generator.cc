@@ -428,10 +428,8 @@ TEST(GoldenStream, SensitivitySweepSimPoints)
             collectBbv(prog, prog.nominal_length, 100'000);
         EXPECT_EQ(profileDigest(profile), g.profile)
             << g.name << ": got 0x" << std::hex << profileDigest(profile);
+        // findSimPoint's choice, from the profile already in hand.
         EXPECT_EQ(chooseSimPoint(profile, 4).start_instruction, g.start)
-            << g.name;
-        EXPECT_EQ(findSimPoint(prog, 100'000, 4).start_instruction,
-                  g.start)
             << g.name;
     }
 }

@@ -4,9 +4,9 @@
  * figure): throughput of the cache model, DRAM model, trace
  * generator and the full simulation loop, via google-benchmark.
  *
- * The binary records the perf trajectory: unless the caller passes
- * --benchmark_out, results are written as JSON to BENCH_kernel.json
- * (override the path with MICROLIB_BENCH_OUT). Allocation-sensitive
+ * Pass --benchmark_out=BENCH_kernel.json --benchmark_out_format=json
+ * to record a point of the tracked perf trajectory; without
+ * --benchmark_out nothing is written. Allocation-sensitive
  * benchmarks report an `allocs_per_iter` counter measured through an
  * instrumented global operator new, so "the miss path never
  * heap-allocates" is an asserted number, not a code-review claim.
@@ -466,34 +466,13 @@ BENCHMARK(BM_MatrixEngine)->Arg(1)->Arg(4)->Arg(8)
 
 } // namespace
 
-// Not BENCHMARK_MAIN(): unless the caller chose an output file, the
-// run is recorded to BENCH_kernel.json (JSON) so every invocation —
-// local or CI — appends a point to the tracked perf trajectory.
+// Not BENCHMARK_MAIN(): the JSON context carries this binary's build
+// type (below).
 int
 main(int argc, char **argv)
 {
-    std::vector<char *> args(argv, argv + argc);
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg(argv[i]);
-        // Exact flag only: --benchmark_out_format alone must not
-        // suppress the default output file.
-        if (arg == "--benchmark_out" ||
-            arg.rfind("--benchmark_out=", 0) == 0)
-            has_out = true;
-    }
-    std::string out_flag, fmt_flag;
-    if (!has_out) {
-        const char *path = std::getenv("MICROLIB_BENCH_OUT");
-        out_flag = std::string("--benchmark_out=") +
-                   (path ? path : "BENCH_kernel.json");
-        fmt_flag = "--benchmark_out_format=json";
-        args.push_back(out_flag.data());
-        args.push_back(fmt_flag.data());
-    }
-    int n = static_cast<int>(args.size());
-    benchmark::Initialize(&n, args.data());
-    if (benchmark::ReportUnrecognizedArguments(n, args.data()))
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     // The stock library_build_type context key reflects how
     // *libbenchmark* was compiled (the distro package ships without

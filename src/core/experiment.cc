@@ -72,8 +72,7 @@ namespace
 
 /** One simulation's model state, set up the one way runOne() and
  *  runLockstep() both use: hierarchy, mechanism bound to it, every
- *  counter registered, and a core. Fills @p out's identity and the
- *  mechanism's hardware list. */
+ *  counter registered, and a core. Fills @p out's identity. */
 struct Member
 {
     Hierarchy hier;
@@ -94,7 +93,6 @@ struct Member
             mech->bind(hier);
             mech->registerStats(stats);
             hier.setClient(mech.get());
-            out.hardware = mech->hardware();
         }
     }
 };

@@ -49,7 +49,6 @@ struct RunOutput
     std::string mechanism;
     CoreResult core;
     std::map<std::string, double> stats; ///< full StatSet snapshot
-    std::vector<SramSpec> hardware;      ///< mechanism structures
 
     double ipc() const { return core.ipc; }
     double stat(const std::string &name) const;

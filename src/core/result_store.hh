@@ -100,9 +100,7 @@ ResultKey makeResultKey(const std::string &benchmark,
                         const std::string &mechanism,
                         std::uint64_t config_hash);
 
-/** One persisted run: its identity plus everything runOne() reports
- *  (mechanism hardware specs excepted — those are rebuilt from the
- *  registry when needed, as with the old bench TSV cache). */
+/** One persisted run: its identity plus everything runOne() reports. */
 struct ResultRecord
 {
     ResultKey key;

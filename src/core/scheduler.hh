@@ -147,7 +147,7 @@ class ExperimentEngine
      * Classic two-vector form: the full @p mechanisms x @p benchmarks
      * matrix under the single configuration @p cfg. A thin wrapper
      * over run(SweepSpec::single(...)) returning the one variant's
-     * matrix; kept for the figure harnesses and one-config studies.
+     * matrix, for one-config studies.
      */
     MatrixResult run(const std::vector<std::string> &mechanisms,
                      const std::vector<std::string> &benchmarks,

@@ -2,6 +2,7 @@
 
 #include "cost/cacti.hh"
 #include "cost/xcacti.hh"
+#include "mem/hierarchy.hh"
 
 namespace microlib
 {
@@ -9,9 +10,11 @@ namespace microlib
 namespace
 {
 
-/** On-chip dynamic energy of a run, nJ. */
+/** On-chip dynamic energy of a run whose mechanism adds
+ *  @p hardware, nJ. */
 double
-runEnergyNj(const RunOutput &run, const BaselineConfig &system)
+runEnergyNj(const RunOutput &run, const std::vector<SramSpec> &hardware,
+            const BaselineConfig &system)
 {
     const auto &l1 = system.hier.l1d;
     const auto &l2 = system.hier.l2;
@@ -29,9 +32,9 @@ runEnergyNj(const RunOutput &run, const BaselineConfig &system)
                       run.stat("l2.writebacks"));
 
     // Mechanism structures: per-access energy x activity.
-    if (!run.hardware.empty()) {
+    if (!hardware.empty()) {
         double e_mech = 0.0;
-        for (const auto &hw : run.hardware)
+        for (const auto &hw : hardware)
             e_mech += accessEnergyNj(hw);
         const std::string prefix = "mech." + run.mechanism;
         const double activity = run.stat(prefix + ".table_reads") +
@@ -47,9 +50,22 @@ runEnergyNj(const RunOutput &run, const BaselineConfig &system)
 
 } // namespace
 
+std::vector<SramSpec>
+mechanismHardware(const std::string &mechanism, const RunConfig &cfg)
+{
+    const auto mech = makeMechanism(mechanism, cfg.mech);
+    if (!mech)
+        return {};
+    // Some structures are sized from the cache geometry.
+    Hierarchy hier(cfg.system.hier, nullptr);
+    mech->bind(hier);
+    return mech->hardware();
+}
+
 CostReport
-computeCost(const RunOutput &mech_run, const RunOutput &base_run,
-            const BaselineConfig &system)
+computeCost(const RunOutput &mech_run,
+            const std::vector<SramSpec> &hardware,
+            const RunOutput &base_run, const BaselineConfig &system)
 {
     CostReport rep;
 
@@ -58,11 +74,11 @@ computeCost(const RunOutput &mech_run, const RunOutput &base_run,
     rep.base_area_mm2 =
         cacheAreaMm2(l1.size, l1.line, l1.assoc, l1.ports) +
         cacheAreaMm2(l2.size, l2.line, l2.assoc, l2.ports);
-    rep.mechanism_area_mm2 = totalAreaMm2(mech_run.hardware);
+    rep.mechanism_area_mm2 = totalAreaMm2(hardware);
     rep.area_ratio = rep.mechanism_area_mm2 / rep.base_area_mm2;
 
-    const double base_energy = runEnergyNj(base_run, system);
-    const double mech_energy = runEnergyNj(mech_run, system);
+    const double base_energy = runEnergyNj(base_run, {}, system);
+    const double mech_energy = runEnergyNj(mech_run, hardware, system);
     rep.power_ratio =
         base_energy > 0.0 ? mech_energy / base_energy : 1.0;
     return rep;

@@ -27,11 +27,23 @@ struct CostReport
 };
 
 /**
- * @param mech_run run of the mechanism (provides hardware + activity)
+ * The structures @p mechanism adds under @p cfg, as its instance
+ * bound to a hierarchy of @p cfg reports them (empty for "Base").
+ * They depend on the configuration alone, not on a run, so one list
+ * prices every run of the mechanism — fresh or read back from a
+ * ResultStore.
+ */
+std::vector<SramSpec> mechanismHardware(const std::string &mechanism,
+                                        const RunConfig &cfg);
+
+/**
+ * @param mech_run run of the mechanism (activity counters)
+ * @param hardware the mechanism's structures (mechanismHardware())
  * @param base_run baseline run on the same trace (energy reference)
  * @param system system parameters (cache geometries)
  */
 CostReport computeCost(const RunOutput &mech_run,
+                       const std::vector<SramSpec> &hardware,
                        const RunOutput &base_run,
                        const BaselineConfig &system);
 

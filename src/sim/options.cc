@@ -135,6 +135,11 @@ OptionTable::parse(int argc, const char *const *argv, std::ostream &out,
             out << versionString(_tool.c_str()) << '\n';
             return exit_ok;
         }
+        if (_operands && arg[0] != '-') {
+            if (const std::string why = _operands(arg); !why.empty())
+                return usageError(why);
+            continue;
+        }
         const auto row = std::find_if(
             _rows.begin(), _rows.end(),
             [&arg](const OptionRow &r) { return r.name == arg; });

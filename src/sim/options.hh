@@ -253,6 +253,17 @@ class OptionTable
         return add(flag.name, flag.value, flag.help, target);
     }
 
+    /** Accept operands (arguments not starting with '-'), each
+     *  passed to @p apply in order; a rejected one is a usage error
+     *  with @p apply's message. A table without operands rejects
+     *  them as unknown flags. */
+    OptionTable &
+    operands(OptionRow::Apply apply)
+    {
+        _operands = std::move(apply);
+        return *this;
+    }
+
     /**
      * Apply @p argv[1..] to the rows' targets. Returns nullopt when
      * the tool should run on, else the status to exit with: 0 after
@@ -278,6 +289,7 @@ class OptionTable
     std::string _tool, _synopsis, _footer;
     std::vector<OptionRow> _rows;
     std::vector<std::string> _given;
+    OptionRow::Apply _operands;
     /** (index of the section's first row, title). */
     std::vector<std::pair<std::size_t, std::string>> _sections;
 };

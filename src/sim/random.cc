@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace microlib
 {
@@ -13,13 +14,17 @@ namespace
 constexpr std::uint64_t grid = std::uint64_t(1) << 53;
 
 /** Inverse CDF of a geometric distribution with support {1, 2, ...}
- *  at u = x * 2^-53, given denom = log1p(-p). */
+ *  at u = x * 2^-53, given denom = log1p(-p). A quotient the cast
+ *  cannot represent saturates: NaN (a NaN mean, or u = 0 over an
+ *  infinite mean's -0 denominator), +inf and anything from 2^64 up. */
 std::uint64_t
 geometricAt(std::uint64_t x, double denom)
 {
     const double u = static_cast<double>(x) * 0x1.0p-53;
-    const std::uint64_t v =
-        static_cast<std::uint64_t>(std::ceil(std::log1p(-u) / denom));
+    const double q = std::ceil(std::log1p(-u) / denom);
+    if (!(q < 0x1.0p64))
+        return std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t v = static_cast<std::uint64_t>(q);
     return v == 0 ? 1 : v;
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/registry.hh"
+#include "core/result_store.hh"
 #include "cost/cacti.hh"
 #include "cost/mechanism_cost.hh"
 #include "cost/xcacti.hh"
@@ -70,7 +74,7 @@ TEST(MechanismCost, RatiosComputed)
 {
     RunOutput mech_run, base_run;
     mech_run.mechanism = "SP";
-    mech_run.hardware = {{"sp.rpt", 8192, 1, 1}};
+    const std::vector<SramSpec> hardware = {{"sp.rpt", 8192, 1, 1}};
     mech_run.stats["l1d.demand_accesses"] = 1e6;
     mech_run.stats["l2.demand_accesses"] = 1e5;
     mech_run.stats["mech.SP.table_reads"] = 1e6;
@@ -79,7 +83,7 @@ TEST(MechanismCost, RatiosComputed)
     base_run.stats["l2.demand_accesses"] = 1e5;
 
     const BaselineConfig sys = makeBaseline();
-    const CostReport rep = computeCost(mech_run, base_run, sys);
+    const CostReport rep = computeCost(mech_run, hardware, base_run, sys);
     EXPECT_GT(rep.area_ratio, 0.0);
     EXPECT_LT(rep.area_ratio, 0.1); // 8 KB vs ~1 MB of cache
     EXPECT_GT(rep.power_ratio, 1.0); // extra activity costs energy
@@ -87,12 +91,45 @@ TEST(MechanismCost, RatiosComputed)
 
 TEST(MechanismCost, DbcpAreaRatioIsLarge)
 {
-    MechanismConfig mc;
-    auto dbcp = makeMechanism("DBCP", mc);
+    const RunConfig cfg;
     RunOutput run, base;
     run.mechanism = "DBCP";
-    run.hardware = dbcp->hardware();
-    const BaselineConfig sys = makeBaseline();
-    const CostReport rep = computeCost(run, base, sys);
+    const CostReport rep = computeCost(
+        run, mechanismHardware("DBCP", cfg), base, cfg.system);
     EXPECT_GT(rep.area_ratio, 0.5); // ~2MB of tables vs ~1MB caches
+    EXPECT_TRUE(mechanismHardware("Base", cfg).empty());
+}
+
+TEST(MechanismCost, StoredRunCostsLikeAFreshOne)
+{
+    // Figure 5 prices runs a sweep resumed from its store: their
+    // cost must not lose the mechanism's area or energy terms.
+    RunConfig cfg;
+    cfg.scale.simpoint_trace = 100'000;
+    cfg.scale.simpoint_interval = 100'000;
+    const MaterializedTrace trace = materializeFor("swim", cfg);
+    const RunOutput base = runOne(trace, "Base", cfg);
+    const RunOutput fresh = runOne(trace, "GHB", cfg);
+
+    const std::string path =
+        testing::TempDir() + "microlib_cost_roundtrip.store";
+    std::remove(path.c_str());
+    const std::uint64_t h = fingerprintConfig(cfg);
+    ResultStore(path).put(
+        makeRecord(makeResultKey("swim", "GHB", h), fresh));
+    const auto rec =
+        ResultStore(path).find(makeResultKey("swim", "GHB", h));
+    std::remove(path.c_str());
+    ASSERT_TRUE(rec.has_value());
+    const RunOutput stored = toRunOutput(*rec);
+
+    const auto hw = mechanismHardware("GHB", cfg);
+    const CostReport a = computeCost(fresh, hw, base, cfg.system);
+    const CostReport b = computeCost(stored, hw, base, cfg.system);
+    EXPECT_GT(a.area_ratio, 0.0);
+    EXPECT_GT(a.power_ratio, 1.0); // GHB's table walks cost energy
+    EXPECT_EQ(a.mechanism_area_mm2, b.mechanism_area_mm2);
+    EXPECT_EQ(a.base_area_mm2, b.base_area_mm2);
+    EXPECT_EQ(a.area_ratio, b.area_ratio);
+    EXPECT_EQ(a.power_ratio, b.power_ratio);
 }

@@ -190,6 +190,31 @@ TEST(OptionTable, UsageErrorsExitTwoAndNameTheFlag)
     }
 }
 
+TEST(OptionTable, OperandsInterleaveWithFlags)
+{
+    Settings s;
+    std::vector<std::string> ops;
+    OptionTable t = table(s);
+    t.operands([&ops](const std::string &v) -> std::string {
+        if (v == "bad")
+            return "unknown operand '" + v + "'";
+        ops.push_back(v);
+        return {};
+    });
+    const char *ok[] = {"demo_tool", "a", "--store", "x", "b", "--verbose",
+                        "c"};
+    std::ostringstream out, err;
+    EXPECT_FALSE(t.parse(7, ok, out, err)) << err.str();
+    EXPECT_EQ(ops, (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(s.store, "x");
+    EXPECT_TRUE(s.verbose);
+
+    const char *bad[] = {"demo_tool", "a", "bad"};
+    EXPECT_EQ(t.parse(3, bad, out, err), std::optional<int>(2));
+    EXPECT_NE(err.str().find("unknown operand 'bad'"), std::string::npos)
+        << err.str();
+}
+
 TEST(OptionTable, HelpListsEveryDeclaredRow)
 {
     Settings s;

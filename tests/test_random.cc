@@ -232,16 +232,22 @@ TEST(Random, SkipGeometricConsumesWhatTheDrawWould)
 {
     // The fast-forwarding trace generator stands a skipGeometric for
     // every draw whose value it does not read: the Rng must end up
-    // exactly where nextGeometric leaves it, step for step.
+    // exactly where nextGeometric leaves it, step for step. The table
+    // draw equals the formula's, also for a non-finite mean, whose
+    // quotient saturates rather than casting out of range.
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     for (const double mean : {0.0, 0.5, 1.0, 1.5, 3.0, nan, inf}) {
         const Rng::Geometric g(mean);
-        Rng drawn(37), skipped(37);
+        Rng drawn(37), skipped(37), formula(37);
         for (int i = 0; i < 1000; ++i) {
-            drawn.nextGeometric(g);
+            ASSERT_EQ(drawn.nextGeometric(g), formula.nextGeometric(mean))
+                << mean << " " << i;
             skipped.skipGeometric(g);
             ASSERT_EQ(drawn.next(), skipped.next()) << mean << " " << i;
+            formula.next();
         }
     }
+    EXPECT_EQ(Rng(37).nextGeometric(nan),
+              std::numeric_limits<std::uint64_t>::max());
 }

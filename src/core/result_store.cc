@@ -185,6 +185,16 @@ fingerprintConfig(const RunConfig &cfg)
     return fp.value();
 }
 
+std::uint64_t
+fingerprintCell(const RunConfig &cfg, const std::string &mechanism)
+{
+    if (mechanism != "Base")
+        return fingerprintConfig(cfg);
+    RunConfig base = cfg;
+    base.mech = MechanismConfig{};
+    return fingerprintConfig(base);
+}
+
 ResultKey
 makeResultKey(const std::string &benchmark, const std::string &mechanism,
               std::uint64_t config_hash)

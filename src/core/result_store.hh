@@ -92,10 +92,17 @@ struct ResultKey
  */
 std::uint64_t fingerprintConfig(const RunConfig &cfg);
 
+/** The config hash a @p mechanism cell under @p cfg is keyed on:
+ *  fingerprintConfig(cfg), except that Base builds no mechanism, so
+ *  it is keyed on @p cfg with the default MechanismConfig — every
+ *  mech.* variant of a config shares its Base cells. */
+std::uint64_t fingerprintCell(const RunConfig &cfg,
+                              const std::string &mechanism);
+
 /** The full key for (@p benchmark, @p mechanism) under @p cfg; looks
  *  up the benchmark's generator seed. @p config_hash must be
- *  fingerprintConfig(cfg) — callers keying a whole matrix hash the
- *  config once. */
+ *  fingerprintCell(cfg, mechanism) — callers keying a whole matrix
+ *  hash the config once. */
 ResultKey makeResultKey(const std::string &benchmark,
                         const std::string &mechanism,
                         std::uint64_t config_hash);

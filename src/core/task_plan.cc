@@ -54,10 +54,13 @@ TaskPlan::TaskPlan(const SweepSpec &spec)
     _variant_names.reserve(variants.size());
     _cfgs.reserve(variants.size());
     _config_hashes.reserve(variants.size());
+    _cell_hashes.reserve(variants.size() * _mechanisms.size());
     for (const auto &v : variants) {
         _variant_names.push_back(v.name);
         _cfgs.push_back(_spec.resolve(v));
         _config_hashes.push_back(fingerprintConfig(_cfgs.back()));
+        for (const auto &m : _mechanisms)
+            _cell_hashes.push_back(fingerprintCell(_cfgs.back(), m));
     }
 
     // Trace slots: unique (benchmark, window) pairs. Variants that
@@ -105,7 +108,7 @@ TaskPlan::resultKey(std::size_t index) const
 {
     const PlanTask &t = _tasks[index];
     return makeResultKey(_benchmarks[t.b], _mechanisms[t.m],
-                         _config_hashes[t.v]);
+                         _cell_hashes[t.v * _mechanisms.size() + t.m]);
 }
 
 SweepResult

@@ -84,7 +84,8 @@ class TaskPlan
   public:
     /** Enumerate @p spec: benchmarks x mechanisms x variants. Every
      *  variant's config is resolved and hashed once
-     *  (fingerprintConfig); trace slots are precomputed. */
+     *  (fingerprintConfig, and fingerprintCell per mechanism); trace
+     *  slots are precomputed. */
     explicit TaskPlan(const SweepSpec &spec);
 
     /** Classic one-variant plan: @p mechanisms x @p benchmarks under
@@ -255,6 +256,7 @@ class TaskPlan
     std::vector<std::string> _variant_names;
     std::vector<RunConfig> _cfgs;             ///< resolved, per variant
     std::vector<std::uint64_t> _config_hashes; ///< per variant
+    std::vector<std::uint64_t> _cell_hashes;   ///< [v * M + m]
     std::vector<std::size_t> _task_slot;       ///< [b * V + v] -> slot
     std::vector<std::string> _slot_keys;       ///< trace-cache keys
     std::vector<PlanTask> _tasks;

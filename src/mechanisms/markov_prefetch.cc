@@ -1,5 +1,7 @@
 #include "mechanisms/markov_prefetch.hh"
 
+#include <algorithm>
+
 namespace microlib
 {
 
@@ -10,12 +12,10 @@ MarkovPrefetch::MarkovPrefetch(const MechanismConfig &cfg) : MarkovPrefetch(cfg,
 MarkovPrefetch::MarkovPrefetch(const MechanismConfig &cfg,
                                const Params &p)
     : CacheMechanism("Markov", cfg), _p(p), _queue(p.request_queue),
-      _table(p.table_entries)
+      _tags(p.table_entries, invalid_addr),
+      _succ(std::size_t(p.table_entries) * p.predictions, 0),
+      _stamps(std::size_t(p.table_entries) * p.predictions, 0)
 {
-    for (auto &e : _table) {
-        e.succ.assign(_p.predictions, 0);
-        e.stamps.assign(_p.predictions, 0);
-    }
 }
 
 void
@@ -26,55 +26,58 @@ MarkovPrefetch::bind(Hierarchy &hier)
                                            hier.params().l1d.line);
 }
 
-MarkovPrefetch::Entry &
-MarkovPrefetch::entryFor(Addr line)
+std::size_t
+MarkovPrefetch::entryFor(Addr line) const
 {
     // Direct-mapped on the line address. Multiplicative hashing must
     // index with the *high* product bits: line addresses have many
     // trailing zeros, so the low bits of the product collide.
     const std::uint64_t h =
         ((line >> 5) * 0x9e3779b97f4a7c15ull) >> 32;
-    return _table[h % _table.size()];
+    return static_cast<std::size_t>(h % _tags.size());
 }
 
 void
 MarkovPrefetch::learn(Addr prev_line, Addr line)
 {
-    Entry &e = entryFor(prev_line);
+    const std::size_t e = entryFor(prev_line);
+    std::uint32_t *succ = &_succ[e * _p.predictions];
+    std::uint64_t *stamps = &_stamps[e * _p.predictions];
     ++table_writes;
-    if (e.tag != prev_line) {
-        e.tag = prev_line;
-        std::fill(e.succ.begin(), e.succ.end(), 0);
-        std::fill(e.stamps.begin(), e.stamps.end(), 0);
+    if (_tags[e] != prev_line) {
+        _tags[e] = prev_line;
+        std::fill(succ, succ + _p.predictions, 0);
+        std::fill(stamps, stamps + _p.predictions, 0);
     }
     const auto id = static_cast<std::uint32_t>(line >> 5);
     // Already recorded: refresh LRU stamp.
     for (unsigned i = 0; i < _p.predictions; ++i) {
-        if (e.stamps[i] != 0 && e.succ[i] == id) {
-            e.stamps[i] = ++_tick;
+        if (stamps[i] != 0 && succ[i] == id) {
+            stamps[i] = ++_tick;
             return;
         }
     }
     // Replace LRU slot.
     unsigned victim = 0;
     for (unsigned i = 1; i < _p.predictions; ++i)
-        if (e.stamps[i] < e.stamps[victim])
+        if (stamps[i] < stamps[victim])
             victim = i;
-    e.succ[victim] = id;
-    e.stamps[victim] = ++_tick;
+    succ[victim] = id;
+    stamps[victim] = ++_tick;
 }
 
 void
 MarkovPrefetch::predict(Addr line, Cycle now)
 {
-    Entry &e = entryFor(line);
+    const std::size_t e = entryFor(line);
     ++table_reads;
-    if (e.tag != line)
+    if (_tags[e] != line)
         return;
-    for (unsigned i = 0; i < _p.predictions; ++i) {
-        if (e.stamps[i] == 0)
+    for (std::size_t i = e * _p.predictions;
+         i < (e + 1) * _p.predictions; ++i) {
+        if (_stamps[i] == 0)
             continue;
-        const Addr target = static_cast<Addr>(e.succ[i]) << 5;
+        const Addr target = static_cast<Addr>(_succ[i]) << 5;
         issueBufferFetch(_queue, *_buffer, target, now);
     }
 }

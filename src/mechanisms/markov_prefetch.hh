@@ -47,21 +47,20 @@ class MarkovPrefetch : public CacheMechanism
     void describe(ParamTable &t) const override;
 
   private:
-    struct Entry
-    {
-        Addr tag = invalid_addr;
-        std::vector<std::uint32_t> succ;   ///< successor line ids
-        std::vector<std::uint64_t> stamps; ///< LRU among successors
-    };
-
     Params _p;
     RequestQueue _queue;
     std::unique_ptr<LineBuffer> _buffer;
-    std::vector<Entry> _table;
+    /** The prediction table, flat: entry e's tag is _tags[e], and its
+     *  successor slots are [e * predictions, (e + 1) * predictions)
+     *  of _succ (line ids) and _stamps (LRU among them, 0 = empty). */
+    std::vector<Addr> _tags;
+    std::vector<std::uint32_t> _succ;
+    std::vector<std::uint64_t> _stamps;
     Addr _prev_miss = invalid_addr;
     std::uint64_t _tick = 0;
 
-    Entry &entryFor(Addr line);
+    /** The table entry @p line maps to. */
+    std::size_t entryFor(Addr line) const;
     void learn(Addr prev_line, Addr line);
     void predict(Addr line, Cycle now);
 };

@@ -1,7 +1,6 @@
 #include "trace/memory_image.hh"
 
 #include <algorithm>
-#include <cstring>
 
 namespace microlib
 {
@@ -14,10 +13,27 @@ constexpr unsigned initial_log2_slots = 6;
 
 } // namespace
 
-MemoryImage::MemoryImage()
-    : _slots(std::size_t(1) << initial_log2_slots),
-      _shift(64 - initial_log2_slots)
+MemoryImage::MemoryImage() : MemoryImage(initial_log2_slots) {}
+
+MemoryImage::MemoryImage(unsigned log2_slots)
+    : _slots(std::size_t(1) << log2_slots), _shift(64 - log2_slots)
 {
+}
+
+std::shared_ptr<const MemoryImage>
+MemoryImage::borrow(const StoredPage *pages, std::size_t count,
+                    std::shared_ptr<const void> backing)
+{
+    // Size the table once, at most half full, as pageFor() keeps it.
+    unsigned log2_slots = initial_log2_slots;
+    while ((std::size_t(1) << log2_slots) < 2 * count)
+        ++log2_slots;
+    std::shared_ptr<MemoryImage> image(new MemoryImage(log2_slots));
+    for (std::size_t i = 0; i < count; ++i)
+        image->insert(pages[i].index, &pages[i].page);
+    image->_borrowed = count;
+    image->_backing = std::move(backing);
+    return image;
 }
 
 MemoryImage::MemoryImage(const MemoryImage &other)
@@ -33,7 +49,7 @@ MemoryImage::MemoryImage(const MemoryImage &other)
 }
 
 void
-MemoryImage::insert(Addr page_index, Page *page)
+MemoryImage::insert(Addr page_index, const Page *page)
 {
     std::size_t i = home(page_index);
     while (_slots[i].page)
@@ -44,8 +60,10 @@ MemoryImage::insert(Addr page_index, Page *page)
 MemoryImage::Page &
 MemoryImage::pageFor(Addr page_index)
 {
-    if (Page *page = find(page_index))
-        return *page;
+    // Only borrow() makes borrowed pages, and it hands its image out
+    // const: every page of an image being written is one of _pages.
+    if (const Page *page = find(page_index))
+        return const_cast<Page &>(*page);
     if (2 * (_pages.size() + 1) > _slots.size()) {
         // Keep the table at most half full: double and rehash.
         std::vector<Slot> old(_slots.size() * 2);
@@ -75,17 +93,6 @@ MemoryImage::forEachPage(
     for (const Slot &slot : sorted)
         fn(slot.index, slot.page->words.data(),
            slot.page->written_mask.data());
-}
-
-void
-MemoryImage::restorePage(Addr page_index, const Word *words,
-                         const std::uint64_t *mask)
-{
-    Page &page = pageFor(page_index);
-    std::memcpy(page.words.data(), words,
-                words_per_page * sizeof(Word));
-    std::memcpy(page.written_mask.data(), mask,
-                (words_per_page / 64) * sizeof(std::uint64_t));
 }
 
 void

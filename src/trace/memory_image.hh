@@ -32,11 +32,17 @@ namespace microlib
 /**
  * Sparse word-granular memory with deterministic default contents.
  *
- * Pages live in stable heap allocations, found through an
- * open-addressing hash table of (page index, page) slots: a read is a
- * multiply, a probe or two and a mask test, with no mutable state, so
- * simulation threads may share one image through a
- * shared_ptr<const MemoryImage>.
+ * Pages are found through an open-addressing hash table of
+ * (page index, page) slots: a read is a multiply, a probe or two and
+ * a mask test, with no mutable state, so simulation threads may share
+ * one image through a shared_ptr<const MemoryImage>.
+ *
+ * A page is either *owned* (a stable heap allocation of this image)
+ * or *borrowed*: borrow() builds a read-only image whose slots point
+ * straight at pages stored elsewhere (a trace-arena mapping), and
+ * which holds that storage alive itself. A borrowed image is only
+ * ever handed out const, so nothing writes through a borrowed page;
+ * copying one yields an owned, writable image.
  */
 class MemoryImage
 {
@@ -44,8 +50,34 @@ class MemoryImage
     static constexpr std::uint64_t page_bytes = 4096;
     static constexpr std::uint64_t words_per_page = page_bytes / 8;
 
+    /** One page: its words, then the mask of written words. */
+    struct Page
+    {
+        std::array<Word, words_per_page> words{};
+        std::array<std::uint64_t, words_per_page / 64> written_mask{};
+    };
+
+    /** A page as the trace arena stores it: its index, then the page.
+     *  An arena file's page section is an array of these, so a mapped
+     *  file's pages can be borrowed in place. */
+    struct StoredPage
+    {
+        std::uint64_t index;
+        Page page;
+    };
+
+    /**
+     * A read-only image over @p count stored pages, without copying
+     * them: the slots point into @p pages, and the image keeps
+     * @p backing (the storage holding them) alive. Page indices must
+     * be distinct — the trace arena checks they strictly ascend.
+     */
+    static std::shared_ptr<const MemoryImage>
+    borrow(const StoredPage *pages, std::size_t count,
+           std::shared_ptr<const void> backing);
+
     MemoryImage();
-    /** Deep copy: the copy owns its own pages. */
+    /** Deep copy: the copy owns its own pages, borrowed or not. */
     MemoryImage(const MemoryImage &other);
     MemoryImage &operator=(const MemoryImage &) = delete;
 
@@ -68,8 +100,20 @@ class MemoryImage
     void readLine(Addr addr, std::uint64_t line_bytes,
                   std::vector<Word> &out) const;
 
-    /** Number of allocated pages (footprint tracking for tests). */
-    std::size_t allocatedPages() const { return _pages.size(); }
+    /** Number of pages, owned or borrowed. */
+    std::size_t allocatedPages() const { return _pages.size() + _borrowed; }
+
+    /** Number of pages this image allocated itself. */
+    std::size_t ownedPages() const { return _pages.size(); }
+
+    /** Heap bytes this image holds: owned pages and the slot table
+     *  (borrowed pages belong to their backing). */
+    std::size_t
+    ownedBytes() const
+    {
+        return _pages.size() * sizeof(Page) +
+               _slots.size() * sizeof(Slot);
+    }
 
     /** Deterministic content of an untouched word. */
     static Word
@@ -95,34 +139,27 @@ class MemoryImage
         const std::function<void(Addr, const Word *,
                                  const std::uint64_t *)> &fn) const;
 
-    /**
-     * Install a whole page at @p page_index from raw words + written
-     * mask — the deserialization inverse of forEachPage(). Replaces
-     * any existing page.
-     */
-    void restorePage(Addr page_index, const Word *words,
-                     const std::uint64_t *mask);
-
   private:
-    struct Page
-    {
-        std::array<Word, words_per_page> words{};
-        std::array<std::uint64_t, words_per_page / 64> written_mask{};
-    };
-
     /** One hash-table slot; page == nullptr marks it empty. */
     struct Slot
     {
         Addr index = 0;
-        Page *page = nullptr;
+        const Page *page = nullptr;
     };
+
+    /** An empty image of 2^@p log2_slots slots. */
+    explicit MemoryImage(unsigned log2_slots);
 
     /** Power-of-two slot table, at most half full. */
     std::vector<Slot> _slots;
     /** 64 - log2(_slots.size()): home() keeps the product's top bits. */
     unsigned _shift = 0;
-    /** The pages, in allocation order. */
+    /** The owned pages, in allocation order. */
     std::vector<std::unique_ptr<Page>> _pages;
+    /** Number of borrowed pages (nonzero only in borrow()'s images). */
+    std::size_t _borrowed = 0;
+    /** Keeps the borrowed pages' storage alive; null when none. */
+    std::shared_ptr<const void> _backing;
 
     std::size_t
     home(Addr page_index) const
@@ -133,7 +170,7 @@ class MemoryImage
     }
 
     /** The page holding @p page_index, or null. */
-    Page *
+    const Page *
     find(Addr page_index) const
     {
         for (std::size_t i = home(page_index);;
@@ -156,7 +193,7 @@ class MemoryImage
 
     /** The page holding @p page_index, allocated zeroed if absent. */
     Page &pageFor(Addr page_index);
-    void insert(Addr page_index, Page *page);
+    void insert(Addr page_index, const Page *page);
 };
 
 } // namespace microlib

@@ -28,6 +28,14 @@ constexpr std::uint64_t arena_magic = 0x4e45524154524c4dull; // "MLTRAREN"
 constexpr std::size_t page_entry_bytes =
     sizeof(std::uint64_t) + MemoryImage::page_bytes +
     (MemoryImage::words_per_page / 64) * sizeof(std::uint64_t);
+// tryLoad() borrows the page section in place as StoredPage[pages]:
+// the in-memory layout must be the file layout, with no padding.
+static_assert(sizeof(MemoryImage::StoredPage) == page_entry_bytes &&
+                  offsetof(MemoryImage::StoredPage, page) ==
+                      sizeof(std::uint64_t) &&
+                  offsetof(MemoryImage::Page, written_mask) ==
+                      MemoryImage::page_bytes,
+              "arena page entries must be MemoryImage::StoredPage");
 
 /** Fixed little-endian file header. The checksum covers every byte
  *  AFTER the header (identity strings, padding, columns, pages), so
@@ -44,7 +52,7 @@ struct ArenaHeader
     std::uint64_t window_skip = 0;
     std::uint64_t window_length = 0;
     std::uint64_t file_bytes = 0; ///< total size, header included
-    std::uint64_t checksum = 0; ///< checksumBytes over [sizeof(hdr), end)
+    std::uint64_t checksum = 0; ///< TraceArena::checksum of [72, end)
 };
 static_assert(sizeof(ArenaHeader) == 72,
               "arena header layout is part of the file format");
@@ -87,47 +95,12 @@ layoutFor(std::size_t key_len, std::size_t bench_len, std::size_t n,
 }
 
 /**
- * Payload checksum: four independent FNV-style lanes over 8-byte
- * words, folded at the end, byte-wise FNV-1a for the tail. The lanes
- * break the serial xor-multiply dependency chain, so validating a
- * multi-megabyte trace costs a fraction of a millisecond instead of
- * dominating the warm-load path. Format-defining: readers and
- * writers must agree bit-for-bit (schema_version guards any change).
- */
-std::uint64_t
-checksumBytes(const std::uint8_t *data, std::size_t size)
-{
-    constexpr std::uint64_t prime = 0x100000001b3ull;
-    std::uint64_t lane[4] = {0xcbf29ce484222325ull,
-                             0x84222325cbf29ce4ull,
-                             0x9ce484222325cbf2ull,
-                             0x2325cbf29ce48422ull};
-    std::size_t i = 0;
-    for (; i + 32 <= size; i += 32) {
-        std::uint64_t w[4];
-        std::memcpy(w, data + i, sizeof(w));
-        lane[0] = (lane[0] ^ w[0]) * prime;
-        lane[1] = (lane[1] ^ w[1]) * prime;
-        lane[2] = (lane[2] ^ w[2]) * prime;
-        lane[3] = (lane[3] ^ w[3]) * prime;
-    }
-    std::uint64_t h = lane[0];
-    h = (h * prime) ^ lane[1];
-    h = (h * prime) ^ lane[2];
-    h = (h * prime) ^ lane[3];
-    h *= prime;
-    for (; i < size; ++i) {
-        h ^= data[i];
-        h *= prime;
-    }
-    return h;
-}
-
-/**
  * Validate the mapped file against @p key: magic, schema, geometry
  * (declared sizes must reproduce the actual file size exactly),
- * stored key identity, and the full-payload checksum. On success
- * @p out points at the file's header.
+ * stored key identity, the full-payload checksum, and strictly
+ * ascending page indices (pages are borrowed into the image's slot
+ * table as stored, so a repeated index would shadow silently). On
+ * success @p out points at the file's header.
  */
 bool
 validate(const MappedFile &mf, const std::string &key,
@@ -153,9 +126,19 @@ validate(const MappedFile &mf, const std::string &key,
     if (std::memcmp(mf.data() + sizeof(ArenaHeader), key.data(),
                     key.size()) != 0)
         return false;
-    if (checksumBytes(mf.data() + sizeof(ArenaHeader),
-                   mf.size() - sizeof(ArenaHeader)) != hdr.checksum)
+    if (TraceArena::checksum(mf.data() + sizeof(ArenaHeader),
+                             mf.size() - sizeof(ArenaHeader)) !=
+        hdr.checksum)
         return false;
+    const std::uint8_t *entry = mf.data() + l.pages;
+    for (std::uint64_t i = 0, prev = 0; i < hdr.pages;
+         ++i, entry += page_entry_bytes) {
+        std::uint64_t index = 0;
+        std::memcpy(&index, entry, sizeof(index));
+        if (i > 0 && index <= prev)
+            return false;
+        prev = index;
+    }
     out = reinterpret_cast<const ArenaHeader *>(mf.data());
     return true;
 }
@@ -212,6 +195,35 @@ TraceArena::TraceArena(std::string dir) : _dir(std::move(dir))
         fatal("TraceArena: cannot create ", _dir, ": ", ec.message());
 }
 
+std::uint64_t
+TraceArena::checksum(const std::uint8_t *data, std::size_t size)
+{
+    constexpr std::uint64_t prime = 0x100000001b3ull;
+    std::uint64_t lane[4] = {0xcbf29ce484222325ull,
+                             0x84222325cbf29ce4ull,
+                             0x9ce484222325cbf2ull,
+                             0x2325cbf29ce48422ull};
+    std::size_t i = 0;
+    for (; i + 32 <= size; i += 32) {
+        std::uint64_t w[4];
+        std::memcpy(w, data + i, sizeof(w));
+        lane[0] = (lane[0] ^ w[0]) * prime;
+        lane[1] = (lane[1] ^ w[1]) * prime;
+        lane[2] = (lane[2] ^ w[2]) * prime;
+        lane[3] = (lane[3] ^ w[3]) * prime;
+    }
+    std::uint64_t h = lane[0];
+    h = (h * prime) ^ lane[1];
+    h = (h * prime) ^ lane[2];
+    h = (h * prime) ^ lane[3];
+    h *= prime;
+    for (; i < size; ++i) {
+        h ^= data[i];
+        h *= prime;
+    }
+    return h;
+}
+
 std::string
 TraceArena::pathFor(const std::string &key) const
 {
@@ -265,22 +277,12 @@ TraceArena::tryLoad(const std::string &key)
     v.n = static_cast<std::size_t>(hdr->n);
     t.soa.borrow(v);
 
-    // The image is rebuilt owned (its sparse-map structure is not
-    // mappable); it is small next to the columns and charged to the
-    // byte budget as owned bytes like any other image.
-    auto image = std::make_shared<MemoryImage>();
-    const std::uint8_t *p = base + l.pages;
-    for (std::uint64_t i = 0; i < hdr->pages; ++i) {
-        std::uint64_t page_index = 0;
-        std::memcpy(&page_index, p, sizeof(page_index));
-        const auto *words =
-            reinterpret_cast<const Word *>(p + sizeof(std::uint64_t));
-        const auto *mask = reinterpret_cast<const std::uint64_t *>(
-            p + sizeof(std::uint64_t) + MemoryImage::page_bytes);
-        image->restorePage(page_index, words, mask);
-        p += page_entry_bytes;
-    }
-    t.image = std::move(image);
+    // The image borrows the stored pages in place and holds the
+    // mapping itself, so it stays valid if it outlives the trace;
+    // loading allocates only its slot table.
+    t.image = MemoryImage::borrow(
+        reinterpret_cast<const MemoryImage::StoredPage *>(base + l.pages),
+        static_cast<std::size_t>(hdr->pages), mf);
     t.mapping = std::move(mf);
 
     {
@@ -355,7 +357,7 @@ TraceArena::publish(const std::string &key,
         warn("trace arena: layout mismatch while serializing ", path);
         return false;
     }
-    const std::uint64_t ck = checksumBytes(buf.data() + sizeof(hdr),
+    const std::uint64_t ck = TraceArena::checksum(buf.data() + sizeof(hdr),
                                         buf.size() - sizeof(hdr));
     std::memcpy(buf.data() + offsetof(ArenaHeader, checksum), &ck,
                 sizeof(ck));

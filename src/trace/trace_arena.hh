@@ -12,7 +12,8 @@
  * is mmap'd read-only and *borrowed* by the returned
  * MaterializedTrace — the hot-loop TraceView points straight into
  * the mapping, every process sharing the directory shares one page
- * cache copy, and nothing is deserialized but the image pages.
+ * cache copy, and the memory image borrows its pages from the
+ * mapping too: nothing is deserialized.
  *
  * File format (docs/TRACE_ARENA.md):
  *
@@ -23,13 +24,15 @@
  *   [pc u32[n]]  [addr u32[n]]  [value u64[n]]      each column
  *   [op u8[n]]   [dep1 u8[n]]  [dep2 u8[n]]         64-byte aligned
  *   [image pages: {page_index u64, words u64[512], mask u64[8]}...]
- *                                  sorted by page index
+ *                                  strictly ascending page index;
+ *                                  each is a MemoryImage::StoredPage
  *
  * Integrity: a four-lane word-wise FNV-style checksum over
- * everything after the header (see checksumBytes in trace_arena.cc
+ * everything after the header (see TraceArena::checksum
  * — lanes keep validation off the warm path's critical millisecond),
  * verified on every load; a truncated, bit-flipped, foreign-schema
- * or wrong-key file is rejected (tryLoad returns null) and the
+ * or wrong-key file, or one whose page indices do not strictly
+ * ascend, is rejected (tryLoad returns null) and the
  * caller transparently regenerates. Invalidation is a schema-version
  * bump: readers ignore files of any other version.
  *
@@ -55,8 +58,9 @@ namespace microlib
 {
 
 /** RAII read-only mmap of one arena file. MaterializedTrace holds a
- *  shared_ptr to keep the borrowed column spans alive; the last
- *  release munmaps (a budget "eviction" of a mapped trace frees
+ *  shared_ptr to keep the borrowed column spans alive, and a mapped
+ *  trace's MemoryImage another for its pages; the last release
+ *  munmaps (a budget "eviction" of a mapped trace frees
  *  address space only — the OS page cache owns the bytes). */
 class MappedFile
 {
@@ -118,13 +122,27 @@ class TraceArena
      * Probe the arena for @p key. On a hit, returns a
      * MaterializedTrace whose SoA columns are borrowed spans into a
      * read-only mapping of the file (the trace keeps the mapping
-     * alive) and whose memory image is rebuilt from the stored
-     * pages. Returns nullopt on a miss or on any validation failure
-     * — wrong magic/schema/key, size mismatch, checksum mismatch —
-     * in which case the caller should regenerate (and republish).
+     * alive) and whose memory image borrows the stored pages in
+     * place (the image keeps the mapping alive too). Returns nullopt
+     * on a miss or on any validation failure — wrong
+     * magic/schema/key, size mismatch, checksum mismatch, page
+     * indices not strictly ascending — in which case the caller
+     * should regenerate (and republish).
      */
     std::optional<MaterializedTrace>
     tryLoad(const std::string &key);
+
+    /**
+     * The payload checksum: four independent FNV-style lanes over
+     * 8-byte words, folded at the end, byte-wise FNV-1a for the
+     * tail. The lanes break the serial xor-multiply dependency
+     * chain, so validating a multi-megabyte trace costs a fraction
+     * of a millisecond instead of dominating the warm-load path.
+     * Format-defining: readers and writers must agree bit-for-bit
+     * (schema_version guards any change).
+     */
+    static std::uint64_t checksum(const std::uint8_t *data,
+                                  std::size_t size);
 
     /**
      * Serialize @p trace and publish it under @p key via tmp +

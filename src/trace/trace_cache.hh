@@ -18,8 +18,10 @@
  * ExperimentEngine::materializeInto): they probe the arena before
  * materializing and publish after, then fulfill() the cache with the
  * resulting trace, mapped or generated. fulfill() charges only a
- * trace's *owned* heap bytes against the byte budget; a mapped
- * trace's column bytes live in the OS page cache, so evicting it
+ * trace's *owned* heap bytes against the byte budget: a generated
+ * trace pays for its columns and image pages, a mapped one only for
+ * its image's slot table and bookkeeping. A mapped trace's column
+ * and image-page bytes live in the OS page cache, so evicting it
  * merely unmaps — the file stays warm for the next claim.
  *
  * This subsumes the old process-wide `simpoint_cache` map in

@@ -35,8 +35,8 @@ struct TraceWindow
  *  (materialize() appends each generator record straight into the
  *  columns, once, and every run over the window streams the same
  *  arrays); a trace *mapped* from the trace arena (trace_arena.hh)
- *  borrows them straight out of a read-only mmap, and `mapping`
- *  keeps the file mapped. */
+ *  borrows them, and its image's pages, straight out of a read-only
+ *  mmap, and `mapping` keeps the file mapped. */
 struct MaterializedTrace
 {
     TraceSoA soa;
@@ -56,11 +56,12 @@ struct MaterializedTrace
 
     /**
      * Estimated *heap-owned* resident bytes: owned SoA arrays + the
-     * memory image's allocated pages. This — not the
+     * memory image's owned pages and slot table. This — not the
      * mapped bytes — is what the trace cache charges against its
      * byte budget (MICROLIB_TRACE_BUDGET_MB): the OS page cache owns
      * a mapping's bytes and reclaims them under pressure on its own,
-     * so a mapped trace costs the budget only its image and
+     * so a mapped trace, whose columns and image pages both live in
+     * the mapping, costs the budget only its slot table and
      * bookkeeping. An estimate is fine — the budget bounds memory,
      * it does not account it to the byte.
      */
@@ -70,8 +71,7 @@ struct MaterializedTrace
         std::size_t bytes = sizeof(*this);
         bytes += soa.footprintBytes();
         if (image)
-            bytes += image->allocatedPages() *
-                     (MemoryImage::page_bytes + 64);
+            bytes += image->ownedBytes();
         return bytes;
     }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "trace/memory_image.hh"
@@ -133,16 +134,68 @@ TEST(MemoryImage, ReadLineSpanningPages)
     EXPECT_EQ(words[1], MemoryImage::defaultValue(8));
 }
 
-TEST(MemoryImage, RestorePageReplacesContents)
+TEST(MemoryImage, BorrowedPagesReadInPlaceAndCopyOwned)
 {
-    MemoryImage img;
-    img.write(0x5008, 1);
-    std::vector<Word> words(MemoryImage::words_per_page, 0);
-    std::vector<std::uint64_t> mask(MemoryImage::words_per_page / 64, 0);
-    words[0] = 7;
-    mask[0] = 1;
-    img.restorePage(0x5, words.data(), mask.data());
-    EXPECT_EQ(img.allocatedPages(), 1u);
-    EXPECT_EQ(img.read(0x5000), 7u);
-    EXPECT_FALSE(img.touched(0x5008));
+    // Two stored pages, as a trace-arena file holds them.
+    auto stored = std::make_shared<std::vector<MemoryImage::StoredPage>>(2);
+    (*stored)[0].index = 0x5;
+    (*stored)[0].page.words[0] = 7;
+    (*stored)[0].page.written_mask[0] = 1;
+    (*stored)[1].index = 0x9;
+    (*stored)[1].page.words[MemoryImage::words_per_page - 1] = 11;
+    (*stored)[1].page.written_mask.back() = 1ull << 63;
+    const MemoryImage::StoredPage *pages = stored->data();
+
+    // The image keeps its backing alive after every other owner
+    // lets go, and reads the stored words where they lie.
+    const std::shared_ptr<const MemoryImage> img =
+        MemoryImage::borrow(pages, 2, std::move(stored));
+    EXPECT_EQ(img->allocatedPages(), 2u);
+    EXPECT_EQ(img->ownedPages(), 0u);
+    EXPECT_EQ(img->read(0x5000), 7u);
+    EXPECT_TRUE(img->touched(0x5000));
+    EXPECT_FALSE(img->touched(0x5008));
+    EXPECT_EQ(img->read(0x5008), MemoryImage::defaultValue(0x5008));
+    EXPECT_EQ(img->read(0x9ff8), 11u);
+    EXPECT_EQ(img->read(0x7000), MemoryImage::defaultValue(0x7000));
+    std::vector<Addr> seen;
+    img->forEachPage([&](Addr page, const Word *words,
+                         const std::uint64_t *) {
+        seen.push_back(page);
+        EXPECT_EQ(words, page == 0x5 ? &pages[0].page.words[0]
+                                     : &pages[1].page.words[0]);
+    });
+    EXPECT_EQ(seen, (std::vector<Addr>{0x5, 0x9}));
+
+    // A copy owns its pages and can be written; the borrowed pages
+    // stay as they were.
+    MemoryImage copy = *img;
+    EXPECT_EQ(copy.ownedPages(), 2u);
+    copy.write(0x5000, 8);
+    copy.write(0x6000, 9);
+    EXPECT_EQ(copy.read(0x5000), 8u);
+    EXPECT_EQ(copy.read(0x6000), 9u);
+    EXPECT_EQ(copy.read(0x9ff8), 11u);
+    EXPECT_EQ(copy.allocatedPages(), 3u);
+    EXPECT_EQ(img->read(0x5000), 7u);
+    EXPECT_EQ(pages[0].page.words[0], 7u);
+    EXPECT_FALSE(img->touched(0x6000));
+}
+
+TEST(MemoryImage, BorrowSizesTheTableForManyPages)
+{
+    auto stored =
+        std::make_shared<std::vector<MemoryImage::StoredPage>>(1000);
+    for (std::size_t i = 0; i < stored->size(); ++i) {
+        (*stored)[i].index = 3 * i;
+        (*stored)[i].page.words[1] = i;
+        (*stored)[i].page.written_mask[0] = 2;
+    }
+    const MemoryImage::StoredPage *pages = stored->data();
+    const auto img = MemoryImage::borrow(pages, 1000, stored);
+    for (std::size_t i = 0; i < 1000; ++i)
+        EXPECT_EQ(img->read(3 * i * MemoryImage::page_bytes + 8), i);
+    EXPECT_FALSE(img->touched(MemoryImage::page_bytes + 8));
+    // Only the slot table is the image's own.
+    EXPECT_LT(img->ownedBytes(), 1000 * sizeof(MemoryImage::Page) / 8);
 }

@@ -180,6 +180,32 @@ TEST(ConfigFingerprint, SensitiveToEveryLayer)
     EXPECT_NE(fingerprintConfig(c), h0) << "mechanism knob";
 }
 
+TEST(ConfigFingerprint, BaseCellsIgnoreMechanismOptions)
+{
+    // Base builds no mechanism: every mech.* setting keys its cells
+    // alike, while the mechanisms those options shape key apart.
+    const RunConfig def;
+    RunConfig guessed = def, buffered = def, bigger = def;
+    guessed.mech.second_guess = true;
+    buffered.mech.tcp_buffer = 1;
+    bigger.system.hier.l2.size *= 2;
+
+    const std::uint64_t base = fingerprintCell(def, "Base");
+    EXPECT_EQ(base, fingerprintConfig(def));
+    EXPECT_EQ(fingerprintCell(guessed, "Base"), base);
+    EXPECT_EQ(fingerprintCell(buffered, "Base"), base);
+    EXPECT_NE(fingerprintCell(bigger, "Base"), base) << "system config";
+
+    EXPECT_NE(fingerprintCell(guessed, "DBCP"),
+              fingerprintCell(def, "DBCP"));
+    EXPECT_EQ(fingerprintCell(guessed, "DBCP"),
+              fingerprintConfig(guessed));
+    EXPECT_NE(fingerprintCell(buffered, "TCP"),
+              fingerprintCell(def, "TCP"));
+    EXPECT_NE(fingerprintCell(guessed, "TCP"),
+              fingerprintCell(def, "TCP"));
+}
+
 TEST(ResultKey, DistinguishesBenchmarkMechanismAndSeed)
 {
     const std::uint64_t h = fingerprintConfig(RunConfig{});

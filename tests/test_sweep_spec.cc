@@ -234,6 +234,29 @@ TEST(SweepSpec, TraceSlotsSharedAcrossNonWindowVariants)
     EXPECT_NE(plan.configHash(0), plan.configHash(1));
 }
 
+TEST(SweepSpec, MechanismAxisSharesBaseCellKeys)
+{
+    // Variants differing only in a mech.* option key their Base
+    // cells alike (so the store resumes one for the other) and their
+    // mechanism cells apart.
+    SweepSpec spec;
+    std::string error;
+    ASSERT_TRUE(SweepSpec::parse(
+        "sweep-spec v1\nbench swim\nmech Base DBCP TCP\n"
+        "axis mech.second_guess 0 1\n", spec, &error))
+        << error;
+    const TaskPlan plan(spec);
+    ASSERT_EQ(plan.size(), 6u);
+    for (std::size_t m = 0; m < 3; ++m) {
+        const ResultKey k0 = plan.resultKey(m), k1 = plan.resultKey(3 + m);
+        ASSERT_EQ(k0.mechanism, k1.mechanism);
+        if (k0.mechanism == "Base")
+            EXPECT_EQ(k0.str(), k1.str());
+        else
+            EXPECT_NE(k0.str(), k1.str()) << k0.mechanism;
+    }
+}
+
 TEST(SweepSpec, TwoVariantShardDeterminism)
 {
     const SweepSpec spec = twoVariantSpec();

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,19 +175,49 @@ checkTraceDurations(const std::string &path)
     return n;
 }
 
-/** Flip one byte of @p path at @p offset. */
+std::vector<char>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeFile(const std::string &path, const std::vector<char> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Replace @p path with a copy whose byte at @p offset is flipped.
+ *  Arena files change only by rename, as here: a trace that still
+ *  maps the old file keeps reading its bytes. */
 void
 flipByte(const std::string &path, std::size_t offset)
 {
-    std::fstream f(path,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open()) << path;
-    f.seekg(static_cast<std::streamoff>(offset));
-    char c = 0;
-    f.read(&c, 1);
-    c = static_cast<char>(c ^ 0x40);
-    f.seekp(static_cast<std::streamoff>(offset));
-    f.write(&c, 1);
+    std::vector<char> bytes = readFile(path);
+    ASSERT_LT(offset, bytes.size()) << path;
+    bytes[offset] = static_cast<char>(bytes[offset] ^ 0x40);
+    const std::string tmp = path + ".flip";
+    writeFile(tmp, bytes);
+    std::filesystem::rename(tmp, path);
+}
+
+/** Every word of every page of @p want reads the same, and is
+ *  touched the same, in @p got. */
+void
+expectSameWords(const MemoryImage &want, const MemoryImage &got)
+{
+    ASSERT_EQ(want.allocatedPages(), got.allocatedPages());
+    std::size_t mismatches = 0;
+    want.forEachPage([&](Addr page, const Word *, const std::uint64_t *) {
+        const Addr base = page * MemoryImage::page_bytes;
+        for (Addr a = base; a < base + MemoryImage::page_bytes; a += 8)
+            if (want.read(a) != got.read(a) ||
+                want.touched(a) != got.touched(a))
+                ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u);
 }
 
 } // namespace
@@ -299,6 +331,101 @@ TEST(TraceArena, RejectsWrongKeyAtSamePath)
     EXPECT_EQ(arena.stats().rejected, 1u);
 }
 
+TEST(TraceArena, RejectsPageIndicesNotStrictlyAscending)
+{
+    // Header fields (trace_arena.cc): the u64 page count at byte 32,
+    // the checksum of everything after the 72-byte header at 64. The
+    // pages are the file's last `pages` entries, each led by its u64
+    // index.
+    constexpr std::size_t entry = sizeof(MemoryImage::StoredPage);
+    TraceArena arena(freshDir("pageorder"));
+    const MaterializedTrace gen = makeTrace();
+    ASSERT_GE(gen.image->allocatedPages(), 2u);
+
+    // Publish under @p key, let @p edit rewrite the first two page
+    // indices, then recompute the checksum: only the ordering check
+    // can object to the result.
+    const auto forge = [&](const std::string &key, auto edit) {
+        ASSERT_TRUE(arena.publish(key, gen));
+        const std::string path = arena.pathFor(key);
+        std::vector<char> bytes = readFile(path);
+        std::uint64_t pages = 0;
+        std::memcpy(&pages, bytes.data() + 32, sizeof(pages));
+        ASSERT_EQ(pages, gen.image->allocatedPages());
+        char *first = bytes.data() + bytes.size() - pages * entry;
+        edit(first, first + entry);
+        const std::uint64_t ck = TraceArena::checksum(
+            reinterpret_cast<const std::uint8_t *>(bytes.data()) + 72,
+            bytes.size() - 72);
+        std::memcpy(bytes.data() + 64, &ck, sizeof(ck));
+        writeFile(path, bytes);
+    };
+    constexpr std::size_t index_bytes = sizeof(std::uint64_t);
+
+    forge("intact-key", [](char *, char *) {});
+    EXPECT_TRUE(arena.tryLoad("intact-key").has_value());
+
+    forge("swapped-key", [](char *first, char *second) {
+        std::swap_ranges(first, first + index_bytes, second);
+    });
+    EXPECT_FALSE(arena.tryLoad("swapped-key").has_value());
+    EXPECT_EQ(arena.stats().rejected, 1u);
+
+    forge("duplicate-key", [](char *first, char *second) {
+        std::memcpy(second, first, index_bytes);
+    });
+    EXPECT_FALSE(arena.tryLoad("duplicate-key").has_value());
+    EXPECT_EQ(arena.stats().rejected, 2u);
+}
+
+TEST(TraceArena, MappedImageReadsEveryWordOfTheGeneratedImage)
+{
+    TraceArena arena(freshDir("words"));
+    const MaterializedTrace gen = makeTrace("mcf", 0, 50'000);
+    ASSERT_TRUE(arena.publish("words-key", gen));
+    const auto loaded = arena.tryLoad("words-key");
+    ASSERT_TRUE(loaded.has_value());
+    expectSameWords(*gen.image, *loaded->image);
+    // Pages the generator never touched read their defaults in both.
+    const Addr untouched = Addr(1) << 40;
+    EXPECT_EQ(loaded->image->read(untouched),
+              MemoryImage::defaultValue(untouched));
+}
+
+TEST(TraceArena, MappedImageOutlivesTraceAndArena)
+{
+    const MaterializedTrace gen = makeTrace();
+    std::shared_ptr<const MemoryImage> image;
+    {
+        TraceArena arena(freshDir("outlive"));
+        ASSERT_TRUE(arena.publish("outlive-key", gen));
+        auto loaded = arena.tryLoad("outlive-key");
+        ASSERT_TRUE(loaded.has_value());
+        image = loaded->image;
+        EXPECT_EQ(image->ownedPages(), 0u);
+    }
+    // The trace, its mapping reference and the arena are gone, and
+    // so is the file: the image's own reference keeps the pages
+    // mapped.
+    std::filesystem::remove_all(tmpPath("outlive"));
+    expectSameWords(*gen.image, *image);
+
+    // A copy owns its pages and can be written; the mapped image is
+    // untouched.
+    MemoryImage copy = *image;
+    EXPECT_EQ(copy.ownedPages(), copy.allocatedPages());
+    std::size_t checked = 0;
+    gen.image->forEachPage([&](Addr page, const Word *,
+                               const std::uint64_t *) {
+        const Addr a = page * MemoryImage::page_bytes + 8;
+        copy.write(a, ~image->read(a));
+        EXPECT_EQ(copy.read(a), ~image->read(a));
+        EXPECT_EQ(image->read(a), gen.image->read(a));
+        ++checked;
+    });
+    EXPECT_GT(checked, 0u);
+}
+
 TEST(TraceArena, ConcurrentDualWriterLeavesOneValidFile)
 {
     const std::string dir = freshDir("dualwrite");
@@ -387,6 +514,15 @@ TEST(TraceArena, BudgetChargesOwnedBytesOnly)
     const std::size_t owned = loaded->footprintOwnedBytes();
     const std::size_t mapped_bytes = loaded->footprintMappedBytes();
     ASSERT_LT(owned, mapped_bytes);
+
+    // Its owned bytes exclude the image pages, which live in the
+    // mapping: only the trace itself and the image's slot table.
+    ASSERT_GT(loaded->image->allocatedPages(), 0u);
+    EXPECT_EQ(loaded->image->ownedPages(), 0u);
+    EXPECT_EQ(owned,
+              sizeof(MaterializedTrace) + loaded->image->ownedBytes());
+    EXPECT_LT(owned, loaded->image->allocatedPages() *
+                         sizeof(MemoryImage::Page));
 
     TraceCache cache;
     cache.setByteBudget(owned + owned / 2);

@@ -1,13 +1,13 @@
 #include "core/scheduler.hh"
 
-#include <cstdint>
 #include <cstdlib>
+#include <unordered_map>
+#include <utility>
 
 #include "core/progress.hh"
 #include "core/result_store.hh"
 #include "core/thread_pool_backend.hh"
 #include "sim/logging.hh"
-#include "sim/options.hh"
 #include "trace/spec_suite.hh"
 #include "trace/trace_arena.hh"
 
@@ -16,19 +16,6 @@ namespace microlib
 
 namespace
 {
-
-/** Effective trace-cache budget: the explicit option, else the
- *  MICROLIB_TRACE_BUDGET_MB environment knob, else unlimited. */
-std::size_t
-resolveTraceBudget(const EngineOptions &opts)
-{
-    if (opts.trace_budget_bytes)
-        return opts.trace_budget_bytes;
-    constexpr std::size_t mib = 1024 * 1024;
-    return envCount("MICROLIB_TRACE_BUDGET_MB", SIZE_MAX / mib)
-               .value_or(0) *
-           mib;
-}
 
 /** Effective arena directory: the explicit option, else the
  *  MICROLIB_TRACE_DIR environment knob, else none. */
@@ -53,7 +40,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions opts)
     if (_opts.shard.index >= _opts.shard.count)
         fatal("EngineOptions::shard.index ", _opts.shard.index,
               " out of range for ", _opts.shard.count, " shard(s)");
-    _cache.setByteBudget(resolveTraceBudget(_opts));
     _opts.trace_dir = resolveTraceDir(opts);
     if (!_opts.trace_dir.empty())
         _cache.setArena(
@@ -92,9 +78,6 @@ ExperimentEngine::materializeInto(TraceCache &cache,
             if (auto mapped = arena->tryLoad(key))
                 return cache.fulfill(key, std::move(*mapped));
         }
-        // Return fulfill()'s own pointer: under a byte budget the
-        // entry can be evicted the moment it lands, so re-looking
-        // the key up (wait()) could panic on an unclaimed key.
         return cache.fulfill(key, std::move(trace));
     } catch (...) {
         cache.fail(key, std::current_exception());
@@ -151,6 +134,25 @@ ExperimentEngine::runPlan(const TaskPlan &plan)
                                       : _opts.store->path());
     }
 
+    // Dedup pass: tasks sharing a ResultKey would simulate the same
+    // run twice (Base under a `mech.*` axis holds one key per
+    // benchmark in every variant). The first pending task of each key
+    // in this process's shard runs; every later one is marked done
+    // now, counted as resumed, and copied from it after execution.
+    std::vector<std::pair<std::size_t, std::size_t>> copies; // later, first
+    {
+        std::unordered_map<std::string, std::size_t> first_of;
+        for (const std::size_t i : plan.pendingTasks(done, _opts.shard)) {
+            const auto [it, fresh] =
+                first_of.emplace(plan.resultKey(i).str(), i);
+            if (!fresh) {
+                copies.emplace_back(i, it->second);
+                done[i] = 1;
+            }
+        }
+    }
+    _last.resumed += copies.size();
+
     ProgressWriter progress(_opts.progress_path);
     const ExecutionContext ctx{*this, _opts,
                                progress.enabled() ? &progress
@@ -176,6 +178,18 @@ ExperimentEngine::runPlan(const TaskPlan &plan)
     }
 
     backend->execute(plan, done, ctx, res, _last);
+    for (const auto &[later, first] : copies) {
+        const PlanTask &from = plan.task(first);
+        const PlanTask &to = plan.task(later);
+        const MatrixResult &src = res.matrix(from.v);
+        MatrixResult &dst = res.matrix(to.v);
+        if (src.faulted(from.m, from.b)) {
+            dst.fault[to.m][to.b] = 1;
+        } else {
+            dst.ipc[to.m][to.b] = src.ipc[from.m][from.b];
+            dst.outputs[to.m][to.b] = src.outputs[from.m][from.b];
+        }
+    }
     // Cumulative unreadable-line count across this store's loads and
     // merges — the durability telemetry behind the checksum field.
     if (_opts.store)

@@ -91,15 +91,6 @@ struct EngineOptions
     std::string progress_path;
 
     /**
-     * Trace-cache byte budget; 0 = read MICROLIB_TRACE_BUDGET_MB
-     * (unset or 0 = unlimited, the default). Under a budget the
-     * cache LRU-evicts ready traces that no pending task references
-     * — full-suite sweeps on small hosts trade re-materialization
-     * time for memory, never correctness.
-     */
-    std::size_t trace_budget_bytes = 0;
-
-    /**
      * Persistent trace-arena directory (trace/trace_arena.hh); empty
      * = read MICROLIB_TRACE_DIR (unset or empty = no arena, the
      * default). With an arena, trace owners probe the directory
@@ -138,8 +129,10 @@ class ExperimentEngine
      * Run the sweep @p spec describes: benchmarks x mechanisms x
      * config variants. The primary entry point — every result lands
      * in its deterministic (m, b, variant) slot regardless of
-     * backend, worker count or scheduling order. Not reentrant: one
-     * run() at a time per engine.
+     * backend, worker count or scheduling order. Tasks that share a
+     * ResultKey execute once: later ones are copied from the first
+     * and counted as resumed. Not reentrant: one run() at a time per
+     * engine.
      */
     SweepResult run(const SweepSpec &spec);
 

@@ -65,7 +65,7 @@ TaskPlan::TaskPlan(const SweepSpec &spec)
 
     // Trace slots: unique (benchmark, window) pairs. Variants that
     // leave the window untouched map to one slot, so the backends
-    // materialize (and refcount) each shared trace exactly once.
+    // materialize each shared trace exactly once.
     const std::size_t V = _cfgs.size();
     _task_slot.resize(_benchmarks.size() * V);
     std::unordered_map<std::string, std::size_t> slot_of;
@@ -217,17 +217,6 @@ TaskPlan::lockstepGroups(const std::vector<char> &done,
         groups[it->second].push_back(i);
     }
     return groups;
-}
-
-std::vector<std::size_t>
-TaskPlan::pendingPerTraceSlot(const std::vector<char> &done,
-                              const ShardSpec &shard) const
-{
-    std::vector<std::size_t> counts(traceSlotCount(), 0);
-    for (std::size_t i = 0; i < _tasks.size(); ++i)
-        if (!done[i] && inShard(i, shard))
-            ++counts[traceSlot(i)];
-    return counts;
 }
 
 std::vector<std::size_t>

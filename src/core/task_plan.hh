@@ -26,10 +26,9 @@
  *
  * Variants that leave the trace window untouched share a benchmark's
  * materialized trace: the plan groups tasks into *trace slots* —
- * unique (benchmark, window) pairs — and execution backends refcount
- * those slots, so a window shared by eight L2-size variants is
- * materialized exactly once and released when the last of them
- * drains.
+ * unique (benchmark, window) pairs — and execution backends claim
+ * traces per slot, so a window shared by eight L2-size variants is
+ * materialized exactly once.
  *
  * The plan also owns the resume logic: prefill() fills every result
  * slot whose record already exists in a ResultStore and marks the
@@ -135,7 +134,7 @@ class TaskPlan
     }
 
     /** Number of unique (benchmark, trace window) pairs — the unit
-     *  of trace materialization and refcounting. */
+     *  of trace materialization. */
     std::size_t traceSlotCount() const { return _slot_keys.size(); }
 
     /** The trace slot task @p index draws its trace from. Variants
@@ -222,18 +221,6 @@ class TaskPlan
     std::vector<std::vector<std::size_t>>
     lockstepGroups(const std::vector<char> &done,
                    const ShardSpec &shard) const;
-
-    /**
-     * Per-trace-slot count of tasks still to execute: not marked in
-     * @p done and inside @p shard. Execution backends use this as the
-     * trace refcount — a slot's trace becomes evictable exactly when
-     * its count drains to zero, and a slot whose count starts at zero
-     * is never materialized at all. Variants sharing a window are
-     * counted in one slot, so a shared trace is materialized once.
-     */
-    std::vector<std::size_t>
-    pendingPerTraceSlot(const std::vector<char> &done,
-                        const ShardSpec &shard) const;
 
     /**
      * Per-benchmark count of tasks still to execute: not marked in

@@ -37,8 +37,8 @@ struct DeferredGroup
 /**
  * Shared scheduling state for one execute(). The group list follows
  * the plan's canonical order (first pending member's index), so one
- * benchmark's groups stay contiguous and its trace can be released
- * soon after its block drains. Pipelining across benchmarks still
+ * benchmark's groups stay contiguous and run back to back over its
+ * cached trace. Pipelining across benchmarks still
  * happens: workers that find a trace in flight defer those groups (a
  * mutex-bump per group, no simulation work) and fall through to the
  * next benchmark's block, whose trace they materialize concurrently.
@@ -56,10 +56,6 @@ struct ThreadPoolBackend::State
     /** Total pending member tasks (progress/ETA stay in task units,
      *  one event per member, whatever the grouping). */
     std::size_t pending_count = 0;
-    /** Unfinished pending tasks per trace slot: the plan-aware trace
-     *  refcount (resumed and out-of-shard tasks never count, and
-     *  variants sharing a window share the slot). */
-    std::vector<std::size_t> remaining;
     /** This process's per-benchmark task count and executed-so-far —
      *  progress counters in shard-local units, so a finished shard
      *  reports bench_done == bench_total for every benchmark it
@@ -81,7 +77,6 @@ struct ThreadPoolBackend::State
           std::size_t resumed_count)
         : plan(p), ctx(c), res(r),
           groups(p.lockstepGroups(done_mask, c.opts.shard)),
-          remaining(p.pendingPerTraceSlot(done_mask, c.opts.shard)),
           bench_total(p.pendingPerBenchmark(done_mask, c.opts.shard)),
           bench_done(p.benchmarks().size(), 0), resumed(resumed_count)
     {
@@ -266,17 +261,11 @@ ThreadPoolBackend::drain(State &st)
 
             std::size_t done_now = 0;
             std::size_t bench_done_now = 0;
-            bool last_of_slot = false;
             {
                 std::unique_lock<std::mutex> lock(st.mu);
                 done_now = ++st.done_count;
                 bench_done_now = ++st.bench_done[task.b];
-                last_of_slot = --st.remaining[slot] == 0;
             }
-            // No pending task references this trace anymore: release
-            // it for byte-budget eviction.
-            if (last_of_slot)
-                cache.unpin(key);
             if (st.ctx.progress) {
                 const double elapsed = secondsSince(st.start);
                 const double eta =
@@ -340,19 +329,6 @@ ThreadPoolBackend::execute(const TaskPlan &plan,
     counters.skipped =
         plan.pendingTasks(done, ShardSpec{}).size() - st.pending_count;
 
-    TraceCache &cache = ctx.engine.cache();
-    // Pin every trace slot this process will materialize: the byte
-    // budget may evict only traces the remaining plan no longer
-    // references. Balanced by unpin in drain() (last task of the
-    // slot) or by the sweep below on the error path.
-    std::vector<char> pinned(plan.traceSlotCount(), 0);
-    for (std::size_t s = 0; s < plan.traceSlotCount(); ++s) {
-        if (st.remaining[s] > 0) {
-            cache.pin(plan.slotKey(s));
-            pinned[s] = 1;
-        }
-    }
-
     // Failures are captured, never thrown across the pool: every
     // worker must come home before State leaves scope.
     auto guarded = [this, &st] {
@@ -369,15 +345,6 @@ ThreadPoolBackend::execute(const TaskPlan &plan,
         pool.submit(guarded);
     guarded(); // the calling thread is worker zero
     pool.wait();
-
-    // Error path: slots whose tasks never all finished still hold
-    // their pin; release them so the cache budget stays honest.
-    {
-        std::unique_lock<std::mutex> lock(st.mu);
-        for (std::size_t s = 0; s < plan.traceSlotCount(); ++s)
-            if (pinned[s] && st.remaining[s] > 0)
-                cache.unpin(plan.slotKey(s));
-    }
 
     counters.executed = st.done_count;
     if (st.error)

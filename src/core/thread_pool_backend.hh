@@ -15,18 +15,17 @@
  *  - only when no other work exists does a worker wait on a trace's
  *    shared_future.
  *
- * Results, persistence, progress counters and trace refcounts stay
- * per *task* (per group member): each member is persisted and
- * published into its own pre-assigned slot the moment its group
- * finishes, one `run` progress event per member.
+ * Results, persistence and progress counters stay per *task* (per
+ * group member): each member is persisted and published into its own
+ * pre-assigned slot the moment its group finishes, one `run` progress
+ * event per member.
  *
- * Trace refcounts are plan-aware and counted per *trace slot* — the
- * plan's unique (benchmark, window) pairs, so config variants that
- * share a window are counted once. The per-slot pending count comes
- * from the plan (resumed and out-of-shard tasks excluded), so a
- * slot's trace is unpinned for byte-budget eviction the moment its
- * last task *this process will ever run* completes, and a slot with
- * nothing pending is never materialized at all.
+ * Traces are claimed per *trace slot* — the plan's unique (benchmark,
+ * window) pairs, so config variants that share a window share one
+ * materialization — and only for groups this process will run, so a
+ * slot with nothing pending (resumed or out of shard) is never
+ * materialized at all. Claimed traces stay in the engine's cache
+ * until it is cleared or destroyed.
  *
  * This is the leaf executor every other backend bottoms out in: a
  * ProcessShardBackend worker is just a fresh engine running this

@@ -88,7 +88,6 @@ runWorkerLoop(const WorkerOptions &wopts)
     opts.threads = wopts.threads;
     opts.verbose = wopts.verbose;
     opts.trace_dir = wopts.trace_dir;
-    opts.trace_budget_bytes = wopts.trace_budget_bytes;
     opts.store = &store;
     ExperimentEngine engine(opts);
     // Progress sinks to the daemon socket: the same JSONL events a

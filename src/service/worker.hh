@@ -41,7 +41,6 @@ struct WorkerOptions
     unsigned threads = 0;   ///< simulation threads (0 = default)
     bool verbose = false;
     std::string trace_dir;  ///< trace arena (shared with siblings)
-    std::size_t trace_budget_bytes = 0;
     double idle_poll_s = 0.2; ///< sleep between empty leases
 };
 

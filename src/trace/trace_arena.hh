@@ -60,8 +60,8 @@ namespace microlib
 /** RAII read-only mmap of one arena file. MaterializedTrace holds a
  *  shared_ptr to keep the borrowed column spans alive, and a mapped
  *  trace's MemoryImage another for its pages; the last release
- *  munmaps (a budget "eviction" of a mapped trace frees
- *  address space only — the OS page cache owns the bytes). */
+ *  munmaps (evicting a mapped trace frees address space only —
+ *  the OS page cache owns the bytes). */
 class MappedFile
 {
   public:

@@ -8,41 +8,6 @@
 namespace microlib
 {
 
-void
-TraceCache::touchLocked(const std::string &key)
-{
-    auto it = _resident.find(key);
-    if (it != _resident.end())
-        it->second.last_use = ++_use_clock;
-}
-
-void
-TraceCache::enforceBudgetLocked()
-{
-    if (!_budget_bytes)
-        return;
-    while (_resident_bytes > _budget_bytes) {
-        // LRU over ready, unpinned entries only. Linear scan: the
-        // cache holds at most a few dozen benchmark windows and
-        // eviction is off the simulation path.
-        auto victim = _resident.end();
-        for (auto it = _resident.begin(); it != _resident.end();
-             ++it) {
-            auto pin = _pins.find(it->first);
-            if (pin != _pins.end() && pin->second > 0)
-                continue;
-            if (victim == _resident.end() ||
-                it->second.last_use < victim->second.last_use)
-                victim = it;
-        }
-        if (victim == _resident.end())
-            return; // everything left is pinned: budget must yield
-        _resident_bytes -= victim->second.bytes;
-        _traces.erase(victim->first);
-        _resident.erase(victim);
-    }
-}
-
 TraceCache::Claim
 TraceCache::claim(const std::string &key, Future &out)
 {
@@ -50,12 +15,10 @@ TraceCache::claim(const std::string &key, Future &out)
     auto it = _traces.find(key);
     if (it != _traces.end()) {
         out = it->second;
-        const bool done =
-            out.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready;
-        if (done)
-            touchLocked(key);
-        return done ? Claim::Ready : Claim::Pending;
+        return out.wait_for(std::chrono::seconds(0)) ==
+                       std::future_status::ready
+                   ? Claim::Ready
+                   : Claim::Pending;
     }
     std::promise<TracePtr> promise;
     out = promise.get_future().share();
@@ -67,11 +30,6 @@ TraceCache::claim(const std::string &key, Future &out)
 TraceCache::TracePtr
 TraceCache::fulfill(const std::string &key, MaterializedTrace trace)
 {
-    // Charge only heap-owned bytes: a mapped trace's columns belong
-    // to the OS page cache, which reclaims them under pressure
-    // without our help. Evicting a mapped entry therefore just drops
-    // the mapping (munmap via the last shared_ptr release).
-    const std::size_t bytes = trace.footprintOwnedBytes();
     TracePtr ptr =
         std::make_shared<const MaterializedTrace>(std::move(trace));
     std::promise<TracePtr> promise;
@@ -82,9 +40,6 @@ TraceCache::fulfill(const std::string &key, MaterializedTrace trace)
             panic("fulfill() without claim() for trace key ", key);
         promise = std::move(it->second);
         _inflight.erase(it);
-        _resident[key] = {bytes, ++_use_clock};
-        _resident_bytes += bytes;
-        enforceBudgetLocked();
     }
     promise.set_value(ptr);
     return ptr;
@@ -126,7 +81,6 @@ TraceCache::wait(const std::string &key) const
         if (it == _traces.end())
             panic("wait() on unclaimed trace key ", key);
         fut = it->second;
-        const_cast<TraceCache *>(this)->touchLocked(key);
     }
     return fut.get();
 }
@@ -158,11 +112,6 @@ TraceCache::evict(const std::string &key)
     if (_inflight.count(key))
         panic("evict() of in-flight trace key ", key);
     _traces.erase(key);
-    auto it = _resident.find(key);
-    if (it != _resident.end()) {
-        _resident_bytes -= it->second.bytes;
-        _resident.erase(it);
-    }
 }
 
 void
@@ -172,51 +121,6 @@ TraceCache::clear()
     if (!_inflight.empty())
         panic("clear() with in-flight trace materializations");
     _traces.clear();
-    _resident.clear();
-    _resident_bytes = 0;
-}
-
-void
-TraceCache::setByteBudget(std::size_t bytes)
-{
-    std::unique_lock<std::mutex> lock(_mu);
-    _budget_bytes = bytes;
-    enforceBudgetLocked();
-}
-
-std::size_t
-TraceCache::byteBudget() const
-{
-    std::unique_lock<std::mutex> lock(_mu);
-    return _budget_bytes;
-}
-
-std::size_t
-TraceCache::residentBytes() const
-{
-    std::unique_lock<std::mutex> lock(_mu);
-    return _resident_bytes;
-}
-
-void
-TraceCache::pin(const std::string &key)
-{
-    std::unique_lock<std::mutex> lock(_mu);
-    ++_pins[key];
-}
-
-void
-TraceCache::unpin(const std::string &key)
-{
-    std::unique_lock<std::mutex> lock(_mu);
-    auto it = _pins.find(key);
-    if (it == _pins.end())
-        panic("unpin() without pin() for trace key ", key);
-    if (--it->second == 0) {
-        _pins.erase(it);
-        // The key just became an eviction candidate.
-        enforceBudgetLocked();
-    }
 }
 
 std::size_t

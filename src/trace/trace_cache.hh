@@ -17,27 +17,19 @@
  * or writes the arena — owners do (see
  * ExperimentEngine::materializeInto): they probe the arena before
  * materializing and publish after, then fulfill() the cache with the
- * resulting trace, mapped or generated. fulfill() charges only a
- * trace's *owned* heap bytes against the byte budget: a generated
- * trace pays for its columns and image pages, a mapped one only for
- * its image's slot table and bookkeeping. A mapped trace's column
- * and image-page bytes live in the OS page cache, so evicting it
- * merely unmaps — the file stays warm for the next claim.
+ * resulting trace, mapped or generated. A mapped trace's column and
+ * image-page bytes live in the OS page cache, which reclaims them
+ * under pressure, so an arena (`--trace-dir`) is what bounds trace
+ * memory on a small host; evicting a mapped entry merely unmaps — the
+ * file stays warm for the next claim.
  *
  * This subsumes the old process-wide `simpoint_cache` map in
  * experiment.cc, which was written from multiple worker threads with
  * no synchronization at all.
  *
- * Byte budget (off by default): setByteBudget() caps the resident
- * bytes of *ready* traces. When an insertion or an unpin pushes the
- * total over the budget, least-recently-used entries are evicted —
- * but only entries that are not pinned. The experiment engine pins
- * each benchmark's key while the remaining TaskPlan still references
- * it and unpins on the benchmark's last pending run, so budget
- * eviction can only touch traces no pending task needs: full-suite
- * sweeps on small hosts trade re-materialization time for memory,
- * never correctness. In-flight entries are never evicted, and
- * holders of a shared_ptr keep evicted traces alive regardless.
+ * Lifetime: a ready trace stays cached until evict() or clear() drops
+ * it, or the cache is destroyed. In-flight entries are never dropped,
+ * and holders of a shared_ptr keep an evicted trace alive regardless.
  */
 
 #ifndef MICROLIB_TRACE_TRACE_CACHE_HH
@@ -83,9 +75,7 @@ class TraceCache
     Claim claim(const std::string &key, Future &out);
 
     /** Publish the owner's materialized trace for @p key and return
-     *  it. Owners use the returned pointer (or their claim()-time
-     *  future) rather than re-looking the key up: under a byte
-     *  budget the entry may be evicted as soon as it lands. */
+     *  it. */
     TracePtr fulfill(const std::string &key, MaterializedTrace trace);
 
     /** Propagate a materialization failure to all waiters of @p key. */
@@ -109,32 +99,6 @@ class TraceCache
     /** Drop @p key (no-op when absent). In-flight waiters keep their
      *  shared_future alive; only the cache's reference is released. */
     void evict(const std::string &key);
-
-    /**
-     * Cap resident ready-trace bytes at @p bytes (0 = unlimited,
-     * the default). Enforced immediately and on every fulfill() and
-     * final unpin(). Pinned and in-flight entries never count as
-     * eviction candidates (they do count toward residency).
-     */
-    void setByteBudget(std::size_t bytes);
-
-    /** The current budget (0 = unlimited). */
-    std::size_t byteBudget() const;
-
-    /** Estimated resident bytes of all ready traces. */
-    std::size_t residentBytes() const;
-
-    /**
-     * Protect @p key from budget eviction. Pins are counted and may
-     * precede the entry's claim/fulfill (the engine pins every
-     * benchmark of a plan up front). Each pin() must be balanced by
-     * one unpin().
-     */
-    void pin(const std::string &key);
-
-    /** Drop one pin of @p key; at zero the entry becomes an eviction
-     *  candidate and the budget is re-enforced. */
-    void unpin(const std::string &key);
 
     /** Drop every trace entry (SimPoint choices are kept: they are a
      *  few dozen bytes each and expensive to recompute). */
@@ -165,31 +129,10 @@ class TraceCache
     static TraceCache &process();
 
   private:
-    /** Budget metadata for one ready trace. */
-    struct Residency
-    {
-        std::size_t bytes = 0;
-        std::uint64_t last_use = 0; ///< LRU stamp (_use_clock)
-    };
-
-    /** Bump @p key's LRU stamp. Caller holds _mu. */
-    void touchLocked(const std::string &key);
-
-    /** Evict LRU unpinned ready entries until the budget holds.
-     *  Caller holds _mu. */
-    void enforceBudgetLocked();
-
     mutable std::mutex _mu;
     std::unordered_map<std::string, Future> _traces;
     /** Promises for entries still being materialized by their owner. */
     std::unordered_map<std::string, std::promise<TracePtr>> _inflight;
-    /** Bytes + LRU stamp per ready trace. */
-    std::unordered_map<std::string, Residency> _resident;
-    /** Pin counts (keys may be pinned before they exist). */
-    std::unordered_map<std::string, std::size_t> _pins;
-    std::size_t _budget_bytes = 0;   ///< 0 = unlimited
-    std::size_t _resident_bytes = 0; ///< sum over _resident
-    std::uint64_t _use_clock = 0;    ///< monotonic LRU counter
     /** Optional persistent tier-2 backing (may be shared across
      *  engines and, via a common directory, across processes). */
     std::shared_ptr<TraceArena> _arena;

@@ -95,32 +95,6 @@ class TraceSoA
     std::size_t size() const { return view().n; }
     bool empty() const { return size() == 0; }
 
-    /** Heap bytes *owned* by the parallel arrays (trace-cache byte
-     *  budget accounting). Zero in borrowing mode — the bytes behind
-     *  a borrowed view belong to the mapping (OS page cache), not
-     *  this process's heap. */
-    std::size_t
-    footprintBytes() const
-    {
-        return _pc.capacity() * sizeof(std::uint32_t) +
-               _addr.capacity() * sizeof(std::uint32_t) +
-               _value.capacity() * sizeof(Word) +
-               _op.capacity() * sizeof(OpClass) +
-               _dep1.capacity() * sizeof(std::uint8_t) +
-               _dep2.capacity() * sizeof(std::uint8_t);
-    }
-
-    /** Bytes the borrowed column spans address (0 in owning mode). */
-    std::size_t
-    footprintMappedBytes() const
-    {
-        if (!borrowed())
-            return 0;
-        return _borrowed.n *
-               (sizeof(std::uint32_t) * 2 + sizeof(Word) +
-                sizeof(OpClass) + sizeof(std::uint8_t) * 2);
-    }
-
   private:
     std::vector<std::uint32_t> _pc;
     std::vector<std::uint32_t> _addr;

@@ -1,15 +1,7 @@
 #include "trace/window.hh"
 
-#include "trace/trace_arena.hh"
-
 namespace microlib
 {
-
-std::size_t
-MaterializedTrace::footprintMappedBytes() const
-{
-    return mapping ? mapping->size() : 0;
-}
 
 MaterializedTrace
 materialize(const SpecProgram &prog, const TraceWindow &window)

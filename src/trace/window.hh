@@ -53,38 +53,6 @@ struct MaterializedTrace
     /** Whether the SoA columns live in an arena mmap rather than
      *  this process's heap. */
     bool mapped() const { return mapping != nullptr; }
-
-    /**
-     * Estimated *heap-owned* resident bytes: owned SoA arrays + the
-     * memory image's owned pages and slot table. This — not the
-     * mapped bytes — is what the trace cache charges against its
-     * byte budget (MICROLIB_TRACE_BUDGET_MB): the OS page cache owns
-     * a mapping's bytes and reclaims them under pressure on its own,
-     * so a mapped trace, whose columns and image pages both live in
-     * the mapping, costs the budget only its slot table and
-     * bookkeeping. An estimate is fine — the budget bounds memory,
-     * it does not account it to the byte.
-     */
-    std::size_t
-    footprintOwnedBytes() const
-    {
-        std::size_t bytes = sizeof(*this);
-        bytes += soa.footprintBytes();
-        if (image)
-            bytes += image->ownedBytes();
-        return bytes;
-    }
-
-    /** Bytes addressed through the arena mapping (0 when not
-     *  mapped). Defined in window.cc (needs MappedFile's size). */
-    std::size_t footprintMappedBytes() const;
-
-    /** Total resident estimate, owned + mapped. */
-    std::size_t
-    footprintBytes() const
-    {
-        return footprintOwnedBytes() + footprintMappedBytes();
-    }
 };
 
 /**

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "core/result_store.hh"
 #include "core/scheduler.hh"
+#include "core/task_plan.hh"
 
 using namespace microlib;
 
@@ -201,4 +203,62 @@ TEST(Resume, MemoryStoreResumesWithinProcess)
     const MatrixResult again = runWithStore(2, cfg, &store, counts);
     EXPECT_EQ(counts.executed, 0u);
     expectIdentical(first, again);
+}
+
+TEST(Resume, SharedKeysWithinOnePlanExecuteOnce)
+{
+    // Base builds no mechanism, so a mech.* axis leaves its key
+    // unchanged: both variants hold the same Base key per benchmark.
+    // Only the first executes; the later slot is a bit-identical copy.
+    SweepSpec spec;
+    std::string error;
+    ASSERT_TRUE(SweepSpec::parse("sweep-spec v1\n"
+                                 "bench swim gzip\n"
+                                 "mech Base GHB\n"
+                                 "base window.trace_length=100000\n"
+                                 "base window.interval=100000\n"
+                                 "axis mech.second_guess 0 1\n",
+                                 spec, &error))
+        << error;
+    const TaskPlan plan(spec);
+    ASSERT_EQ(plan.size(), 8u);
+    std::vector<std::string> keys;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        const std::string key = plan.resultKey(i).str();
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            keys.push_back(key);
+    }
+    ASSERT_EQ(keys.size(), 6u); // GHB x 2 variants x 2 + Base x 2
+
+    ResultStore store;
+    EngineOptions opts;
+    opts.threads = 2;
+    opts.store = &store;
+    ExperimentEngine engine(opts);
+    const SweepResult res = engine.runPlan(plan);
+    const RunCounters &counts = engine.lastRun();
+    EXPECT_EQ(counts.executed, keys.size());
+    EXPECT_EQ(counts.resumed, plan.size() - keys.size());
+    EXPECT_EQ(counts.total(), plan.size());
+
+    ASSERT_EQ(res.matrices.size(), 2u);
+    const MatrixResult &v0 = res.matrices[0];
+    const MatrixResult &v1 = res.matrices[1];
+    const std::size_t base = v0.mechIndex("Base");
+    for (std::size_t b = 0; b < v0.benchmarks.size(); ++b) {
+        const RunOutput &want = v0.outputs[base][b];
+        const RunOutput &got = v1.outputs[base][b];
+        EXPECT_GT(want.core.instructions, 0u);
+        EXPECT_EQ(v1.ipc[base][b], v0.ipc[base][b]);
+        EXPECT_EQ(got.core.instructions, want.core.instructions);
+        EXPECT_EQ(got.core.cycles, want.core.cycles);
+        EXPECT_EQ(got.core.ipc, want.core.ipc);
+        EXPECT_EQ(got.core.loads, want.core.loads);
+        EXPECT_EQ(got.core.stores, want.core.stores);
+        EXPECT_EQ(got.core.branches, want.core.branches);
+        EXPECT_EQ(got.core.mispredicts, want.core.mispredicts);
+        EXPECT_EQ(got.stats, want.stats);
+        EXPECT_EQ(got.benchmark, want.benchmark);
+        EXPECT_EQ(got.mechanism, "Base");
+    }
 }

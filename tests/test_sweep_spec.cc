@@ -213,7 +213,7 @@ TEST(SweepSpec, TraceSlotsSharedAcrossNonWindowVariants)
 {
     // An L2-size axis leaves the trace window untouched: both
     // variants of each benchmark must share one trace slot, so the
-    // trace is materialized (and refcounted) once.
+    // trace is materialized once.
     const TaskPlan plan(twoVariantSpec());
     EXPECT_EQ(plan.variantCount(), 2u);
     EXPECT_EQ(plan.size(), 8u);

@@ -1,8 +1,8 @@
 /** @file Persistent trace arena: publish→tryLoad round-trips are
  *  bit-identical, corrupted/truncated/foreign files are rejected and
  *  transparently regenerated, concurrent writers leave one valid
- *  file, mapped traces charge only owned bytes to the cache budget,
- *  and warm engine runs (thread-pool and forked shards alike)
+ *  file, mapped traces borrow their columns and image pages from
+ *  the mapping, and warm engine runs (thread-pool and forked shards alike)
  *  reproduce cold results byte-for-byte with zero src=gen events. */
 
 #include <gtest/gtest.h>
@@ -237,11 +237,16 @@ TEST(TraceArena, PublishLoadRoundTripIsBitIdentical)
     // spans the whole file.
     EXPECT_TRUE(loaded->mapped());
     EXPECT_TRUE(loaded->soa.borrowed());
-    EXPECT_EQ(loaded->soa.footprintBytes(), 0u);
-    EXPECT_EQ(loaded->footprintMappedBytes(),
+    EXPECT_EQ(loaded->mapping->size(),
               std::filesystem::file_size(arena.pathFor(key)));
-    EXPECT_LT(loaded->footprintOwnedBytes(), gen.footprintOwnedBytes());
     EXPECT_FALSE(gen.mapped());
+
+    // The image pages live in the mapping too: the image owns only
+    // its slot table.
+    ASSERT_GT(loaded->image->allocatedPages(), 0u);
+    EXPECT_EQ(loaded->image->ownedPages(), 0u);
+    EXPECT_LT(loaded->image->ownedBytes(),
+              loaded->image->allocatedPages() * sizeof(MemoryImage::Page));
 
     const TraceArenaStats stats = arena.stats();
     EXPECT_EQ(stats.published, 1u);
@@ -496,45 +501,6 @@ TEST(TraceArena, MaterializeIntoRegeneratesOverCorruption)
         third, key, "swim", cfg, &origin);
     EXPECT_EQ(origin, TraceOrigin::Mapped);
     expectSameTrace(*first, *mapped);
-}
-
-TEST(TraceArena, BudgetChargesOwnedBytesOnly)
-{
-    TraceArena arena(freshDir("budget"));
-    const std::string key = "budget-key";
-    const MaterializedTrace gen = makeTrace("swim", 0, 100'000);
-    ASSERT_TRUE(arena.publish(key, gen));
-    auto loaded = arena.tryLoad(key);
-    ASSERT_TRUE(loaded.has_value());
-
-    // A budget far below the trace's mapped footprint but above its
-    // owned footprint: the mapped entry must stay resident, because
-    // fulfill() charges owned bytes only (the OS page cache owns the
-    // mapping's bytes).
-    const std::size_t owned = loaded->footprintOwnedBytes();
-    const std::size_t mapped_bytes = loaded->footprintMappedBytes();
-    ASSERT_LT(owned, mapped_bytes);
-
-    // Its owned bytes exclude the image pages, which live in the
-    // mapping: only the trace itself and the image's slot table.
-    ASSERT_GT(loaded->image->allocatedPages(), 0u);
-    EXPECT_EQ(loaded->image->ownedPages(), 0u);
-    EXPECT_EQ(owned,
-              sizeof(MaterializedTrace) + loaded->image->ownedBytes());
-    EXPECT_LT(owned, loaded->image->allocatedPages() *
-                         sizeof(MemoryImage::Page));
-
-    TraceCache cache;
-    cache.setByteBudget(owned + owned / 2);
-    TraceCache::Future fut;
-    ASSERT_EQ(cache.claim(key, fut), TraceCache::Claim::Owner);
-    cache.fulfill(key, std::move(*loaded));
-    EXPECT_TRUE(cache.ready(key));
-    EXPECT_EQ(cache.residentBytes(), owned);
-    EXPECT_LE(cache.residentBytes(), cache.byteBudget());
-
-    // The same budget cannot hold the generated (heap-owned) copy.
-    ASSERT_GT(gen.footprintOwnedBytes(), cache.byteBudget());
 }
 
 TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)

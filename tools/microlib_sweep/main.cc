@@ -64,7 +64,6 @@ struct SweepArgs
     std::vector<std::pair<std::string, std::vector<std::string>>> axes;
     std::string store_path;
     std::optional<std::string> report; // "" or "-" = stdout
-    std::size_t trace_budget_mb = 0;
     bool prewarm_traces = false; // materialize arena, skip simulation
     std::string backend = "thread";
     std::string service_addr; // --service ADDR (daemon address)
@@ -147,10 +146,6 @@ sweepOptions(SweepArgs &args)
         .add(shared_flags::retries, supervision.max_worker_retries)
         .add(shared_flags::strikes, supervision.quarantine_strikes)
         .add(shared_flags::threads, args.engine.threads)
-        .add("--trace-budget-mb", "N",
-             "trace-cache byte budget; 0 = MICROLIB_TRACE_BUDGET_MB or "
-             "unlimited",
-             args.trace_budget_mb)
         .add(shared_flags::trace_dir, args.engine.trace_dir)
         .add(shared_flags::progress, args.engine.progress_path)
         .add(shared_flags::verbose, args.engine.verbose)
@@ -301,7 +296,6 @@ main(int argc, char **argv)
     if (const auto status = table.parse(argc, argv))
         return *status;
     EngineOptions &opts = args.engine;
-    opts.trace_budget_bytes = args.trace_budget_mb * 1024 * 1024;
 
     if (!args.worker.service.empty()) {
         // Worker mode: no spec of our own — the daemon hands us
@@ -311,7 +305,6 @@ main(int argc, char **argv)
         w.threads = opts.threads;
         w.verbose = opts.verbose;
         w.trace_dir = opts.trace_dir;
-        w.trace_budget_bytes = opts.trace_budget_bytes;
         return runWorkerLoop(w);
     }
 

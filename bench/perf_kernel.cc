@@ -264,6 +264,8 @@ BM_TraceSkip(benchmark::State &state, const char *program)
 }
 BENCHMARK_CAPTURE(BM_TraceSkip, swim, "swim");
 BENCHMARK_CAPTURE(BM_TraceSkip, pchase, "pchase");
+// mcf's chase region is the suite's largest (32 MiB).
+BENCHMARK_CAPTURE(BM_TraceSkip, mcf, "mcf");
 
 // --- The SoA block loop over a prebuilt TraceView. ---
 //

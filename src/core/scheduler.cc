@@ -1,7 +1,6 @@
 #include "core/scheduler.hh"
 
 #include <cstdlib>
-#include <unordered_map>
 #include <utility>
 
 #include "core/progress.hh"
@@ -134,23 +133,12 @@ ExperimentEngine::runPlan(const TaskPlan &plan)
                                       : _opts.store->path());
     }
 
-    // Dedup pass: tasks sharing a ResultKey would simulate the same
-    // run twice (Base under a `mech.*` axis holds one key per
-    // benchmark in every variant). The first pending task of each key
-    // in this process's shard runs; every later one is marked done
-    // now, counted as resumed, and copied from it after execution.
-    std::vector<std::pair<std::size_t, std::size_t>> copies; // later, first
-    {
-        std::unordered_map<std::string, std::size_t> first_of;
-        for (const std::size_t i : plan.pendingTasks(done, _opts.shard)) {
-            const auto [it, fresh] =
-                first_of.emplace(plan.resultKey(i).str(), i);
-            if (!fresh) {
-                copies.emplace_back(i, it->second);
-                done[i] = 1;
-            }
-        }
-    }
+    // Dedup pass: the first pending task of each ResultKey in this
+    // process's shard runs; every later one is marked done now,
+    // counted as resumed, and copied from it after execution.
+    const auto copies = plan.sharedKeyTasks(done, _opts.shard);
+    for (const auto &copy : copies)
+        done[copy.first] = 1;
     _last.resumed += copies.size();
 
     ProgressWriter progress(_opts.progress_path);

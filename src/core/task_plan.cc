@@ -154,6 +154,20 @@ TaskPlan::pendingTasks(const std::vector<char> &done,
     return out;
 }
 
+std::vector<std::pair<std::size_t, std::size_t>>
+TaskPlan::sharedKeyTasks(const std::vector<char> &done,
+                         const ShardSpec &shard) const
+{
+    std::vector<std::pair<std::size_t, std::size_t>> shared;
+    std::unordered_map<std::string, std::size_t> first_of;
+    for (const std::size_t i : pendingTasks(done, shard)) {
+        const auto [it, fresh] = first_of.emplace(resultKey(i).str(), i);
+        if (!fresh)
+            shared.emplace_back(i, it->second);
+    }
+    return shared;
+}
+
 std::size_t
 TaskPlan::prefill(const ResultStore &store, SweepResult &res,
                   std::vector<char> &done) const

@@ -40,6 +40,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -179,6 +180,18 @@ class TaskPlan
     std::vector<std::size_t>
     pendingTasks(const std::vector<char> &done,
                  const ShardSpec &shard) const;
+
+    /**
+     * The pending tasks of @p shard (pendingTasks()) that share their
+     * ResultKey with an earlier one, each paired with the first
+     * pending task of that key: (later, first), in plan order. A
+     * later task needs no run of its own, since its record is the
+     * first task's (Base under a `mech.*` axis holds one key per
+     * benchmark in every variant).
+     */
+    std::vector<std::pair<std::size_t, std::size_t>>
+    sharedKeyTasks(const std::vector<char> &done,
+                   const ShardSpec &shard) const;
 
     /**
      * Resume pre-fill: for every task whose fingerprinted record

@@ -21,6 +21,19 @@ ServiceJob::ServiceJob(const SweepSpec &spec,
 {
 }
 
+std::vector<std::size_t>
+ServiceJob::quarantined() const
+{
+    std::vector<std::size_t> out;
+    for (const std::size_t q : queue.quarantined()) {
+        out.push_back(q);
+        for (const auto &[later, first] : shared)
+            if (first == q)
+                out.push_back(later);
+    }
+    return out;
+}
+
 int
 ServiceJob::exitCode() const
 {
@@ -41,7 +54,11 @@ JobTable::submit(const SweepSpec &spec, ResultStore &store,
     // an earlier job or an offline sweep merged in — fills its slot
     // now and never queues.
     job->prefilled = job->plan.prefill(store, job->res, job->done);
-    job->queue.reset(job->plan.pendingTasks(job->done, ShardSpec{}));
+    job->shared = job->plan.sharedKeyTasks(job->done, ShardSpec{});
+    std::vector<char> unqueued = job->done;
+    for (const auto &pair : job->shared)
+        unqueued[pair.first] = 1;
+    job->queue.reset(job->plan.pendingTasks(unqueued, ShardSpec{}));
     job->completed = job->queue.done();
     ServiceJob *raw = job.get();
     _jobs.emplace(id, std::move(job));

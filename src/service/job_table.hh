@@ -14,7 +14,11 @@
  *    global result store before anything queues (dedup counted in
  *    `prefilled`), so tasks any previous job — or any merged
  *    offline sweep — already ran are never re-queued. A submit
- *    whose every task prefills completes instantly.
+ *    whose every task prefills completes instantly. Of the tasks
+ *    left, only the first of each ResultKey queues
+ *    (TaskPlan::sharedKeyTasks, the engine's own in-plan dedup);
+ *    the later ones fill by prefill when its record is absorbed,
+ *    and share its quarantine.
  *
  * The table evicts the oldest *completed* jobs over a cap (their
  * records stay in the store — eviction loses only the job handle;
@@ -30,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lease.hh"
@@ -52,11 +57,20 @@ struct ServiceJob
     SweepResult res;        ///< prefill target (slots; not served)
     LeaseQueue queue;
     SweepSupervisor supervisor;
+    /** (later, first) task pairs sharing a ResultKey: only the
+     *  first queues (see the file comment). */
+    std::vector<std::pair<std::size_t, std::size_t>> shared;
     std::size_t prefilled = 0; ///< tasks deduped from the store
-    std::size_t executed = 0;  ///< records merged from workers
+    /** Slots filled from workers' records; a shared later task fills
+     *  with its first one. */
+    std::size_t executed = 0;
     bool completed = false;
 
     ServiceJob(const SweepSpec &spec, const SupervisionPolicy &policy);
+
+    /** Quarantined tasks in verdict order, each followed by the
+     *  later tasks sharing its ResultKey. */
+    std::vector<std::size_t> quarantined() const;
 
     std::size_t total() const { return plan.size(); }
     std::size_t filled() const { return prefilled + executed; }

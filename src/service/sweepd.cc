@@ -307,7 +307,7 @@ SweepService::statusReply(Conn &c, ServiceJob &job)
              .field("pending",
                     std::uint64_t(job.queue.pendingCount()))
              .field("leased", std::uint64_t(job.queue.leasedCount()))
-             .field("quarantined", job.queue.quarantined())
+             .field("quarantined", job.quarantined())
              .field("store_skipped",
                     std::uint64_t(_store->unreadable()))
              .field("exit", std::uint64_t(job.exitCode()))
@@ -365,7 +365,7 @@ SweepService::cmdResult(Conn &c, const std::string &line)
                 .field("ok", std::uint64_t{1})
                 .field("job", job->id)
                 .field("records", std::uint64_t(records.size()))
-                .field("quarantined", job->queue.quarantined())
+                .field("quarantined", job->quarantined())
                 .field("exit", std::uint64_t(job->exitCode()))
                 .str());
     for (const std::string &r : records)
@@ -583,8 +583,7 @@ SweepService::endLease(Conn &c, ServiceJob &job,
                      .field("job", job.id)
                      .field("executed", std::uint64_t(job.executed))
                      .field("quarantined",
-                            std::uint64_t(
-                                job.queue.quarantined().size()))
+                            std::uint64_t(job.quarantined().size()))
                      .field("exit", std::uint64_t(job.exitCode())));
     _jobs.sweepCompleted();
 }

@@ -89,6 +89,11 @@ class Rng
      *  result nobody reads. */
     void skipGeometric(const Geometric &g);
 
+    /** skipGeometric(g) if @p take, else nothing, without branching
+     *  on @p take: for a condition drawn from this Rng, which no
+     *  branch predictor can guess. */
+    void skipGeometricIf(bool take, const Geometric &g);
+
   private:
     std::uint64_t s[4];
 
@@ -182,6 +187,17 @@ Rng::skipGeometric(const Geometric &g)
 {
     if (!g._breaks.empty())
         next();
+}
+
+inline void
+Rng::skipGeometricIf(bool take, const Geometric &g)
+{
+    Rng stepped = *this;
+    stepped.next();
+    const std::uint64_t mask =
+        -static_cast<std::uint64_t>(take & !g._breaks.empty());
+    for (int i = 0; i < 4; ++i)
+        s[i] ^= (s[i] ^ stepped.s[i]) & mask;
 }
 
 } // namespace microlib

@@ -31,6 +31,14 @@ SpecGenerator::reset()
         _kernels.push_back(make());
         _kernels.back()->setup(*_image, _rng);
     }
+    // A later kernel's setup() may write an earlier one's region, so
+    // kernels see the image only once it is complete.
+    _watchers.clear();
+    for (const auto &kernel : _kernels) {
+        const auto [first, last] = kernel->attach(*_image);
+        if (first < last)
+            _watchers.push_back({first, last - first, kernel.get()});
+    }
     _segment = 0;
     _segment_left = _prog.segments[0].instructions;
     _emitted = 0;
@@ -169,6 +177,9 @@ SpecGenerator::buildBlock()
             if (ref.store) {
                 rec.value = ref.store_value;
                 _image->write(ref.addr, ref.store_value);
+                for (const Watcher &w : _watchers)
+                    if (ref.addr - w.base < w.bytes)
+                        w.kernel->stored(ref.addr, ref.store_value);
             } else if constexpr (Emit) {
                 rec.value = _image->read(ref.addr);
             }
@@ -199,14 +210,22 @@ SpecGenerator::buildBlock()
         } else {
             rec.op = computeOp<Emit>();
             // Consumers often use the most recent load's result.
-            if (emitted_mem && i == mem_index_in_block + 1 &&
-                _rng.chance(0.5)) {
-                rec.dep1 = 1;
+            const bool after_mem =
+                emitted_mem && i == mem_index_in_block + 1;
+            if constexpr (Emit) {
+                if (after_mem && _rng.chance(0.5))
+                    rec.dep1 = 1;
+                else
+                    rec.dep1 = depDistance<Emit>();
+                if (_rng.chance(0.4))
+                    rec.dep2 = depDistance<Emit>();
             } else {
-                rec.dep1 = depDistance<Emit>();
+                // The same draws; the two random conditions pick
+                // skipped steps without a branch.
+                _rng.skipGeometricIf(!(after_mem && _rng.chance(0.5)),
+                                     _dep_draw);
+                _rng.skipGeometricIf(_rng.chance(0.4), _dep_draw);
             }
-            if (_rng.chance(0.4))
-                rec.dep2 = depDistance<Emit>();
         }
         if constexpr (Emit)
             _block.push_back(rec);

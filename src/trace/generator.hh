@@ -170,6 +170,22 @@ class SpecGenerator
     std::unique_ptr<MemoryImage> _image;
     std::vector<std::unique_ptr<PatternKernel>> _kernels;
 
+    /** A kernel that caches image contents, and the range
+     *  [base, base + bytes) whose stores it must see (attach()). */
+    struct Watcher
+    {
+        Addr base;
+        Addr bytes;
+        PatternKernel *kernel;
+    };
+    /**
+     * The kernels to tell of each store. After reset() the store in
+     * buildBlock() is the image's only writer (kernels write it in
+     * setup() alone, and next() only returns the stores it wants
+     * made), so forwarding that one store keeps every cache exact.
+     */
+    std::vector<Watcher> _watchers;
+
     std::size_t _segment = 0;
     std::uint64_t _segment_left = 0;
     std::uint64_t _emitted = 0;

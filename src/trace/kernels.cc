@@ -1,6 +1,7 @@
 #include "trace/kernels.hh"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "sim/logging.hh"
@@ -69,6 +70,20 @@ PatternKernel::setup(MemoryImage &img, Rng &rng)
 {
     (void)img;
     (void)rng;
+}
+
+std::pair<Addr, Addr>
+PatternKernel::attach(const MemoryImage &img)
+{
+    (void)img;
+    return {0, 0};
+}
+
+void
+PatternKernel::stored(Addr addr, Word value)
+{
+    (void)addr;
+    (void)value;
 }
 
 // ---------------------------------------------------------------- Stream
@@ -166,6 +181,18 @@ PointerChaseKernel::setup(MemoryImage &img, Rng &rng)
     if (nchains > 7)
         fatal("PointerChaseKernel: at most 7 chains (per-chain "
               "dependence keys), got ", nchains);
+    if ((_p.base | _p.node_bytes | _p.next_offset) % 8 != 0)
+        fatal("PointerChaseKernel: base, node_bytes and next_offset "
+              "must be multiples of 8");
+    _node_shift = static_cast<unsigned>(std::countr_zero(_p.node_bytes));
+    const std::uint64_t odd = _p.node_bytes >> _node_shift;
+    // Newton's iteration doubles the correct low bits each step; an
+    // odd number is its own inverse mod 8 (3 bits), so five steps
+    // reach 96 >= 64.
+    _node_inverse = odd;
+    for (int i = 0; i < 5; ++i)
+        _node_inverse *= 2 - odd * _node_inverse;
+    _links.clear();
 
     // Build a permutation over all nodes, then slice the visitation
     // order into `chains` independent cycles: every node's next
@@ -206,6 +233,23 @@ PointerChaseKernel::setup(MemoryImage &img, Rng &rng)
     _payload_left = 0;
 }
 
+std::pair<Addr, Addr>
+PointerChaseKernel::attach(const MemoryImage &img)
+{
+    _links.resize(_p.node_count);
+    for (std::uint64_t i = 0; i < _p.node_count; ++i)
+        _links[i] = linkEntry(img.read(nodeAddr(i) + _p.next_offset));
+    return {_p.base, nodeAddr(_p.node_count)};
+}
+
+void
+PointerChaseKernel::stored(Addr addr, Word value)
+{
+    const std::uint64_t i = nodeIndex((addr & ~Addr(7)) - _p.next_offset);
+    if (i < _links.size())
+        _links[i] = linkEntry(value);
+}
+
 MemRef
 PointerChaseKernel::next(MemoryImage &img, Rng &rng)
 {
@@ -238,12 +282,11 @@ PointerChaseKernel::next(MemoryImage &img, Rng &rng)
     // stays on the classic key 0.
     if (_heads.size() > 1)
         ref.dep_key = static_cast<std::uint8_t>(1 + _turn);
-    const Word next = img.read(link);
-    if (looksLikeHeapPointer(next))
-        _heads[_turn] = next;
-    else
-        _heads[_turn] = nodeAddr(0); // corrupted by a payload write:
-                                     // restart
+    const std::uint64_t node = nodeIndex(_heads[_turn]);
+    const Word next = node < _links.size() ? _links[node]
+                                           : linkEntry(img.read(link));
+    // 0: a store overwrote the link with a non-pointer; restart.
+    _heads[_turn] = next ? next : nodeAddr(0);
     _payload_node = _heads[_turn];
     _payload_left = static_cast<unsigned>(
         rng.nextGeometric(_payload_draw) - 1);

@@ -16,9 +16,11 @@
 #ifndef MICROLIB_TRACE_KERNELS_HH
 #define MICROLIB_TRACE_KERNELS_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hh"
@@ -78,6 +80,20 @@ class PatternKernel
 
     /** Build data structures in the image (called once per reset). */
     virtual void setup(MemoryImage &img, Rng &rng);
+
+    /**
+     * Called once per reset, after every kernel's setup(): the image
+     * is final, and from here on the only writes to it are the
+     * stores SpecGenerator::next()/skip() make. A kernel may cache
+     * image contents here and keep them current through stored().
+     * Returns the address range [first, second) whose stores it must
+     * see; empty (the default) for none.
+     */
+    virtual std::pair<Addr, Addr> attach(const MemoryImage &img);
+
+    /** The word containing @p addr, inside the range attach()
+     *  returned, now holds @p value. */
+    virtual void stored(Addr addr, Word value);
 
     /** Emit the next reference. */
     virtual MemRef next(MemoryImage &img, Rng &rng) = 0;
@@ -163,6 +179,19 @@ class MultiStrideKernel : public PatternKernel
  * chains == 1 is the pure memory-latency-bound case (every miss
  * exposed, zero memory-level parallelism) and larger counts dial MLP
  * back in — the knob the pchase workload's phases are built from.
+ *
+ * Once attached, the kernel follows links from a dense table of link
+ * words, one 32-bit entry per node, instead of from the image: a hop
+ * is then a read from a table that fits in the host's L2 rather than
+ * a page lookup at a random spot of a region many times that size.
+ * An entry holds the node's link word when looksLikeHeapPointer()
+ * accepts it (such a word is below heap_limit < 2^32), else 0; next()
+ * restarts at node 0 on a 0 as on any non-pointer link. A head off
+ * the node grid, reached through a pointer-like store onto a link
+ * word, reads the image. The table stays exact because every store
+ * into the region after attach() reaches stored(). The node size,
+ * link offset and base must be multiples of 8, so each link is one
+ * whole image word.
  */
 class PointerChaseKernel : public PatternKernel
 {
@@ -188,6 +217,8 @@ class PointerChaseKernel : public PatternKernel
     }
 
     void setup(MemoryImage &img, Rng &rng) override;
+    std::pair<Addr, Addr> attach(const MemoryImage &img) override;
+    void stored(Addr addr, Word value) override;
     MemRef next(MemoryImage &img, Rng &rng) override;
     unsigned slots() const override { return 3; }
     const char *kind() const override { return "ptrchase"; }
@@ -200,10 +231,40 @@ class PointerChaseKernel : public PatternKernel
     unsigned _turn = 0;       ///< chain whose link is followed next
     Addr _payload_node = 0;   ///< node the payload refs touch
     unsigned _payload_left = 0;
+    /** Per node: its link word if pointer-like, else 0. Empty until
+     *  attach(), and then every head reads the image. */
+    std::vector<std::uint32_t> _links;
+    /** Exact division by node_bytes = odd * 2^_node_shift: the
+     *  inverse of the odd part mod 2^64 (see nodeIndex()). */
+    std::uint64_t _node_inverse = 1;
+    unsigned _node_shift = 0;
 
     Addr nodeAddr(std::uint64_t idx) const
     {
         return _p.base + idx * _p.node_bytes;
+    }
+
+    /** The index of the node starting at @p addr, or a value of at
+     *  least node_count when no node does. Multiplying by the odd
+     *  part's inverse and rotating out the power of two divides a
+     *  multiple of node_bytes exactly and sends anything else above
+     *  2^64 / node_bytes, without a division. */
+    std::uint64_t
+    nodeIndex(Addr addr) const
+    {
+        return std::rotr((addr - _p.base) * _node_inverse,
+                         static_cast<int>(_node_shift));
+    }
+
+    static_assert(heap_limit <= (Addr(1) << 32),
+                  "a pointer-like link word must fit a table entry");
+
+    /** The table entry for link word @p w. */
+    static std::uint32_t
+    linkEntry(Word w)
+    {
+        return looksLikeHeapPointer(w) ? static_cast<std::uint32_t>(w)
+                                       : 0;
     }
 };
 

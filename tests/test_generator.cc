@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "trace/generator.hh"
 #include "trace/simpoint.hh"
@@ -247,6 +248,167 @@ TEST(Generator, SerialChaseLoadsDependOnPriorLoad)
     }
     EXPECT_GT(loads, 0);
     EXPECT_GT(static_cast<double>(serial) / loads, 0.8);
+}
+
+// --- Link table ------------------------------------------------------
+//
+// PointerChaseKernel follows links from its own table of link words,
+// kept current by the generator forwarding every store into the
+// chase region (see PointerChaseKernel). These tests make a second
+// kernel rewrite link words, so a stale table would send the walk
+// somewhere other than the link word the trace records.
+
+namespace
+{
+
+constexpr std::uint64_t chase_node_bytes = 64;
+constexpr std::uint64_t chase_nodes = 256;
+constexpr std::uint64_t chase_next_offset = 8;
+/** An off-grid head lies this far into a node. */
+constexpr std::uint64_t off_grid = 24;
+
+/** Stores onto the chase region's link words: on-grid pointers,
+ *  off-grid pointers, words an off-grid head reads as its link, and
+ *  values that are not heap pointers. */
+class LinkWriterKernel : public PatternKernel
+{
+  public:
+    MemRef
+    next(MemoryImage &img, Rng &rng) override
+    {
+        (void)img;
+        MemRef ref;
+        ref.store = true;
+        const Addr node = heap_base + chase_node_bytes *
+                                          rng.nextBounded(chase_nodes);
+        const Addr target = heap_base + chase_node_bytes *
+                                            rng.nextBounded(chase_nodes);
+        ref.addr = node + chase_next_offset;
+        switch (rng.nextBounded(5)) {
+          case 0:
+            ref.store_value = target;
+            break;
+          case 1:
+            ref.store_value = target + off_grid;
+            break;
+          case 2:
+            // The link an off-grid head at node + off_grid reads.
+            ref.addr += off_grid;
+            ref.store_value = target;
+            break;
+          case 3:
+            ref.store_value = target + 4; // misaligned: not a pointer
+            break;
+          default:
+            ref.store_value = MemoryImage::defaultValue(ref.addr);
+            break;
+        }
+        return ref;
+    }
+    unsigned slots() const override { return 1; }
+    const char *kind() const override { return "linkwriter"; }
+};
+
+/** A pointer chase (kernel 0) interleaved with LinkWriterKernel
+ *  (kernel 1); every memory reference is a kernel reference. */
+SpecProgram
+linkWriterProgram()
+{
+    SpecProgram p = tinyProgram();
+    p.name = "linkwriter";
+    p.stack_frac = 0.0;
+    PointerChaseKernel::Params cp;
+    cp.base = heap_base;
+    cp.node_bytes = chase_node_bytes;
+    cp.node_count = chase_nodes;
+    cp.next_offset = chase_next_offset;
+    cp.payload_touches = 0.0;
+    p.kernels = {
+        [cp] {
+            return std::unique_ptr<PatternKernel>(
+                new PointerChaseKernel(cp));
+        },
+        [] {
+            return std::unique_ptr<PatternKernel>(new LinkWriterKernel);
+        },
+    };
+    p.segments = {{0, 3'000}, {1, 700}};
+    return p;
+}
+
+/** A link load of kernel 0 (its slot 0 block, see buildBlock). */
+bool
+isLinkLoad(const TraceRecord &r)
+{
+    return r.isLoad() && r.bb == 0;
+}
+
+std::vector<TraceRecord>
+walk(SpecGenerator &gen, std::uint64_t n)
+{
+    std::vector<TraceRecord> out(n);
+    for (TraceRecord &r : out)
+        gen.next(r);
+    return out;
+}
+
+} // namespace
+
+TEST(LinkTable, EachLinkLoadFollowsTheWordItRead)
+{
+    SpecGenerator gen(linkWriterProgram());
+    const std::vector<TraceRecord> recs = walk(gen, 400'000);
+    std::size_t links = 0, rewritten = 0, off = 0, restarts = 0;
+    const TraceRecord *prev = nullptr;
+    for (const TraceRecord &r : recs) {
+        if (!isLinkLoad(r))
+            continue;
+        ++links;
+        const Addr node = r.addr - chase_next_offset;
+        const std::uint64_t rel = node - heap_base;
+        if (rel % chase_node_bytes != 0)
+            ++off;
+        if (prev) {
+            const bool pointer = looksLikeHeapPointer(prev->value);
+            const Addr want =
+                (pointer ? prev->value : heap_base) + chase_next_offset;
+            ASSERT_EQ(r.addr, want) << "link load " << links;
+            restarts += !pointer;
+        }
+        // Setup links every node to another whole node; a value
+        // off that grid or not a pointer came from the writer.
+        if (!looksLikeHeapPointer(r.value) ||
+            (r.value - heap_base) % chase_node_bytes != 0)
+            ++rewritten;
+        prev = &r;
+    }
+    EXPECT_GT(links, 10'000u);
+    EXPECT_GT(rewritten, 100u);
+    EXPECT_GT(off, 100u);
+    EXPECT_GT(restarts, 100u);
+}
+
+TEST(LinkTable, SkipThenNextMatchesThePlainWalk)
+{
+    const SpecProgram prog = linkWriterProgram();
+    SpecGenerator plain(prog);
+    const std::vector<TraceRecord> want = walk(plain, 260'000);
+    // Block edges, both sides of a segment boundary, and skips
+    // across many segments of link rewrites.
+    for (const std::uint64_t n :
+         {1ull, 49ull, 50ull, 51ull, 2'999ull, 3'000ull, 3'701ull,
+          100'003ull, 250'000ull}) {
+        SpecGenerator gen(prog);
+        gen.skip(n);
+        const std::vector<TraceRecord> got = walk(gen, 2'000);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const TraceRecord &a = got[i], &b = want[n + i];
+            ASSERT_TRUE(a.pc == b.pc && a.addr == b.addr &&
+                        a.value == b.value && a.op == b.op &&
+                        a.dep1 == b.dep1 && a.dep2 == b.dep2)
+                << "skip(" << n << ") then record " << i;
+        }
+    }
 }
 
 // --- Golden stream --------------------------------------------------

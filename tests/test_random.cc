@@ -251,3 +251,22 @@ TEST(Random, SkipGeometricConsumesWhatTheDrawWould)
     EXPECT_EQ(Rng(37).nextGeometric(nan),
               std::numeric_limits<std::uint64_t>::max());
 }
+
+TEST(Random, SkipGeometricIfStepsOnlyWhenTaken)
+{
+    // The generator's fast-forward applies random conditions to
+    // skipped draws without branching: a taken step must be exactly
+    // skipGeometric's, an untaken one no step at all.
+    for (const double mean : {0.5, 1.0, 3.0}) {
+        const Rng::Geometric g(mean);
+        Rng branchy(41), masked(41);
+        for (int i = 0; i < 1000; ++i) {
+            const bool take = branchy.chance(0.4);
+            masked.chance(0.4);
+            if (take)
+                branchy.skipGeometric(g);
+            masked.skipGeometricIf(take, g);
+            ASSERT_EQ(branchy.next(), masked.next()) << mean << " " << i;
+        }
+    }
+}

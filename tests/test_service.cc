@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -320,6 +321,49 @@ TEST(JobTable, LeasableJobsServeOldestFirst)
     EXPECT_TRUE(sub.job->completed);
 }
 
+/** Base under a `mech.*` axis: Base's ResultKey ignores the axis,
+ *  so its two variants share one key per benchmark — 8 tasks, 6
+ *  distinct runs. */
+const char *const kSharedKeySpecText = "sweep-spec v1\n"
+                                       "bench swim gzip\n"
+                                       "mech Base GHB\n"
+                                       "axis mech.second_guess 0 1\n"
+                                       "base window.trace_length=100000\n"
+                                       "base window.interval=100000\n";
+
+TEST(JobTable, SharedKeysQueueOnceAndShareAQuarantine)
+{
+    ResultStore store;
+    JobTable table;
+    const SupervisionPolicy policy;
+    ServiceJob &job =
+        *table.submit(parseSpec(kSharedKeySpecText), store, policy).job;
+    ASSERT_EQ(job.total(), 8u);
+    ASSERT_EQ(job.shared.size(), 2u);
+    EXPECT_EQ(job.queue.pendingCount(), 6u);
+
+    // Only the first task of each key leases.
+    std::vector<std::size_t> leased = job.queue.lease("w", 100);
+    for (const auto &[later, first] : job.shared) {
+        EXPECT_LT(first, later);
+        EXPECT_EQ(job.plan.resultKey(first).str(),
+                  job.plan.resultKey(later).str());
+        EXPECT_EQ(std::count(leased.begin(), leased.end(), later), 0);
+    }
+
+    // Quarantining a first task condemns its later one with it, and
+    // the job completes without ever queueing the later one.
+    const auto [later, first] = job.shared.front();
+    ASSERT_TRUE(job.queue.quarantine(first));
+    EXPECT_EQ(job.quarantined(), (std::vector<std::size_t>{first, later}));
+    for (const std::size_t t : leased)
+        if (t != first)
+            job.queue.complete(t);
+    table.sweepCompleted();
+    EXPECT_TRUE(job.completed);
+    EXPECT_EQ(job.exitCode(), exit_quarantined);
+}
+
 // ---------------------------------------------------------------
 // End to end: daemon + workers + clients, in process
 
@@ -526,6 +570,65 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
         EXPECT_EQ(engine.lastRun().executed, 0u);
     }
     std::remove(client_path.c_str());
+
+    fix.shutdown();
+    t0.join();
+    t1.join();
+    EXPECT_EQ(rc0, exit_ok);
+    EXPECT_EQ(rc1, exit_ok);
+}
+
+TEST(SweepService, SharedResultKeysExecuteOnce)
+{
+    const SweepSpec spec = parseSpec(kSharedKeySpecText);
+    const TaskPlan plan(spec);
+
+    EngineOptions ref_opts;
+    ExperimentEngine ref_engine(ref_opts);
+    const SweepResult reference = ref_engine.runPlan(plan);
+    ASSERT_EQ(plan.size(), 8u);
+    EXPECT_EQ(ref_engine.lastRun().executed, 6u);
+
+    ServiceFixture fix("shared", /*lease_size=*/2);
+    ASSERT_TRUE(fix.service);
+    WorkerOptions w0, w1;
+    w0.service = w1.service = fix.service->address();
+    w0.store_path = tmpPath("shared_w0.store");
+    w1.store_path = tmpPath("shared_w1.store");
+    std::remove(w0.store_path.c_str());
+    std::remove(w1.store_path.c_str());
+    w0.name = "w0";
+    w1.name = "w1";
+    w0.idle_poll_s = w1.idle_poll_s = 0.02;
+    int rc0 = -1, rc1 = -1;
+    std::thread t0([&] { rc0 = runWorkerLoop(w0); });
+    std::thread t1([&] { rc1 = runWorkerLoop(w1); });
+
+    ServiceBackend backend(fix.service->address(), 0.02);
+    EngineOptions client_opts;
+    client_opts.backend = &backend;
+    ExperimentEngine client_engine(client_opts);
+    const SweepResult via_service = client_engine.runPlan(plan);
+    expectIdentical(reference, via_service);
+    EXPECT_EQ(sensitivityTable(via_service).str(),
+              sensitivityTable(reference).str());
+
+    // One daemon run per distinct key, as the thread backend; the
+    // shared slots still filled once their first task's record came
+    // back.
+    EXPECT_EQ(countEvents(fix.opts.progress_path, "run"),
+              ref_engine.lastRun().executed);
+    {
+        RawClient client(fix.service->address());
+        const std::string reply = client.exchange(
+            ProtocolMsg("cmd", "status")
+                .field("job", jobIdOf(spec))
+                .str());
+        std::uint64_t filled = 0;
+        ASSERT_TRUE(jsonFindU64(reply, "filled", filled));
+        EXPECT_EQ(filled, plan.size());
+    }
+    EXPECT_EQ(countLines(fix.opts.store_path), 6u);
 
     fix.shutdown();
     t0.join();

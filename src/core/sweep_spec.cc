@@ -88,6 +88,15 @@ unsignedParam(const char *key, const char *what,
     return p;
 }
 
+/** A whole-token double in [@p lo, 1] into @p d. */
+bool
+parseFraction(const std::string &v, double &d, double lo)
+{
+    std::istringstream is(v);
+    char trailing = 0;
+    return is >> d && !(is >> trailing) && d >= lo && d <= 1.0;
+}
+
 AxisParam
 fracParam(const char *key, const char *what,
           std::function<double &(RunConfig &)> field)
@@ -98,10 +107,8 @@ fracParam(const char *key, const char *what,
     p.what = what;
     p.apply = [field](RunConfig &cfg, const std::string &v,
                       std::string *error) {
-        std::istringstream is(v);
         double d = 0.0;
-        char trailing = 0;
-        if (!(is >> d) || is >> trailing || d < 0.0 || d > 1.0)
+        if (!parseFraction(v, d, 0.0))
             return fail(error,
                         "expected a fraction in [0, 1], got '" + v + "'");
         field(cfg) = d;
@@ -112,21 +119,35 @@ fracParam(const char *key, const char *what,
 
 AxisParam
 boolParam(const char *key, const char *what,
-          std::function<bool &(RunConfig &)> field)
+          std::function<void(RunConfig &, bool)> set)
 {
     AxisParam p;
     p.key = key;
     p.values = "0|1|false|true|off|on";
     p.what = what;
-    p.apply = [field](RunConfig &cfg, const std::string &v,
-                      std::string *error) {
+    p.apply = [set](RunConfig &cfg, const std::string &v,
+                    std::string *error) {
         bool b = false;
         if (!parseBoolWord(v, b))
             return fail(error, "expected a boolean, got '" + v + "'");
-        field(cfg) = b;
+        set(cfg, b);
         return true;
     };
     return p;
+}
+
+/** A cache-model behaviour of Figure 1, switched on L1D, L1I and L2
+ *  together: no study sets one level alone. */
+AxisParam
+cacheFlagParam(const char *key, const char *what,
+               bool CacheParams::*flag)
+{
+    return boolParam(key, what, [flag](RunConfig &c, bool b) {
+        HierarchyParams &h = c.system.hier;
+        h.l1d.*flag = b;
+        h.l1i.*flag = b;
+        h.l2.*flag = b;
+    });
 }
 
 /** The three cache levels share one parameter shape. */
@@ -208,6 +229,20 @@ buildRegistry()
     addCacheParams(out, "l2", [](RunConfig &c) -> CacheParams & {
         return c.system.hier.l2;
     });
+    // Figure 1's modelled behaviours; all off is SimpleScalar's
+    // idealized cache (demand ports stay modelled either way).
+    out.push_back(cacheFlagParam(
+        "hier.finite_mshr",
+        "bounded MSHRs on every cache (off = unlimited misses)",
+        &CacheParams::finite_mshr));
+    out.push_back(cacheFlagParam(
+        "hier.pipeline_stalls",
+        "a busy cache delays the requests behind it, up to the LSQ",
+        &CacheParams::pipeline_stalls));
+    out.push_back(cacheFlagParam(
+        "hier.refill_uses_ports",
+        "refills occupy cache ports like demand accesses",
+        &CacheParams::refill_uses_ports));
 
     // Memory model (Figure 8: constant-memory vs SDRAM baselines).
     {
@@ -249,6 +284,25 @@ buildRegistry()
         [](RunConfig &c) -> unsigned & {
             return c.system.hier.sdram.queue_entries;
         }));
+    {
+        // Figure 8's "SDRAM at ~70 cycles" point scales the timings
+        // set so far, so it composes with (and follows) any
+        // hier.sdram.cas_latency setting in settings order.
+        AxisParam p;
+        p.key = "hier.sdram.timing_scale";
+        p.values = "factor in (0, 1]";
+        p.what = "multiply every SDRAM timing by this factor";
+        p.apply = [](RunConfig &cfg, const std::string &v,
+                     std::string *error) {
+            double d = 0.0;
+            if (!parseFraction(v, d, 0.0) || d == 0.0)
+                return fail(error, "expected a factor in (0, 1], got '" +
+                                       v + "'");
+            cfg.system.hier.sdram.scaleTimings(d);
+            return true;
+        };
+        out.push_back(std::move(p));
+    }
 
     // Trace window (Figure 11: selection and scaling studies).
     {
@@ -302,7 +356,7 @@ buildRegistry()
     out.push_back(boolParam(
         "mech.second_guess", "build mechanisms from the documented "
                              "wrong guesses (Figures 2/3)",
-        [](RunConfig &c) -> bool & { return c.mech.second_guess; }));
+        [](RunConfig &c, bool b) { c.mech.second_guess = b; }));
 
     return out;
 }
@@ -403,6 +457,26 @@ SweepSpec::single(std::vector<std::string> mechanisms,
     spec._benchmarks = std::move(benchmarks);
     spec._base_cfg = cfg;
     return spec;
+}
+
+bool
+SweepSpec::setBenchmarks(std::vector<std::string> b, std::string *error)
+{
+    for (const auto &name : b)
+        if (!knownBenchmark(name))
+            return fail(error, "unknown benchmark '" + name + "'");
+    _benchmarks = std::move(b);
+    return true;
+}
+
+bool
+SweepSpec::setMechanisms(std::vector<std::string> m, std::string *error)
+{
+    for (const auto &name : m)
+        if (!knownMechanism(name))
+            return fail(error, "unknown mechanism '" + name + "'");
+    _mechanisms = std::move(m);
+    return true;
 }
 
 bool

@@ -151,14 +151,15 @@ class SweepSpec
     {
         return _mechanisms;
     }
-    void setBenchmarks(std::vector<std::string> b)
-    {
-        _benchmarks = std::move(b);
-    }
-    void setMechanisms(std::vector<std::string> m)
-    {
-        _mechanisms = std::move(m);
-    }
+    /** Replace the benchmark list; false + *error (list unchanged)
+     *  on a name no suite program has, as parse() rejects it. */
+    bool setBenchmarks(std::vector<std::string> b,
+                       std::string *error = nullptr);
+
+    /** Replace the mechanism list; false + *error (list unchanged)
+     *  on a name the mechanism registry lacks. */
+    bool setMechanisms(std::vector<std::string> m,
+                       std::string *error = nullptr);
 
     /** Declared axes, first = slowest-varying. */
     const std::vector<AxisDecl> &axes() const { return _axes; }

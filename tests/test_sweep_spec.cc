@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "core/scheduler.hh"
 #include "core/sweep_spec.hh"
 #include "core/task_plan.hh"
+#include "mem/cache_simple.hh"
 
 using namespace microlib;
 
@@ -184,6 +186,218 @@ TEST(SweepSpec, RejectsBadValuesBenchmarksAndStructure)
                                   spec, &error));
     EXPECT_NE(error.find("duplicate axis"), std::string::npos)
         << error;
+}
+
+TEST(SweepSpec, SettersRejectUnknownNamesLikeParse)
+{
+    SweepSpec spec;
+    std::string error;
+    ASSERT_TRUE(spec.setBenchmarks({"swim", "pchase"}, &error)) << error;
+    ASSERT_TRUE(spec.setMechanisms({"Base", "GHB"}, &error)) << error;
+
+    // A bad name fails with parse()'s message and leaves the list
+    // as it was.
+    EXPECT_FALSE(spec.setBenchmarks({"swim", "nosuch"}, &error));
+    EXPECT_NE(error.find("unknown benchmark 'nosuch'"), std::string::npos)
+        << error;
+    EXPECT_FALSE(spec.setMechanisms({"NoMech"}, &error));
+    EXPECT_NE(error.find("unknown mechanism 'NoMech'"), std::string::npos)
+        << error;
+    EXPECT_EQ(spec.benchmarks(),
+              (std::vector<std::string>{"swim", "pchase"}));
+    EXPECT_EQ(spec.mechanisms(), (std::vector<std::string>{"Base", "GHB"}));
+
+    // What the setters accept, parse accepts: the printed spec
+    // round-trips.
+    SweepSpec back;
+    ASSERT_TRUE(SweepSpec::parse(spec.canonicalText(), back, &error))
+        << error;
+    EXPECT_EQ(back.canonicalText(), spec.canonicalText());
+}
+
+namespace
+{
+
+/** The config a one-variant spec resolves @p settings to. */
+RunConfig
+resolved(const std::vector<AxisSetting> &settings)
+{
+    SweepSpec spec;
+    for (const AxisSetting &s : settings) {
+        std::string error;
+        EXPECT_TRUE(spec.addBase(s.key, s.value, &error)) << error;
+    }
+    return spec.resolve(spec.variants().front());
+}
+
+} // namespace
+
+TEST(SweepSpec, EveryRegistryKeyMovesTheConfigFingerprint)
+{
+    // The config half of the dead-knob rule: a key whose value never
+    // reaches the fingerprinted config would run every variant as
+    // the same cell. One non-default value per key (at every
+    // MICROLIB_QUICK setting), under the settings that make the key
+    // apply: a window key only shapes its own selection mode's
+    // window.
+    struct Knob
+    {
+        AxisSetting setting;
+        std::vector<AxisSetting> mode;
+    };
+    const std::vector<AxisSetting> arbitrary = {
+        {"window.selection", "arbitrary"}};
+    const std::vector<AxisSetting> constant = {{"hier.memory", "const"}};
+    const std::vector<Knob> knobs = {
+        {{"core.rob", "64"}, {}},
+        {{"core.lsq", "64"}, {}},
+        {{"core.fetch_width", "4"}, {}},
+        {{"core.commit_width", "4"}, {}},
+        {{"core.mispredict_rate", "0.5"}, {}},
+        {{"core.mispredict_penalty", "10"}, {}},
+        {{"hier.l1d.size", "64k"}, {}},
+        {{"hier.l1d.assoc", "2"}, {}},
+        {{"hier.l1d.latency", "2"}, {}},
+        {{"hier.l1d.mshrs", "4"}, {}},
+        {{"hier.l1d.ports", "2"}, {}},
+        {{"hier.l1i.size", "64k"}, {}},
+        {{"hier.l1i.assoc", "2"}, {}},
+        {{"hier.l1i.latency", "2"}, {}},
+        {{"hier.l1i.mshrs", "4"}, {}},
+        {{"hier.l1i.ports", "2"}, {}},
+        {{"hier.l2.size", "512k"}, {}},
+        {{"hier.l2.assoc", "8"}, {}},
+        {{"hier.l2.latency", "20"}, {}},
+        {{"hier.l2.mshrs", "4"}, {}},
+        {{"hier.l2.ports", "2"}, {}},
+        {{"hier.finite_mshr", "0"}, {}},
+        {{"hier.pipeline_stalls", "0"}, {}},
+        {{"hier.refill_uses_ports", "0"}, {}},
+        {{"hier.memory", "const"}, {}},
+        {{"hier.const_latency", "100"}, constant},
+        {{"hier.sdram.banks", "8"}, {}},
+        {{"hier.sdram.cas_latency", "10"}, {}},
+        {{"hier.sdram.queue", "16"}, {}},
+        {{"hier.sdram.timing_scale", "0.4"}, {}},
+        {{"window.selection", "arbitrary"}, {}},
+        {{"window.trace_length", "100000"}, {}},
+        {{"window.interval", "100000"}, {}},
+        {{"window.k", "2"}, {}},
+        {{"window.skip", "1000"}, arbitrary},
+        {{"window.length", "100000"}, arbitrary},
+        {{"mech.tcp_buffer", "1"}, {}},
+        {{"mech.second_guess", "1"}, {}},
+    };
+    EXPECT_EQ(knobs.size(), axisRegistry().size());
+    for (const AxisParam &param : axisRegistry()) {
+        const auto it =
+            std::find_if(knobs.begin(), knobs.end(), [&](const Knob &k) {
+                return k.setting.key == param.key;
+            });
+        ASSERT_NE(it, knobs.end())
+            << param.key << ": no case here; add one";
+        std::vector<AxisSetting> with = it->mode;
+        with.push_back(it->setting);
+        EXPECT_NE(fingerprintConfig(resolved(with)),
+                  fingerprintConfig(resolved(it->mode)))
+            << param.key << "=" << it->setting.value
+            << " leaves the resolved config unchanged";
+    }
+}
+
+TEST(SweepSpec, PaperSettingsReproduceTheHandBuiltConfigs)
+{
+    // The settings the paper's figures use for the configurations
+    // the registry did not always have keys for, checked against
+    // the RunConfigs those figures used to build by hand. Every list
+    // starts with an explicit window, so the fingerprints do not
+    // depend on MICROLIB_QUICK.
+    const std::vector<AxisSetting> window = {
+        {"window.trace_length", "100000"}, {"window.interval", "100000"},
+        {"window.k", "4"},                 {"window.skip", "50000"},
+        {"window.length", "100000"},
+    };
+    auto pinned = [&](RunConfig cfg) {
+        for (const AxisSetting &s : window)
+            EXPECT_TRUE(findAxisParam(s.key)->apply(cfg, s.value, nullptr));
+        return cfg;
+    };
+    auto fig01Step = [&](std::vector<RealismFeature> enabled) {
+        RunConfig cfg;
+        HierarchyParams &h = cfg.system.hier;
+        h.l1d = withRealism(h.l1d, enabled);
+        h.l1i = withRealism(h.l1i, enabled);
+        h.l2 = withRealism(h.l2, enabled);
+        return cfg;
+    };
+    using F = RealismFeature;
+    RunConfig validation;
+    validation.system = makeConstantMemoryBaseline(70);
+    validation.selection = TraceSelection::Arbitrary;
+    RunConfig const70;
+    const70.system = makeConstantMemoryBaseline(70);
+    RunConfig sdram70;
+    sdram70.system = makeScaledSdramBaseline();
+    RunConfig infinite;
+    infinite.system.hier.l1d.finite_mshr = false;
+    infinite.system.hier.l1i.finite_mshr = false;
+    infinite.system.hier.l2.finite_mshr = false;
+    RunConfig simplescalar;
+    simplescalar.system = makeSimpleScalarCacheBaseline(simplescalar.system);
+
+    struct Case
+    {
+        const char *name;
+        std::vector<AxisSetting> settings;
+        RunConfig hand;
+    };
+    const std::vector<Case> cases = {
+        {"validation",
+         {{"hier.memory", "const"},
+          {"hier.const_latency", "70"},
+          {"window.selection", "arbitrary"}},
+         validation},
+        {"const-70",
+         {{"hier.memory", "const"}, {"hier.const_latency", "70"}},
+         const70},
+        {"sdram-70", {{"hier.sdram.timing_scale", "0.4"}}, sdram70},
+        {"infinite MSHR", {{"hier.finite_mshr", "0"}}, infinite},
+        {"SimpleScalar-like",
+         {{"hier.finite_mshr", "0"},
+          {"hier.pipeline_stalls", "0"},
+          {"hier.refill_uses_ports", "0"}},
+         simplescalar},
+        {"+ finite MSHR",
+         {{"hier.finite_mshr", "1"},
+          {"hier.pipeline_stalls", "0"},
+          {"hier.refill_uses_ports", "0"}},
+         fig01Step({F::FiniteMshr})},
+        {"+ pipeline stalls",
+         {{"hier.finite_mshr", "1"},
+          {"hier.pipeline_stalls", "1"},
+          {"hier.refill_uses_ports", "0"}},
+         fig01Step({F::FiniteMshr, F::PipelineStalls})},
+        {"+ LSQ back-pressure",
+         {{"hier.finite_mshr", "1"},
+          {"hier.pipeline_stalls", "1"},
+          {"hier.refill_uses_ports", "0"}},
+         fig01Step({F::FiniteMshr, F::PipelineStalls, F::LsqBackpressure})},
+        {"+ refills use ports",
+         {{"hier.finite_mshr", "1"},
+          {"hier.pipeline_stalls", "1"},
+          {"hier.refill_uses_ports", "1"}},
+         fig01Step({F::FiniteMshr, F::PipelineStalls, F::LsqBackpressure,
+                    F::RefillPorts})},
+    };
+    for (const Case &c : cases) {
+        std::vector<AxisSetting> settings = window;
+        settings.insert(settings.end(), c.settings.begin(),
+                        c.settings.end());
+        const std::uint64_t fp = fingerprintConfig(resolved(settings));
+        EXPECT_EQ(fp, fingerprintConfig(pinned(c.hand))) << c.name;
+        std::printf("%-20s 0x%016llxull\n", c.name,
+                    static_cast<unsigned long long>(fp));
+    }
 }
 
 TEST(SweepSpec, VariantExpansionFirstAxisSlowest)

@@ -208,10 +208,14 @@ buildSpec(const SweepArgs &args, const OptionTable &table)
                         const std::vector<std::string> &all) {
             return list == "all" ? all : splitList(list);
         };
-        spec.setBenchmarks(names(args.benchmarks, specBenchmarkNames()));
         const auto mechs = names(args.mechanisms, allMechanismNames());
-        spec.setMechanisms(mechs.empty() ? allMechanismNames() : mechs);
-        bool ok = true;
+        bool ok =
+            spec.setBenchmarks(names(args.benchmarks,
+                                     specBenchmarkNames()),
+                               &error) &&
+            spec.setMechanisms(mechs.empty() ? allMechanismNames()
+                                             : mechs,
+                               &error);
         if (args.arbitrary) {
             ok = ok &&
                  spec.addBase("window.selection", "arbitrary", &error);

@@ -9,7 +9,9 @@
  * ExperimentEngine::run: figures get the worker pool, lockstep groups
  * and the store's resume, and figures needing the same cells share
  * them — across figures in one process, and across invocations
- * through the store. With no FIGURE every figure runs, in paper
+ * through the store. Each configuration a figure sweeps is a list of
+ * registry settings (docs/SWEEP_SPEC.md), so its assumptions are
+ * written down as data. With no FIGURE every figure runs, in paper
  * order. MICROLIB_QUICK=1 selects the 8-benchmark subset and 4x
  * smaller windows (smoke scale).
  */
@@ -33,7 +35,6 @@
 #include "core/subset_winners.hh"
 #include "core/sweep_spec.hh"
 #include "cost/mechanism_cost.hh"
-#include "mem/cache_simple.hh"
 #include "mem/hierarchy.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
@@ -55,6 +56,10 @@ benchmarkSet()
                 "twolf", "gap"};
     return specBenchmarkNames();
 }
+
+/** Registry settings (docs/SWEEP_SPEC.md), applied in order to the
+ *  Table 1 baseline. */
+using Settings = std::vector<AxisSetting>;
 
 /** What the figures of one invocation share. */
 struct Paper
@@ -82,32 +87,47 @@ struct Paper
         return res;
     }
 
-    /** @p mechs (default: all) x every benchmark under @p cfg. */
+    /** @p mechs x every benchmark, with @p settings as the base
+     *  settings; @p key, if given, is an axis over @p values. */
+    SweepSpec
+    spec(const std::string &tag, std::vector<std::string> mechs,
+         const Settings &settings, const std::string &key = {},
+         const std::vector<std::string> &values = {})
+    {
+        SweepSpec s;
+        std::string error;
+        bool ok = s.setMechanisms(std::move(mechs), &error) &&
+                  s.setBenchmarks(benchmarks, &error);
+        for (const AxisSetting &set : settings)
+            ok = ok && s.addBase(set.key, set.value, &error);
+        if (ok && !key.empty())
+            ok = s.addAxis(key, values, &error);
+        if (!ok)
+            fatal(tag, ": ", error);
+        return s;
+    }
+
+    /** @p mechs (default: all) x every benchmark under @p settings. */
     MatrixResult
-    matrix(const std::string &tag, const RunConfig &cfg,
+    matrix(const std::string &tag, const Settings &settings,
            std::vector<std::string> mechs = {})
     {
         if (mechs.empty())
             mechs = mechanisms;
         return std::move(
-            sweep(tag, SweepSpec::single(std::move(mechs), benchmarks,
-                                         cfg))
+            sweep(tag, spec(tag, std::move(mechs), settings))
                 .matrices.front());
     }
 
-    /** @p mechs x every benchmark under @p cfg, once with @p key set
-     *  to @p a (variant 0) and once to @p b (variant 1). */
+    /** @p mechs x every benchmark under @p settings, once with @p key
+     *  set to @p a (variant 0) and once to @p b (variant 1). */
     SweepResult
-    versus(const std::string &tag, const RunConfig &cfg,
+    versus(const std::string &tag, const Settings &settings,
            std::vector<std::string> mechs, const std::string &key,
            const std::string &a, const std::string &b)
     {
-        SweepSpec spec = SweepSpec::single(std::move(mechs), benchmarks,
-                                           cfg);
-        std::string error;
-        if (!spec.addAxis(key, {a, b}, &error))
-            fatal(tag, ": ", error);
-        return sweep(tag, spec);
+        return sweep(tag,
+                     spec(tag, std::move(mechs), settings, key, {a, b}));
     }
 
     /** The default-configuration matrix, swept once per process. */
@@ -115,7 +135,7 @@ struct Paper
     defaultMatrix()
     {
         if (!default_matrix)
-            default_matrix = matrix("default_matrix", RunConfig{});
+            default_matrix = matrix("default_matrix", {});
         return *default_matrix;
     }
 };
@@ -213,7 +233,10 @@ printVersus(const std::string &title, const SweepResult &res,
  *
  * Here: every benchmark runs under (a) the detailed MicroLib cache
  * model and (b) the SimpleScalar-like idealization, then the four
- * realism features are enabled cumulatively to show the gap closing.
+ * behaviours are enabled cumulatively to show the gap closing. The
+ * model has three switches for them: LSQ back-pressure is what a
+ * stalled cache pipeline does to the core, so its step sets the same
+ * switches as the step before it.
  */
 void
 fig01(Paper &p)
@@ -228,10 +251,10 @@ fig01(Paper &p)
     // configurations share one trace window per benchmark.
     const MatrixResult ref = p.matrix("fig01_detailed", {}, {"Base"});
 
-    // Average |IPC difference| (%) of @p cfg vs the reference.
-    auto gap = [&](const std::string &tag, const RunConfig &cfg,
+    // Average |IPC difference| (%) of @p settings vs the reference.
+    auto gap = [&](const std::string &tag, const Settings &settings,
                    Table *per_bench) {
-        const MatrixResult m = p.matrix(tag, cfg, {"Base"});
+        const MatrixResult m = p.matrix(tag, settings, {"Base"});
         double sum = 0.0;
         for (std::size_t b = 0; b < m.benchmarks.size(); ++b) {
             const double ipc = m.ipc[0][b];
@@ -248,29 +271,33 @@ fig01(Paper &p)
     Table per_bench("Per-benchmark IPC difference vs MicroLib model");
     per_bench.header({"benchmark", "model", "IPC", "diff %"});
 
+    // The three cache switches (L1D, L1I and L2 alike).
+    auto cache = [](const char *finite_mshr, const char *pipeline_stalls,
+                    const char *refill_uses_ports) {
+        return Settings{{"hier.finite_mshr", finite_mshr},
+                        {"hier.pipeline_stalls", pipeline_stalls},
+                        {"hier.refill_uses_ports", refill_uses_ports}};
+    };
+
     // Step 0: fully SimpleScalar-like.
-    RunConfig ss;
-    ss.system = makeSimpleScalarCacheBaseline(ss.system);
-    const double base_diff = gap("fig01_simplescalar", ss, &per_bench);
+    const double base_diff =
+        gap("fig01_simplescalar", cache("0", "0", "0"), &per_bench);
     per_bench.print(std::cout);
 
     // Cumulative alignment steps.
+    const std::pair<std::string, Settings> aligned[] = {
+        {"finite MSHR", cache("1", "0", "0")},
+        {"pipeline stalls", cache("1", "1", "0")},
+        {"LSQ back-pressure", cache("1", "1", "0")},
+        {"refills use ports", cache("1", "1", "1")},
+    };
     Table steps("Alignment steps (cumulative)");
     steps.header({"step", "avg IPC diff %"});
     steps.row({"SimpleScalar-like (none)", Table::num(base_diff, 2)});
-
-    std::vector<RealismFeature> enabled;
-    for (const auto f : allRealismFeatures()) {
-        enabled.push_back(f);
-        RunConfig step;
-        auto &hier = step.system.hier;
-        hier.l1d = withRealism(hier.l1d, enabled);
-        hier.l1i = withRealism(hier.l1i, enabled);
-        hier.l2 = withRealism(hier.l2, enabled);
-        const std::string name = realismFeatureName(f);
+    for (const auto &[name, settings] : aligned)
         steps.row({"+ " + name,
-                   Table::num(gap("fig01_+" + name, step, nullptr), 2)});
-    }
+                   Table::num(gap("fig01_+" + name, settings, nullptr),
+                              2)});
     steps.print(std::cout);
 
     std::cout << "\nPaper: 6.8% before alignment, 2% after. Expect the "
@@ -279,14 +306,9 @@ fig01(Paper &p)
 
 /** Validation setup of Figures 2 and 3, as in the paper's Section
  *  2.2: "skip, simulate" trace and the 70-cycle SimpleScalar memory. */
-RunConfig
-validationConfig()
-{
-    RunConfig cfg;
-    cfg.system = makeConstantMemoryBaseline(70);
-    cfg.selection = TraceSelection::Arbitrary;
-    return cfg;
-}
+const Settings validation = {{"hier.memory", "const"},
+                             {"hier.const_latency", "70"},
+                             {"window.selection", "arbitrary"}};
 
 /**
  * Figure 2 — Validation of TK, TCP and TKVC against the articles.
@@ -313,7 +335,7 @@ fig02(Paper &p)
     const std::vector<std::string> mechs = {"TK", "TCP", "TKVC"};
     // Variant 0: the confirmed (article) builds; 1: second-guessed.
     const SweepResult res =
-        p.versus("fig02_second_guess", validationConfig(),
+        p.versus("fig02_second_guess", validation,
                  {"Base", "TK", "TCP", "TKVC"}, "mech.second_guess", "0",
                  "1");
     const MatrixResult &article = res.matrix(0), &ours = res.matrix(1);
@@ -374,7 +396,7 @@ fig03(Paper &p)
         "in average speedup (paper: 38%)");
 
     printVersus("DBCP speedup: initial vs fixed build",
-                p.versus("fig03_dbcp_fix", validationConfig(),
+                p.versus("fig03_dbcp_fix", validation,
                          {"Base", "DBCP"}, "mech.second_guess", "1", "0"),
                 "DBCP", "initial", "fixed", true);
 
@@ -751,13 +773,13 @@ fig08(Paper &p)
         "speedups shrink and rankings flip when a constant-latency "
         "memory is replaced by real SDRAM");
 
-    RunConfig const70;
-    const70.system = makeConstantMemoryBaseline(70);
-    RunConfig sdram70;
-    sdram70.system = makeScaledSdramBaseline();
-
-    const MatrixResult m_const = p.matrix("const70_matrix", const70);
-    const MatrixResult m_s70 = p.matrix("sdram70_matrix", sdram70);
+    const MatrixResult m_const = p.matrix(
+        "const70_matrix",
+        {{"hier.memory", "const"}, {"hier.const_latency", "70"}});
+    // The SDRAM scaled to a ~70-cycle average latency (paper: CAS
+    // cut from 6 to 2 memory cycles, roughly 1/2.5 on every timing).
+    const MatrixResult m_s70 = p.matrix(
+        "sdram70_matrix", {{"hier.sdram.timing_scale", "0.4"}});
     // The default Table 1 SDRAM.
     const MatrixResult &m_s170 = p.defaultMatrix();
     const auto &mechs = m_s170.mechanisms;
@@ -836,11 +858,8 @@ fig09(Paper &p)
 
     // Table 1 default: 8 MSHRs x 4 reads.
     const MatrixResult &m_fin = p.defaultMatrix();
-    RunConfig infinite;
-    infinite.system.hier.l1d.finite_mshr = false;
-    infinite.system.hier.l1i.finite_mshr = false;
-    infinite.system.hier.l2.finite_mshr = false;
-    const MatrixResult m_inf = p.matrix("infinite_mshr_matrix", infinite);
+    const MatrixResult m_inf =
+        p.matrix("infinite_mshr_matrix", {{"hier.finite_mshr", "0"}});
     const auto &mechs = m_fin.mechanisms;
 
     Table t("Average speedup: finite vs infinite MSHR");
@@ -918,9 +937,8 @@ fig11(Paper &p)
         "speedups and the ranking");
 
     const MatrixResult &m_sp = p.defaultMatrix();
-    RunConfig arbitrary;
-    arbitrary.selection = TraceSelection::Arbitrary;
-    const MatrixResult m_arb = p.matrix("arbitrary_matrix", arbitrary);
+    const MatrixResult m_arb =
+        p.matrix("arbitrary_matrix", {{"window.selection", "arbitrary"}});
     const auto &mechs = m_sp.mechanisms;
 
     Table t("Average speedup: SimPoint vs arbitrary trace");

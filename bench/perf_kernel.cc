@@ -24,6 +24,7 @@
 #include "core/baseline_config.hh"
 #include "core/registry.hh"
 #include "core/scheduler.hh"
+#include "core/sweep_spec.hh"
 #include "cpu/lockstep.hh"
 #include "cpu/ooo_core.hh"
 #include "mem/const_memory.hh"
@@ -433,35 +434,32 @@ BENCHMARK(BM_TraceArenaColdWarm)->Arg(0)->Arg(1);
 // only the calling thread, so /4 and /8 would report "scaling" that
 // the wall clock never saw.
 
-const std::vector<std::string> matrix_mechs = {"Base", "TP", "SP",
-                                               "GHB"};
-const std::vector<std::string> matrix_benchs = {"swim", "mcf",
-                                                "crafty", "gzip"};
-
-RunConfig
-matrixConfig()
-{
-    RunConfig cfg;
-    cfg.selection = TraceSelection::Arbitrary;
-    cfg.scale.arbitrary_skip = 0;
-    cfg.scale.arbitrary_length = 100'000;
-    return cfg;
-}
+const char *const matrix_spec = "sweep-spec v1\n"
+                                "bench swim mcf crafty gzip\n"
+                                "mech Base TP SP GHB\n"
+                                "base window.selection=arbitrary\n"
+                                "base window.skip=0\n"
+                                "base window.length=100000\n";
 
 void
 BM_MatrixEngine(benchmark::State &state)
 {
-    const RunConfig cfg = matrixConfig();
+    SweepSpec spec;
+    std::string error;
+    if (!SweepSpec::parse(matrix_spec, spec, &error)) {
+        state.SkipWithError(error.c_str());
+        return;
+    }
     EngineOptions opts;
     opts.threads = static_cast<unsigned>(state.range(0));
     ExperimentEngine engine(opts);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            engine.run(matrix_mechs, matrix_benchs, cfg));
+        benchmark::DoNotOptimize(engine.run(spec));
         engine.cache().clear(); // rematerialize every iteration
     }
-    state.SetItemsProcessed(state.iterations() * matrix_mechs.size() *
-                            matrix_benchs.size());
+    state.SetItemsProcessed(state.iterations() *
+                            spec.mechanisms().size() *
+                            spec.benchmarks().size());
 }
 BENCHMARK(BM_MatrixEngine)->Arg(1)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);

@@ -25,7 +25,8 @@ study(ExperimentEngine &engine, const std::string &benchmark)
 {
     RunConfig sdram;
     RunConfig flat;
-    flat.system = makeConstantMemoryBaseline(70);
+    flat.system.hier.memory = MemoryModelKind::ConstantLatency;
+    flat.system.hier.const_latency = 70;
 
     const auto trace = engine.trace(benchmark, sdram);
     const RunOutput rs = runOne(*trace, "Base", sdram);

@@ -23,6 +23,7 @@
 
 #include "core/result_store.hh"
 #include "core/scheduler.hh"
+#include "core/sweep_spec.hh"
 
 using namespace microlib;
 
@@ -42,9 +43,15 @@ main(int argc, char **argv)
                                                  "VC", "GHB"};
     const std::vector<std::string> benchmarks = {"swim", "gzip", "mcf",
                                                  "crafty"};
-    RunConfig cfg;
-    cfg.scale.simpoint_trace = 500'000;
-    cfg.scale.simpoint_interval = 250'000;
+    SweepSpec spec;
+    std::string error;
+    if (!spec.setMechanisms(mechanisms, &error) ||
+        !spec.setBenchmarks(benchmarks, &error) ||
+        !spec.addBase("window.trace_length", "500000", &error) ||
+        !spec.addBase("window.interval", "250000", &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
+    }
 
     ResultStore store(path);
     std::printf("result store: %s (%zu record(s) on disk)\n",
@@ -56,7 +63,7 @@ main(int argc, char **argv)
     opts.shard = shard;
     ExperimentEngine engine(opts);
 
-    const MatrixResult res = engine.run(mechanisms, benchmarks, cfg);
+    const MatrixResult res = engine.run(spec).matrix(0);
     const RunCounters counts = engine.lastRun();
     // Resume accounting must stay truthful under sharding: every
     // task is either executed here, restored from the store, or

@@ -38,9 +38,9 @@ main(int argc, char **argv)
         }
     } else {
         // The same study, declared programmatically.
-        spec.setBenchmarks({"pchase", "swim", "gzip"});
-        spec.setMechanisms({"Base", "TP", "GHB"});
-        bool ok = spec.addBase("window.trace_length", "100000", &error) &&
+        bool ok = spec.setBenchmarks({"pchase", "swim", "gzip"}, &error) &&
+                  spec.setMechanisms({"Base", "TP", "GHB"}, &error) &&
+                  spec.addBase("window.trace_length", "100000", &error) &&
                   spec.addBase("window.interval", "100000", &error) &&
                   spec.addAxis("hier.l2.size", {"256k", "1M"}, &error);
         if (!ok) {

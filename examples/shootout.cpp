@@ -15,6 +15,7 @@
 
 #include "core/ranking.hh"
 #include "core/scheduler.hh"
+#include "core/sweep_spec.hh"
 
 using namespace microlib;
 
@@ -27,7 +28,15 @@ main(int argc, char **argv)
     if (benchmarks.empty())
         benchmarks = {"swim", "mcf", "crafty"};
 
-    RunConfig cfg;
+    // No settings: the Table 1 baseline on SimPoint windows.
+    SweepSpec spec;
+    std::string error;
+    if (!spec.setBenchmarks(benchmarks, &error) ||
+        !spec.setMechanisms(allMechanismNames(), &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
+    }
+    const RunConfig cfg = spec.resolve(spec.variants().front());
     ExperimentEngine engine;
     std::printf("Shootout over:");
     for (const auto &b : benchmarks)
@@ -39,8 +48,7 @@ main(int argc, char **argv)
                     cfg.scale.simpoint_trace),
                 engine.threads());
 
-    const MatrixResult matrix =
-        engine.run(allMechanismNames(), benchmarks, cfg);
+    const MatrixResult matrix = engine.run(spec).matrix(0);
 
     std::printf("%-8s", "mech");
     for (const auto &b : matrix.benchmarks)

@@ -1,6 +1,5 @@
 #include "core/baseline_config.hh"
 
-#include "mem/cache_simple.hh"
 #include "sim/options.hh"
 
 namespace microlib
@@ -81,35 +80,6 @@ makeBaseline()
     cfg.hier.sdram.line_bytes = 64;
 
     return cfg;
-}
-
-BaselineConfig
-makeConstantMemoryBaseline(Cycle latency)
-{
-    BaselineConfig cfg = makeBaseline();
-    cfg.hier.memory = MemoryModelKind::ConstantLatency;
-    cfg.hier.const_latency = latency;
-    return cfg;
-}
-
-BaselineConfig
-makeScaledSdramBaseline()
-{
-    BaselineConfig cfg = makeBaseline();
-    // Scale the SDRAM so its average latency lands near the
-    // SimpleScalar-like 70 cycles (paper: CAS reduced from 6 to 2
-    // memory cycles, i.e. roughly a 1/2.5 scale on the timings).
-    cfg.hier.sdram.scaleTimings(0.4);
-    return cfg;
-}
-
-BaselineConfig
-makeSimpleScalarCacheBaseline(BaselineConfig base)
-{
-    base.hier.l1d = makeSimpleScalarLike(base.hier.l1d);
-    base.hier.l1i = makeSimpleScalarLike(base.hier.l1i);
-    base.hier.l2 = makeSimpleScalarLike(base.hier.l2);
-    return base;
 }
 
 ParamTable

@@ -24,17 +24,6 @@ struct BaselineConfig
 /** Table 1: the scaled-up superscalar + SDRAM baseline. */
 BaselineConfig makeBaseline();
 
-/** Baseline with SimpleScalar's constant 70-cycle memory. */
-BaselineConfig makeConstantMemoryBaseline(Cycle latency = 70);
-
-/** Baseline with the SDRAM scaled to a ~70-cycle average latency
- *  (Figure 8's third configuration: CAS and friends scaled down). */
-BaselineConfig makeScaledSdramBaseline();
-
-/** Baseline with SimpleScalar-like cache models everywhere
- *  (infinite MSHR, no pipeline stalls, free refill ports). */
-BaselineConfig makeSimpleScalarCacheBaseline(BaselineConfig base);
-
 /** Render the Table 1 parameter dump. */
 ParamTable describeBaseline(const BaselineConfig &cfg);
 

@@ -101,16 +101,6 @@ ExperimentEngine::run(const SweepSpec &spec)
     return runPlan(TaskPlan(spec));
 }
 
-MatrixResult
-ExperimentEngine::run(const std::vector<std::string> &mechanisms,
-                      const std::vector<std::string> &benchmarks,
-                      const RunConfig &cfg)
-{
-    SweepResult res =
-        runPlan(TaskPlan(mechanisms, benchmarks, cfg));
-    return std::move(res.matrices.front());
-}
-
 SweepResult
 ExperimentEngine::runPlan(const TaskPlan &plan)
 {

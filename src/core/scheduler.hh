@@ -136,16 +136,6 @@ class ExperimentEngine
      */
     SweepResult run(const SweepSpec &spec);
 
-    /**
-     * Classic two-vector form: the full @p mechanisms x @p benchmarks
-     * matrix under the single configuration @p cfg. A thin wrapper
-     * over run(SweepSpec::single(...)) returning the one variant's
-     * matrix, for one-config studies.
-     */
-    MatrixResult run(const std::vector<std::string> &mechanisms,
-                     const std::vector<std::string> &benchmarks,
-                     const RunConfig &cfg);
-
     /** Run an already-built @p plan (shared by callers that also
      *  print or shard it). Same contract as run(). */
     SweepResult runPlan(const TaskPlan &plan);

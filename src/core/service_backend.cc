@@ -56,31 +56,9 @@ ServiceBackend::execute(const TaskPlan &plan,
                         const ExecutionContext &ctx, SweepResult &res,
                         RunCounters &counters)
 {
-    // The daemon only ever sees the canonical spec text, so this
-    // backend is only sound for plans whose spec round-trips through
-    // it. A SweepSpec::single() plan (config set programmatically,
-    // not as settings) does not; catch that here rather than let the
-    // daemon silently run a different configuration.
+    // The daemon sees only the canonical spec text; every spec is
+    // settings, so that text rebuilds this very plan.
     const std::string text = plan.spec().canonicalText();
-    {
-        SweepSpec reparsed;
-        std::string error;
-        if (!SweepSpec::parse(text, reparsed, &error))
-            throw std::runtime_error(
-                "service backend: spec does not round-trip (" +
-                error + "); spec-file sweeps only");
-        const TaskPlan check(reparsed);
-        if (check.size() != plan.size() ||
-            check.variantCount() != plan.variantCount())
-            throw std::runtime_error(
-                "service backend: spec does not round-trip; "
-                "spec-file sweeps only");
-        for (std::size_t v = 0; v < plan.variantCount(); ++v)
-            if (check.configHash(v) != plan.configHash(v))
-                throw std::runtime_error(
-                    "service backend: spec does not round-trip "
-                    "(variant config drift); spec-file sweeps only");
-    }
 
     // Everything resumed from the caller's store: nothing to submit
     // or fetch, so the daemon need not even be reachable.

@@ -447,18 +447,6 @@ findAxisParam(const std::string &key)
     return nullptr;
 }
 
-SweepSpec
-SweepSpec::single(std::vector<std::string> mechanisms,
-                  std::vector<std::string> benchmarks,
-                  const RunConfig &cfg)
-{
-    SweepSpec spec;
-    spec._mechanisms = std::move(mechanisms);
-    spec._benchmarks = std::move(benchmarks);
-    spec._base_cfg = cfg;
-    return spec;
-}
-
 bool
 SweepSpec::setBenchmarks(std::vector<std::string> b, std::string *error)
 {
@@ -716,7 +704,6 @@ SweepSpec::axisSlice(const std::vector<std::string> &mechanisms,
     SweepSpec slice;
     slice._benchmarks = _benchmarks;
     slice._mechanisms = mechanisms;
-    slice._base_cfg = _base_cfg;
     slice._base = _base;
     for (const auto &a : _axes) {
         if (a.key == axis_key)
@@ -733,7 +720,7 @@ SweepSpec::axisSlice(const std::vector<std::string> &mechanisms,
 RunConfig
 SweepSpec::resolve(const ConfigVariant &variant) const
 {
-    RunConfig cfg = _base_cfg;
+    RunConfig cfg;
     auto applyOne = [&](const AxisSetting &s) {
         const AxisParam *param = findAxisParam(s.key);
         if (!param)

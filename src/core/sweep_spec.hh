@@ -132,17 +132,6 @@ class SweepSpec
   public:
     SweepSpec() = default;
 
-    /**
-     * Wrap the classic two-vector API: one variant whose config is
-     * @p cfg verbatim. Such a spec runs exactly like the old
-     * ExperimentEngine::run(mechanisms, benchmarks, cfg); it is not
-     * round-trippable through canonicalText() because @p cfg is not
-     * expressed as settings.
-     */
-    static SweepSpec single(std::vector<std::string> mechanisms,
-                            std::vector<std::string> benchmarks,
-                            const RunConfig &cfg);
-
     const std::vector<std::string> &benchmarks() const
     {
         return _benchmarks;
@@ -205,8 +194,8 @@ class SweepSpec
     /** All variants, in expansion order (first axis slowest). */
     std::vector<ConfigVariant> variants() const;
 
-    /** The resolved configuration of @p variant: base config + base
-     *  settings + the variant's settings. Fatal on a setting the
+    /** The resolved configuration of @p variant: a default RunConfig
+     *  + base settings + the variant's settings. Fatal on a setting the
      *  registry rejects (specs built through addBase/addAxis/parse
      *  were already validated). */
     RunConfig resolve(const ConfigVariant &variant) const;
@@ -236,9 +225,6 @@ class SweepSpec
     std::vector<std::string> _mechanisms;
     std::vector<AxisSetting> _base;
     std::vector<AxisDecl> _axes;
-    /** Starting point for resolve(); the process default unless the
-     *  spec came from single(). */
-    RunConfig _base_cfg;
 };
 
 /**

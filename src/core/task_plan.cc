@@ -95,14 +95,6 @@ TaskPlan::TaskPlan(const SweepSpec &spec)
                     {(b * V + v) * _mechanisms.size() + m, m, b, v});
 }
 
-TaskPlan::TaskPlan(std::vector<std::string> mechanisms,
-                   std::vector<std::string> benchmarks,
-                   const RunConfig &cfg)
-    : TaskPlan(SweepSpec::single(std::move(mechanisms),
-                                 std::move(benchmarks), cfg))
-{
-}
-
 ResultKey
 TaskPlan::resultKey(std::size_t index) const
 {

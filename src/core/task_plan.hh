@@ -88,13 +88,6 @@ class TaskPlan
      *  slots are precomputed. */
     explicit TaskPlan(const SweepSpec &spec);
 
-    /** Classic one-variant plan: @p mechanisms x @p benchmarks under
-     *  @p cfg (wraps SweepSpec::single). Flat indices reduce to the
-     *  historic b * mechanisms + m, so stores written by older
-     *  sweeps resume unchanged. */
-    TaskPlan(std::vector<std::string> mechanisms,
-             std::vector<std::string> benchmarks, const RunConfig &cfg);
-
     const std::vector<std::string> &mechanisms() const
     {
         return _mechanisms;

@@ -61,30 +61,6 @@ TraceCache::fail(const std::string &key, std::exception_ptr err)
     promise.set_exception(err);
 }
 
-bool
-TraceCache::ready(const std::string &key) const
-{
-    std::unique_lock<std::mutex> lock(_mu);
-    auto it = _traces.find(key);
-    return it != _traces.end() &&
-           it->second.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready;
-}
-
-TraceCache::TracePtr
-TraceCache::wait(const std::string &key) const
-{
-    Future fut;
-    {
-        std::unique_lock<std::mutex> lock(_mu);
-        auto it = _traces.find(key);
-        if (it == _traces.end())
-            panic("wait() on unclaimed trace key ", key);
-        fut = it->second;
-    }
-    return fut.get();
-}
-
 TraceCache::TracePtr
 TraceCache::get(const std::string &key, const Materializer &make)
 {

@@ -81,14 +81,6 @@ class TraceCache
     /** Propagate a materialization failure to all waiters of @p key. */
     void fail(const std::string &key, std::exception_ptr err);
 
-    /** True when @p key holds a trace that can be read without
-     *  blocking. */
-    bool ready(const std::string &key) const;
-
-    /** Block until @p key's trace is available (fatal if the key was
-     *  never claimed). */
-    TracePtr wait(const std::string &key) const;
-
     /**
      * Blocking convenience: return the cached trace for @p key, the
      * first caller materializing it via @p make. Concurrent callers

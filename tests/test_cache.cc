@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
-#include "mem/cache_simple.hh"
 #include "mem/const_memory.hh"
 
 using namespace microlib;
@@ -186,25 +185,6 @@ TEST(Cache, Invalidate)
     EXPECT_TRUE(c.probe(0x100));
     c.invalidate(0x100);
     EXPECT_FALSE(c.probe(0x100));
-}
-
-TEST(Cache, SimpleScalarPresetsRelaxRealism)
-{
-    const CacheParams p = makeSimpleScalarLike(smallCache());
-    EXPECT_FALSE(p.finite_mshr);
-    EXPECT_FALSE(p.pipeline_stalls);
-    EXPECT_FALSE(p.refill_uses_ports);
-    EXPECT_TRUE(p.port_contention); // demand ports stay modeled
-}
-
-TEST(Cache, RealismFeatureComposition)
-{
-    const CacheParams p = withRealism(
-        smallCache(), {RealismFeature::FiniteMshr,
-                       RealismFeature::RefillPorts});
-    EXPECT_TRUE(p.finite_mshr);
-    EXPECT_TRUE(p.refill_uses_ports);
-    EXPECT_FALSE(p.pipeline_stalls);
 }
 
 namespace

@@ -74,22 +74,6 @@ TEST(BaselineConfig, Table1Values)
     EXPECT_EQ(cfg.hier.sdram.queue_entries, 32u);
 }
 
-TEST(BaselineConfig, VariantsDiffer)
-{
-    const BaselineConfig c70 = makeConstantMemoryBaseline(70);
-    EXPECT_EQ(c70.hier.memory, MemoryModelKind::ConstantLatency);
-    EXPECT_EQ(c70.hier.const_latency, 70u);
-
-    const BaselineConfig scaled = makeScaledSdramBaseline();
-    EXPECT_LT(scaled.hier.sdram.cas_latency,
-              makeBaseline().hier.sdram.cas_latency);
-
-    const BaselineConfig ss =
-        makeSimpleScalarCacheBaseline(makeBaseline());
-    EXPECT_FALSE(ss.hier.l1d.finite_mshr);
-    EXPECT_FALSE(ss.hier.l2.pipeline_stalls);
-}
-
 TEST(BaselineConfig, DescribeProducesTable1)
 {
     const ParamTable t = describeBaseline(makeBaseline());

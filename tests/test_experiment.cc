@@ -9,31 +9,33 @@
 #include "core/selections.hh"
 #include "trace/spec_suite.hh"
 
+#include "spec_helpers.hh"
+
 using namespace microlib;
 
 namespace
 {
 
+/** 100k-instruction windows of either selection mode. */
+const Settings quick = {{"window.trace_length", "100000"},
+                        {"window.interval", "100000"},
+                        {"window.skip", "50000"},
+                        {"window.length", "100000"}};
+
 RunConfig
 quickConfig()
 {
-    RunConfig cfg;
-    cfg.scale.simpoint_trace = 100'000;
-    cfg.scale.simpoint_interval = 100'000;
-    cfg.scale.arbitrary_skip = 50'000;
-    cfg.scale.arbitrary_length = 100'000;
-    return cfg;
+    return configOf(quick);
 }
 
 /** The @p mechanisms x @p benchmarks matrix on a fresh engine with
  *  default options. */
 MatrixResult
 freshMatrix(const std::vector<std::string> &mechanisms,
-            const std::vector<std::string> &benchmarks,
-            const RunConfig &cfg)
+            const std::vector<std::string> &benchmarks)
 {
     ExperimentEngine engine;
-    return engine.run(mechanisms, benchmarks, cfg);
+    return engine.run(specOf(mechanisms, benchmarks, quick)).matrix(0);
 }
 
 } // namespace
@@ -62,10 +64,9 @@ TEST(Experiment, SelectionsProduceDifferentWindows)
 
 TEST(Experiment, MatrixShape)
 {
-    const RunConfig cfg = quickConfig();
     const std::vector<std::string> mechs = {"Base", "TP"};
     const std::vector<std::string> benchs = {"crafty", "swim"};
-    const MatrixResult res = freshMatrix(mechs, benchs, cfg);
+    const MatrixResult res = freshMatrix(mechs, benchs);
     ASSERT_EQ(res.ipc.size(), 2u);
     ASSERT_EQ(res.ipc[0].size(), 2u);
     for (const auto &row : res.ipc)
@@ -77,9 +78,8 @@ TEST(Experiment, MatrixShape)
 
 TEST(Experiment, SpeedupAlgebra)
 {
-    const RunConfig cfg = quickConfig();
     const MatrixResult res =
-        freshMatrix({"Base", "SP"}, {"swim"}, cfg);
+        freshMatrix({"Base", "SP"}, {"swim"});
     const std::size_t base = res.mechIndex("Base");
     const std::size_t sp = res.mechIndex("SP");
     EXPECT_DOUBLE_EQ(res.speedup(base, 0), 1.0);
@@ -93,13 +93,12 @@ TEST(Experiment, MatrixParallelismInvariant)
     // The same matrix computed serially and with 2 workers must be
     // bit-identical, down to the stat snapshots (runs are
     // independent and slots are pre-assigned).
-    const RunConfig cfg = quickConfig();
     setenv("MICROLIB_THREADS", "1", 1);
     const MatrixResult serial =
-        freshMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
+        freshMatrix({"Base", "TP", "SP"}, {"gzip"});
     setenv("MICROLIB_THREADS", "2", 1);
     const MatrixResult parallel =
-        freshMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
+        freshMatrix({"Base", "TP", "SP"}, {"gzip"});
     unsetenv("MICROLIB_THREADS");
     for (std::size_t m = 0; m < serial.ipc.size(); ++m) {
         EXPECT_EQ(serial.ipc[m][0], parallel.ipc[m][0]);
@@ -110,9 +109,8 @@ TEST(Experiment, MatrixParallelismInvariant)
 
 TEST(Experiment, IndexLookups)
 {
-    const RunConfig cfg = quickConfig();
     const MatrixResult res =
-        freshMatrix({"Base", "TP"}, {"crafty", "swim"}, cfg);
+        freshMatrix({"Base", "TP"}, {"crafty", "swim"});
     // Engine-produced matrices carry prebuilt indices.
     EXPECT_EQ(res.mechIndex("Base"), 0u);
     EXPECT_EQ(res.mechIndex("TP"), 1u);

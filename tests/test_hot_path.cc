@@ -30,6 +30,8 @@
 #include "sim/fingerprint.hh"
 #include "trace/spec_suite.hh"
 
+#include "spec_helpers.hh"
+
 using namespace microlib;
 
 namespace
@@ -40,28 +42,22 @@ const std::vector<std::string> kMechanisms = {"Base", "VC", "GHB"};
 
 /** An explicit arbitrary window: the same at every MICROLIB_QUICK
  *  setting. */
-RunConfig
-quickConfig()
-{
-    RunConfig cfg;
-    cfg.selection = TraceSelection::Arbitrary;
-    cfg.scale.arbitrary_skip = 25'000;
-    cfg.scale.arbitrary_length = 80'000;
-    return cfg;
-}
+const Settings quick = {{"window.selection", "arbitrary"},
+                        {"window.skip", "25000"},
+                        {"window.length", "80000"}};
 
 } // namespace
 
 TEST(HotPath, BitIdenticalAcrossWorkerCounts)
 {
-    const RunConfig cfg = quickConfig();
+    const SweepSpec spec = specOf(kMechanisms, kBenchmarks, quick);
     std::vector<MatrixResult> results;
     for (const unsigned threads : {1u, 4u, 8u}) {
         setenv("MICROLIB_THREADS", std::to_string(threads).c_str(), 1);
         EngineOptions opts;
         opts.threads = threads;
         ExperimentEngine engine(opts);
-        results.push_back(engine.run(kMechanisms, kBenchmarks, cfg));
+        results.push_back(engine.run(spec).matrix(0));
     }
     unsetenv("MICROLIB_THREADS");
 
@@ -98,7 +94,7 @@ goldenBenchmarks()
 }
 
 /** The golden matrix: goldenBenchmarks() x allMechanismNames() on
- *  quickConfig()'s explicit window, so neither the results nor the
+ *  the `quick` settings' explicit window, so neither the results nor the
  *  run time depend on MICROLIB_QUICK. Run once through the engine
  *  (the path reports print) and shared by the tests below. */
 const MatrixResult &
@@ -106,8 +102,9 @@ goldenMatrix()
 {
     static const MatrixResult matrix = [] {
         ExperimentEngine engine;
-        return engine.run(allMechanismNames(), goldenBenchmarks(),
-                          quickConfig());
+        return engine
+            .run(specOf(allMechanismNames(), goldenBenchmarks(), quick))
+            .matrix(0);
     }();
     return matrix;
 }
@@ -491,7 +488,7 @@ TEST(HotPath, CounterInvariantsHoldOnEveryGoldenCell)
     // The model's bookkeeping identities (after CounterPoint): each
     // one is a property of every run, whatever the mechanism.
     const MatrixResult &m = goldenMatrix();
-    const unsigned commit_width = quickConfig().system.core.commit_width;
+    const unsigned commit_width = configOf(quick).system.core.commit_width;
     for (std::size_t i = 0; i < m.mechanisms.size(); ++i) {
         for (std::size_t b = 0; b < m.benchmarks.size(); ++b) {
             const RunOutput &out = m.outputs[i][b];

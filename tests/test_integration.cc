@@ -87,7 +87,8 @@ TEST(Integration, MemoryModelShrinksSpeedups)
     // constant-latency memory exceeds its gain under SDRAM.
     RunConfig sdram = quick();
     RunConfig flat = quick();
-    flat.system = makeConstantMemoryBaseline(70);
+    flat.system.hier.memory = MemoryModelKind::ConstantLatency;
+    flat.system.hier.const_latency = 70;
     const double gain_flat = speedupOf("swim", "GHB", flat) - 1.0;
     const double gain_sdram = speedupOf("swim", "GHB", sdram) - 1.0;
     EXPECT_GT(gain_flat, 0.0);

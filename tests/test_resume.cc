@@ -18,6 +18,8 @@
 #include "core/scheduler.hh"
 #include "core/task_plan.hh"
 
+#include "spec_helpers.hh"
+
 using namespace microlib;
 
 namespace
@@ -26,14 +28,8 @@ namespace
 const std::vector<std::string> mechs = {"Base", "TP", "SP", "GHB"};
 const std::vector<std::string> benchs = {"swim", "gzip", "crafty"};
 
-RunConfig
-quickConfig()
-{
-    RunConfig cfg;
-    cfg.scale.simpoint_trace = 100'000;
-    cfg.scale.simpoint_interval = 100'000;
-    return cfg;
-}
+const Settings quick = {{"window.trace_length", "100000"},
+                        {"window.interval", "100000"}};
 
 std::string
 tmpPath(const std::string &name)
@@ -42,14 +38,14 @@ tmpPath(const std::string &name)
 }
 
 MatrixResult
-runWithStore(unsigned threads, const RunConfig &cfg, ResultStore *store,
-             RunCounters &counts)
+runWithStore(unsigned threads, const Settings &settings,
+             ResultStore *store, RunCounters &counts)
 {
     EngineOptions opts;
     opts.threads = threads;
     opts.store = store;
     ExperimentEngine engine(opts);
-    MatrixResult res = engine.run(mechs, benchs, cfg);
+    MatrixResult res = engine.run(specOf(mechs, benchs, settings)).matrix(0);
     counts = engine.lastRun();
     return res;
 }
@@ -103,7 +99,6 @@ truncateStoreFile(const std::string &src, const std::string &dst,
 
 TEST(Resume, InterruptedSweepExecutesOnlyMissingRuns)
 {
-    const RunConfig cfg = quickConfig();
     const std::size_t total = mechs.size() * benchs.size();
     const std::string full_path = tmpPath("full.store");
     const std::string half_path = tmpPath("half.store");
@@ -114,7 +109,7 @@ TEST(Resume, InterruptedSweepExecutesOnlyMissingRuns)
     MatrixResult uninterrupted;
     {
         ResultStore store(full_path);
-        uninterrupted = runWithStore(4, cfg, &store, counts);
+        uninterrupted = runWithStore(4, quick, &store, counts);
         EXPECT_EQ(counts.executed, total);
         EXPECT_EQ(counts.resumed, 0u);
         EXPECT_EQ(store.size(), total);
@@ -136,7 +131,7 @@ TEST(Resume, InterruptedSweepExecutesOnlyMissingRuns)
         ResultStore store(path);
         ASSERT_EQ(store.size(), total / 2);
         const MatrixResult resumed =
-            runWithStore(threads, cfg, &store, counts);
+            runWithStore(threads, quick, &store, counts);
         EXPECT_EQ(counts.resumed, total / 2) << threads << " workers";
         EXPECT_EQ(counts.executed, total - total / 2)
             << threads << " workers";
@@ -152,17 +147,16 @@ TEST(Resume, InterruptedSweepExecutesOnlyMissingRuns)
 
 TEST(Resume, CompletedSweepRerunsNothing)
 {
-    const RunConfig cfg = quickConfig();
     const std::size_t total = mechs.size() * benchs.size();
     const std::string path = tmpPath("complete.store");
     std::remove(path.c_str());
 
     ResultStore store(path);
     RunCounters counts;
-    const MatrixResult first = runWithStore(2, cfg, &store, counts);
+    const MatrixResult first = runWithStore(2, quick, &store, counts);
     EXPECT_EQ(counts.executed, total);
 
-    const MatrixResult second = runWithStore(2, cfg, &store, counts);
+    const MatrixResult second = runWithStore(2, quick, &store, counts);
     EXPECT_EQ(counts.executed, 0u);
     EXPECT_EQ(counts.resumed, total);
     expectIdentical(first, second);
@@ -171,7 +165,6 @@ TEST(Resume, CompletedSweepRerunsNothing)
 
 TEST(Resume, StaleRecordsAreIgnoredNeverReused)
 {
-    const RunConfig cfg = quickConfig();
     const std::size_t total = mechs.size() * benchs.size();
     const std::string path = tmpPath("stale.store");
     std::remove(path.c_str());
@@ -179,13 +172,13 @@ TEST(Resume, StaleRecordsAreIgnoredNeverReused)
     // Fill the store under one configuration...
     RunCounters counts;
     ResultStore store(path);
-    runWithStore(2, cfg, &store, counts);
+    runWithStore(2, quick, &store, counts);
     EXPECT_EQ(store.size(), total);
 
     // ...then change the system: every record is stale, every task
     // re-executes, and the store now holds both configurations.
-    RunConfig bigger_l1 = cfg;
-    bigger_l1.system.hier.l1d.size *= 2;
+    Settings bigger_l1 = quick;
+    bigger_l1.push_back({"hier.l1d.size", "64k"}); // Table 1: 32k
     runWithStore(2, bigger_l1, &store, counts);
     EXPECT_EQ(counts.resumed, 0u);
     EXPECT_EQ(counts.executed, total);
@@ -195,12 +188,11 @@ TEST(Resume, StaleRecordsAreIgnoredNeverReused)
 
 TEST(Resume, MemoryStoreResumesWithinProcess)
 {
-    const RunConfig cfg = quickConfig();
     ResultStore store; // no backing file
     RunCounters counts;
-    const MatrixResult first = runWithStore(2, cfg, &store, counts);
+    const MatrixResult first = runWithStore(2, quick, &store, counts);
     EXPECT_EQ(counts.executed, mechs.size() * benchs.size());
-    const MatrixResult again = runWithStore(2, cfg, &store, counts);
+    const MatrixResult again = runWithStore(2, quick, &store, counts);
     EXPECT_EQ(counts.executed, 0u);
     expectIdentical(first, again);
 }

@@ -10,30 +10,36 @@
 #include "core/scheduler.hh"
 #include "sim/logging.hh"
 
+#include "spec_helpers.hh"
+
 using namespace microlib;
 
 namespace
 {
 
-RunConfig
-quickConfig()
+/** 100k-instruction windows of either selection mode. */
+const Settings quick = {{"window.trace_length", "100000"},
+                        {"window.interval", "100000"},
+                        {"window.skip", "50000"},
+                        {"window.length", "100000"}};
+
+/** @p mechs x @p benchs under @p settings, run on @p engine. */
+MatrixResult
+matrix(ExperimentEngine &engine, const std::vector<std::string> &mechs,
+       const std::vector<std::string> &benchs,
+       const Settings &settings = quick)
 {
-    RunConfig cfg;
-    cfg.scale.simpoint_trace = 100'000;
-    cfg.scale.simpoint_interval = 100'000;
-    cfg.scale.arbitrary_skip = 50'000;
-    cfg.scale.arbitrary_length = 100'000;
-    return cfg;
+    return engine.run(specOf(mechs, benchs, settings)).matrix(0);
 }
 
 MatrixResult
-runWithThreads(unsigned threads, const RunConfig &cfg)
+runWithThreads(unsigned threads)
 {
     EngineOptions opts;
     opts.threads = threads;
     ExperimentEngine engine(opts);
-    return engine.run({"Base", "TP", "SP", "GHB"},
-                      {"swim", "gzip", "crafty"}, cfg);
+    return matrix(engine, {"Base", "TP", "SP", "GHB"},
+                  {"swim", "gzip", "crafty"});
 }
 
 /** Full bit-identity: IPC matrix and every per-run stat snapshot. */
@@ -60,24 +66,22 @@ expectIdentical(const MatrixResult &a, const MatrixResult &b)
 
 TEST(Scheduler, BitIdenticalAcrossWorkerCounts)
 {
-    const RunConfig cfg = quickConfig();
-    const MatrixResult serial = runWithThreads(1, cfg);
-    const MatrixResult four = runWithThreads(4, cfg);
-    const MatrixResult eight = runWithThreads(8, cfg);
+    const MatrixResult serial = runWithThreads(1);
+    const MatrixResult four = runWithThreads(4);
+    const MatrixResult eight = runWithThreads(8);
     expectIdentical(serial, four);
     expectIdentical(serial, eight);
 }
 
 TEST(Scheduler, DefaultEngineHonorsThreadsEnv)
 {
-    const RunConfig cfg = quickConfig();
     std::vector<MatrixResult> results;
     for (const unsigned threads : {1u, 8u}) {
         setenv("MICROLIB_THREADS", std::to_string(threads).c_str(), 1);
         ExperimentEngine engine;
         EXPECT_EQ(engine.threads(), threads);
         results.push_back(
-            engine.run({"Base", "GHB"}, {"swim", "mcf"}, cfg));
+            matrix(engine, {"Base", "GHB"}, {"swim", "mcf"}));
     }
     unsetenv("MICROLIB_THREADS");
     expectIdentical(results[0], results[1]);
@@ -85,18 +89,17 @@ TEST(Scheduler, DefaultEngineHonorsThreadsEnv)
 
 TEST(Scheduler, EngineReuseAcrossMatrices)
 {
-    const RunConfig cfg = quickConfig();
     EngineOptions opts;
     opts.threads = 2;
     ExperimentEngine engine(opts);
 
     const MatrixResult first =
-        engine.run({"Base", "TP"}, {"swim", "gzip"}, cfg);
+        matrix(engine, {"Base", "TP"}, {"swim", "gzip"});
     EXPECT_EQ(engine.cache().traceCount(), 2u);
 
     // A second matrix over the same windows reuses both traces...
     const MatrixResult second =
-        engine.run({"Base", "SP"}, {"swim", "gzip"}, cfg);
+        matrix(engine, {"Base", "SP"}, {"swim", "gzip"});
     EXPECT_EQ(engine.cache().traceCount(), 2u);
 
     // ...and sees the exact same baseline numbers.
@@ -109,32 +112,29 @@ TEST(Scheduler, ConfigsWithSameWindowShareTraces)
     // Figure 9's setup: finite vs infinite MSHR differ only in the
     // system config, so both matrices must share one trace per
     // benchmark.
-    const RunConfig finite = quickConfig();
-    RunConfig infinite = quickConfig();
-    infinite.system.hier.l1d.finite_mshr = false;
-    infinite.system.hier.l1i.finite_mshr = false;
-    infinite.system.hier.l2.finite_mshr = false;
+    Settings infinite = quick;
+    infinite.push_back({"hier.finite_mshr", "0"});
 
     EngineOptions opts;
     opts.threads = 2;
     ExperimentEngine engine(opts);
-    engine.run({"Base", "TK"}, {"swim"}, finite);
-    engine.run({"Base", "TK"}, {"swim"}, infinite);
+    matrix(engine, {"Base", "TK"}, {"swim"});
+    matrix(engine, {"Base", "TK"}, {"swim"}, infinite);
     EXPECT_EQ(engine.cache().traceCount(), 1u);
 
     // Different windows do make a new entry.
-    RunConfig other = quickConfig();
-    other.selection = TraceSelection::Arbitrary;
-    engine.run({"Base"}, {"swim"}, other);
+    Settings other = quick;
+    other.push_back({"window.selection", "arbitrary"});
+    matrix(engine, {"Base"}, {"swim"}, other);
     EXPECT_EQ(engine.cache().traceCount(), 2u);
 }
 
 TEST(Scheduler, TraceEndpointSharesWithMatrixRuns)
 {
-    const RunConfig cfg = quickConfig();
+    const RunConfig cfg = configOf(quick);
     ExperimentEngine engine(EngineOptions{.threads = 1});
     const auto direct = engine.trace("swim", cfg);
-    engine.run({"Base"}, {"swim"}, cfg);
+    matrix(engine, {"Base"}, {"swim"});
     EXPECT_EQ(engine.cache().traceCount(), 1u);
     const auto again = engine.trace("swim", cfg);
     EXPECT_EQ(direct.get(), again.get());
@@ -142,11 +142,10 @@ TEST(Scheduler, TraceEndpointSharesWithMatrixRuns)
 
 TEST(Scheduler, EmptyMatrixIsFine)
 {
-    const RunConfig cfg = quickConfig();
     ExperimentEngine engine(EngineOptions{.threads = 2});
-    const MatrixResult no_mechs = engine.run({}, {"swim"}, cfg);
+    const MatrixResult no_mechs = matrix(engine, {}, {"swim"});
     EXPECT_TRUE(no_mechs.ipc.empty());
-    const MatrixResult no_benchs = engine.run({"Base"}, {}, cfg);
+    const MatrixResult no_benchs = matrix(engine, {"Base"}, {});
     ASSERT_EQ(no_benchs.ipc.size(), 1u);
     EXPECT_TRUE(no_benchs.ipc[0].empty());
 }
@@ -155,10 +154,10 @@ TEST(Scheduler, MatchesStandaloneRunOne)
 {
     // The engine must produce exactly what a hand-rolled
     // materializeFor + runOne produces: same traces, same numbers.
-    const RunConfig cfg = quickConfig();
+    const RunConfig cfg = configOf(quick);
     ExperimentEngine engine(EngineOptions{.threads = 4});
     const MatrixResult res =
-        engine.run({"Base", "GHB"}, {"crafty"}, cfg);
+        matrix(engine, {"Base", "GHB"}, {"crafty"});
     const MaterializedTrace trace = materializeFor("crafty", cfg);
     EXPECT_EQ(res.ipc[0][0], runOne(trace, "Base", cfg).ipc());
     EXPECT_EQ(res.ipc[1][0], runOne(trace, "GHB", cfg).ipc());

@@ -19,6 +19,8 @@
 #include "core/scheduler.hh"
 #include "core/task_plan.hh"
 
+#include "spec_helpers.hh"
+
 using namespace microlib;
 
 namespace
@@ -27,13 +29,12 @@ namespace
 const std::vector<std::string> mechs = {"Base", "TP", "SP", "GHB"};
 const std::vector<std::string> benchs = {"swim", "gzip", "crafty"};
 
-RunConfig
-quickConfig()
+SweepSpec
+quickSpec()
 {
-    RunConfig cfg;
-    cfg.scale.simpoint_trace = 100'000;
-    cfg.scale.simpoint_interval = 100'000;
-    return cfg;
+    return specOf(mechs, benchs,
+                  {{"window.trace_length", "100000"},
+                   {"window.interval", "100000"}});
 }
 
 std::string
@@ -81,12 +82,12 @@ truncateStoreFile(const std::string &src, const std::string &dst,
 }
 
 MatrixResult
-referenceRun(const RunConfig &cfg)
+referenceRun(const SweepSpec &spec)
 {
     EngineOptions opts;
     opts.threads = 4;
     ExperimentEngine engine(opts);
-    return engine.run(mechs, benchs, cfg);
+    return engine.run(spec).matrix(0);
 }
 
 } // namespace
@@ -109,7 +110,7 @@ TEST(Shard, SpecParsesAndPrints)
 
 TEST(Shard, PartitionsAreDisjointAndExhaustive)
 {
-    const TaskPlan plan(mechs, benchs, quickConfig());
+    const TaskPlan plan(quickSpec());
     ASSERT_EQ(plan.size(), mechs.size() * benchs.size());
 
     for (const std::size_t n : {1u, 2u, 4u}) {
@@ -130,8 +131,8 @@ TEST(Shard, PartitionsAreDisjointAndExhaustive)
 
 TEST(Shard, PlanEnumerationIsDeterministic)
 {
-    const TaskPlan a(mechs, benchs, quickConfig());
-    const TaskPlan b(mechs, benchs, quickConfig());
+    const TaskPlan a(quickSpec());
+    const TaskPlan b(quickSpec());
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(a.configHash(), b.configHash());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -148,10 +149,10 @@ TEST(Shard, PlanEnumerationIsDeterministic)
 
 TEST(Shard, MergedShardStoresMatchSingleProcess)
 {
-    const RunConfig cfg = quickConfig();
-    const MatrixResult reference = referenceRun(cfg);
+    const SweepSpec spec = quickSpec();
+    const MatrixResult reference = referenceRun(spec);
     const std::size_t total = mechs.size() * benchs.size();
-    const TaskPlan plan(mechs, benchs, cfg);
+    const TaskPlan plan(spec);
 
     // Run each shard the way a separate host would: its own engine,
     // its own store file, in-process thread-pool backend.
@@ -169,7 +170,7 @@ TEST(Shard, MergedShardStoresMatchSingleProcess)
         opts.store = &store;
         opts.shard = ShardSpec{i, nshards};
         ExperimentEngine engine(opts);
-        engine.run(mechs, benchs, cfg);
+        engine.run(spec);
 
         const RunCounters counts = engine.lastRun();
         const std::size_t mine =
@@ -196,7 +197,7 @@ TEST(Shard, MergedShardStoresMatchSingleProcess)
     opts.threads = 2;
     opts.store = &merged;
     ExperimentEngine engine(opts);
-    const MatrixResult combined = engine.run(mechs, benchs, cfg);
+    const MatrixResult combined = engine.run(spec).matrix(0);
     EXPECT_EQ(engine.lastRun().executed, 0u);
     EXPECT_EQ(engine.lastRun().resumed, total);
     EXPECT_EQ(engine.lastRun().skipped, 0u);
@@ -209,8 +210,8 @@ TEST(Shard, MergedShardStoresMatchSingleProcess)
 
 TEST(Shard, ProcessShardBackendMatchesThreadPool)
 {
-    const RunConfig cfg = quickConfig();
-    const MatrixResult reference = referenceRun(cfg);
+    const SweepSpec spec = quickSpec();
+    const MatrixResult reference = referenceRun(spec);
     const std::size_t total = mechs.size() * benchs.size();
 
     const std::string path = tmpPath("process.store");
@@ -227,7 +228,7 @@ TEST(Shard, ProcessShardBackendMatchesThreadPool)
     opts.backend = &backend;
     ExperimentEngine engine(opts);
 
-    const MatrixResult forked = engine.run(mechs, benchs, cfg);
+    const MatrixResult forked = engine.run(spec).matrix(0);
     EXPECT_EQ(engine.lastRun().executed, total);
     EXPECT_EQ(engine.lastRun().resumed, 0u);
     EXPECT_EQ(engine.lastRun().skipped, 0u);
@@ -236,7 +237,7 @@ TEST(Shard, ProcessShardBackendMatchesThreadPool)
 
     // A second run over the merged store resumes everything: the
     // backend forks no workers at all.
-    const MatrixResult again = engine.run(mechs, benchs, cfg);
+    const MatrixResult again = engine.run(spec).matrix(0);
     EXPECT_EQ(engine.lastRun().executed, 0u);
     EXPECT_EQ(engine.lastRun().resumed, total);
     expectIdentical(reference, again);
@@ -246,8 +247,8 @@ TEST(Shard, ProcessShardBackendMatchesThreadPool)
 
 TEST(Shard, KilledShardResumesOnlyMissingTasks)
 {
-    const RunConfig cfg = quickConfig();
-    const TaskPlan plan(mechs, benchs, cfg);
+    const SweepSpec spec = quickSpec();
+    const TaskPlan plan(spec);
     const ShardSpec shard{0, 2};
     const std::size_t mine = plan.shardTasks(shard).size();
     const std::size_t total = plan.size();
@@ -262,7 +263,7 @@ TEST(Shard, KilledShardResumesOnlyMissingTasks)
         opts.store = &store;
         opts.shard = shard;
         ExperimentEngine engine(opts);
-        engine.run(mechs, benchs, cfg);
+        engine.run(spec);
         EXPECT_EQ(engine.lastRun().executed, mine);
         EXPECT_EQ(store.size(), mine);
     }
@@ -283,7 +284,7 @@ TEST(Shard, KilledShardResumesOnlyMissingTasks)
     opts.store = &store;
     opts.shard = shard;
     ExperimentEngine engine(opts);
-    engine.run(mechs, benchs, cfg);
+    engine.run(spec);
     const RunCounters counts = engine.lastRun();
     EXPECT_EQ(counts.resumed, kept);
     EXPECT_EQ(counts.executed, mine - kept);
@@ -297,8 +298,8 @@ TEST(Shard, KilledShardResumesOnlyMissingTasks)
 
 TEST(Shard, ProcessBackendResumesKilledWorkerStore)
 {
-    const RunConfig cfg = quickConfig();
-    const TaskPlan plan(mechs, benchs, cfg);
+    const SweepSpec spec = quickSpec();
+    const TaskPlan plan(spec);
     const std::size_t total = plan.size();
     const std::size_t nshards = 2;
 
@@ -318,7 +319,7 @@ TEST(Shard, ProcessBackendResumesKilledWorkerStore)
         opts.store = &seed;
         opts.shard = ShardSpec{0, nshards};
         ExperimentEngine engine(opts);
-        engine.run(mechs, benchs, cfg);
+        engine.run(spec);
         shard0_tasks = engine.lastRun().executed;
     }
     const std::string worker_path =
@@ -335,7 +336,7 @@ TEST(Shard, ProcessBackendResumesKilledWorkerStore)
     opts.store = &store;
     opts.backend = &backend;
     ExperimentEngine engine(opts);
-    engine.run(mechs, benchs, cfg);
+    engine.run(spec);
 
     // Everything landed, and the accounting is truthful: the
     // pre-seeded records were resumed inside the restarted worker,

@@ -29,6 +29,8 @@
 #include "core/task_plan.hh"
 #include "sim/fault.hh"
 
+#include "spec_helpers.hh"
+
 using namespace microlib;
 
 namespace
@@ -37,13 +39,12 @@ namespace
 const std::vector<std::string> mechs = {"Base", "TP", "SP", "GHB"};
 const std::vector<std::string> benchs = {"swim", "gzip", "crafty"};
 
-RunConfig
-quickConfig()
+SweepSpec
+quickSpec()
 {
-    RunConfig cfg;
-    cfg.scale.simpoint_trace = 100'000;
-    cfg.scale.simpoint_interval = 100'000;
-    return cfg;
+    return specOf(mechs, benchs,
+                  {{"window.trace_length", "100000"},
+                   {"window.interval", "100000"}});
 }
 
 std::string
@@ -122,7 +123,7 @@ reference()
         EngineOptions opts;
         opts.threads = 4;
         ExperimentEngine engine(opts);
-        return engine.run(mechs, benchs, quickConfig());
+        return engine.run(quickSpec()).matrix(0);
     }();
     return ref;
 }
@@ -132,7 +133,7 @@ reference()
 SweepResult
 supervisedRun(ExperimentEngine &engine)
 {
-    return engine.runPlan(TaskPlan(mechs, benchs, quickConfig()));
+    return engine.runPlan(TaskPlan(quickSpec()));
 }
 
 } // namespace
@@ -345,7 +346,7 @@ TEST(StoreHardening, ChecksumRoundTripsAndLegacyLinesStillParse)
 {
     ResultRecord rec;
     rec.key = makeResultKey("swim", "Base",
-                            fingerprintConfig(quickConfig()));
+                            TaskPlan(quickSpec()).configHash());
     rec.core.instructions = 1000;
     rec.core.cycles = 2000;
     rec.core.ipc = 0.5;
@@ -373,7 +374,7 @@ TEST(StoreHardening, CorruptedLinesAreRejected)
 {
     ResultRecord rec;
     rec.key = makeResultKey("swim", "Base",
-                            fingerprintConfig(quickConfig()));
+                            TaskPlan(quickSpec()).configHash());
     rec.core.instructions = 1000;
     rec.core.cycles = 2000;
     rec.core.ipc = 0.5;
@@ -404,7 +405,7 @@ TEST(StoreHardening, CorruptedLinesAreRejected)
 
 TEST(StoreHardening, TornTailIsSkippedCountedAndResumedPast)
 {
-    const RunConfig cfg = quickConfig();
+    const SweepSpec spec = quickSpec();
     const std::size_t total = mechs.size() * benchs.size();
 
     // A complete store...
@@ -416,7 +417,7 @@ TEST(StoreHardening, TornTailIsSkippedCountedAndResumedPast)
         opts.threads = 2;
         opts.store = &store;
         ExperimentEngine engine(opts);
-        engine.run(mechs, benchs, cfg);
+        engine.run(spec);
         EXPECT_EQ(store.size(), total);
     }
 
@@ -448,7 +449,7 @@ TEST(StoreHardening, TornTailIsSkippedCountedAndResumedPast)
     opts.threads = 2;
     opts.store = &store;
     ExperimentEngine engine(opts);
-    const MatrixResult res = engine.run(mechs, benchs, cfg);
+    const MatrixResult res = engine.run(spec).matrix(0);
     EXPECT_EQ(engine.lastRun().resumed, total - 1);
     EXPECT_EQ(engine.lastRun().executed, 1u);
     EXPECT_EQ(engine.lastRun().store_skipped, 1u);
@@ -595,7 +596,7 @@ TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
     ASSERT_EQ(counts.quarantined.size(), 1u);
     EXPECT_EQ(counts.quarantined[0], 5u);
 
-    const TaskPlan plan(mechs, benchs, quickConfig());
+    const TaskPlan plan(quickSpec());
     const PlanTask &poison = plan.task(5);
     const MatrixResult &m = res.matrices.front();
     const MatrixResult &ref = reference();

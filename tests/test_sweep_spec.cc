@@ -17,7 +17,8 @@
 #include "core/scheduler.hh"
 #include "core/sweep_spec.hh"
 #include "core/task_plan.hh"
-#include "mem/cache_simple.hh"
+
+#include "spec_helpers.hh"
 
 using namespace microlib;
 
@@ -215,23 +216,6 @@ TEST(SweepSpec, SettersRejectUnknownNamesLikeParse)
     EXPECT_EQ(back.canonicalText(), spec.canonicalText());
 }
 
-namespace
-{
-
-/** The config a one-variant spec resolves @p settings to. */
-RunConfig
-resolved(const std::vector<AxisSetting> &settings)
-{
-    SweepSpec spec;
-    for (const AxisSetting &s : settings) {
-        std::string error;
-        EXPECT_TRUE(spec.addBase(s.key, s.value, &error)) << error;
-    }
-    return spec.resolve(spec.variants().front());
-}
-
-} // namespace
-
 TEST(SweepSpec, EveryRegistryKeyMovesTheConfigFingerprint)
 {
     // The config half of the dead-knob rule: a key whose value never
@@ -243,11 +227,11 @@ TEST(SweepSpec, EveryRegistryKeyMovesTheConfigFingerprint)
     struct Knob
     {
         AxisSetting setting;
-        std::vector<AxisSetting> mode;
+        Settings mode;
     };
-    const std::vector<AxisSetting> arbitrary = {
+    const Settings arbitrary = {
         {"window.selection", "arbitrary"}};
-    const std::vector<AxisSetting> constant = {{"hier.memory", "const"}};
+    const Settings constant = {{"hier.memory", "const"}};
     const std::vector<Knob> knobs = {
         {{"core.rob", "64"}, {}},
         {{"core.lsq", "64"}, {}},
@@ -296,108 +280,111 @@ TEST(SweepSpec, EveryRegistryKeyMovesTheConfigFingerprint)
             });
         ASSERT_NE(it, knobs.end())
             << param.key << ": no case here; add one";
-        std::vector<AxisSetting> with = it->mode;
+        Settings with = it->mode;
         with.push_back(it->setting);
-        EXPECT_NE(fingerprintConfig(resolved(with)),
-                  fingerprintConfig(resolved(it->mode)))
+        EXPECT_NE(fingerprintConfig(configOf(with)),
+                  fingerprintConfig(configOf(it->mode)))
             << param.key << "=" << it->setting.value
             << " leaves the resolved config unchanged";
     }
 }
 
-TEST(SweepSpec, PaperSettingsReproduceTheHandBuiltConfigs)
+TEST(SweepSpec, PaperSettingsResolveToTheirPinnedConfigs)
 {
     // The settings the paper's figures use for the configurations
-    // the registry did not always have keys for, checked against
-    // the RunConfigs those figures used to build by hand. Every list
+    // that were once built by hand as RunConfigs (constant memory,
+    // scaled SDRAM, the Figure 1 cache steps, ...). The pinned
+    // fingerprints are those hand-built configs', so every store
+    // record and report made from them stays valid. Every list
     // starts with an explicit window, so the fingerprints do not
     // depend on MICROLIB_QUICK.
-    const std::vector<AxisSetting> window = {
+    const Settings window = {
         {"window.trace_length", "100000"}, {"window.interval", "100000"},
         {"window.k", "4"},                 {"window.skip", "50000"},
         {"window.length", "100000"},
     };
-    auto pinned = [&](RunConfig cfg) {
-        for (const AxisSetting &s : window)
-            EXPECT_TRUE(findAxisParam(s.key)->apply(cfg, s.value, nullptr));
-        return cfg;
+    auto cache = [](const char *finite_mshr, const char *pipeline_stalls,
+                    const char *refill_uses_ports) {
+        return Settings{
+            {"hier.finite_mshr", finite_mshr},
+            {"hier.pipeline_stalls", pipeline_stalls},
+            {"hier.refill_uses_ports", refill_uses_ports}};
     };
-    auto fig01Step = [&](std::vector<RealismFeature> enabled) {
-        RunConfig cfg;
-        HierarchyParams &h = cfg.system.hier;
-        h.l1d = withRealism(h.l1d, enabled);
-        h.l1i = withRealism(h.l1i, enabled);
-        h.l2 = withRealism(h.l2, enabled);
-        return cfg;
-    };
-    using F = RealismFeature;
-    RunConfig validation;
-    validation.system = makeConstantMemoryBaseline(70);
-    validation.selection = TraceSelection::Arbitrary;
-    RunConfig const70;
-    const70.system = makeConstantMemoryBaseline(70);
-    RunConfig sdram70;
-    sdram70.system = makeScaledSdramBaseline();
-    RunConfig infinite;
-    infinite.system.hier.l1d.finite_mshr = false;
-    infinite.system.hier.l1i.finite_mshr = false;
-    infinite.system.hier.l2.finite_mshr = false;
-    RunConfig simplescalar;
-    simplescalar.system = makeSimpleScalarCacheBaseline(simplescalar.system);
-
     struct Case
     {
         const char *name;
-        std::vector<AxisSetting> settings;
-        RunConfig hand;
+        Settings settings;
+        std::uint64_t fingerprint;
     };
     const std::vector<Case> cases = {
         {"validation",
          {{"hier.memory", "const"},
           {"hier.const_latency", "70"},
           {"window.selection", "arbitrary"}},
-         validation},
+         0x5bf43689249f2851ull},
         {"const-70",
          {{"hier.memory", "const"}, {"hier.const_latency", "70"}},
-         const70},
-        {"sdram-70", {{"hier.sdram.timing_scale", "0.4"}}, sdram70},
-        {"infinite MSHR", {{"hier.finite_mshr", "0"}}, infinite},
-        {"SimpleScalar-like",
-         {{"hier.finite_mshr", "0"},
-          {"hier.pipeline_stalls", "0"},
-          {"hier.refill_uses_ports", "0"}},
-         simplescalar},
-        {"+ finite MSHR",
-         {{"hier.finite_mshr", "1"},
-          {"hier.pipeline_stalls", "0"},
-          {"hier.refill_uses_ports", "0"}},
-         fig01Step({F::FiniteMshr})},
-        {"+ pipeline stalls",
-         {{"hier.finite_mshr", "1"},
-          {"hier.pipeline_stalls", "1"},
-          {"hier.refill_uses_ports", "0"}},
-         fig01Step({F::FiniteMshr, F::PipelineStalls})},
-        {"+ LSQ back-pressure",
-         {{"hier.finite_mshr", "1"},
-          {"hier.pipeline_stalls", "1"},
-          {"hier.refill_uses_ports", "0"}},
-         fig01Step({F::FiniteMshr, F::PipelineStalls, F::LsqBackpressure})},
-        {"+ refills use ports",
-         {{"hier.finite_mshr", "1"},
-          {"hier.pipeline_stalls", "1"},
-          {"hier.refill_uses_ports", "1"}},
-         fig01Step({F::FiniteMshr, F::PipelineStalls, F::LsqBackpressure,
-                    F::RefillPorts})},
+         0x4d1821be1a79807full},
+        {"sdram-70", {{"hier.sdram.timing_scale", "0.4"}},
+         0x471761690d454be6ull},
+        {"infinite MSHR", {{"hier.finite_mshr", "0"}},
+         0xb6a758b450208ea1ull},
+        {"SimpleScalar-like", cache("0", "0", "0"), 0x2b8637b1d594d18bull},
+        {"+ finite MSHR", cache("1", "0", "0"), 0xf3fa3a8fc59b44fcull},
+        {"+ pipeline stalls", cache("1", "1", "0"), 0x520cf43ec6fedf45ull},
+        {"+ LSQ back-pressure", cache("1", "1", "0"), 0x520cf43ec6fedf45ull},
+        {"+ refills use ports", cache("1", "1", "1"), 0xae6d44ee3e21d9daull},
     };
     for (const Case &c : cases) {
-        std::vector<AxisSetting> settings = window;
+        Settings settings = window;
         settings.insert(settings.end(), c.settings.begin(),
                         c.settings.end());
-        const std::uint64_t fp = fingerprintConfig(resolved(settings));
-        EXPECT_EQ(fp, fingerprintConfig(pinned(c.hand))) << c.name;
-        std::printf("%-20s 0x%016llxull\n", c.name,
-                    static_cast<unsigned long long>(fp));
+        EXPECT_EQ(fingerprintConfig(configOf(settings)), c.fingerprint)
+            << c.name;
     }
+    // The last Figure 1 step is the detailed model itself.
+    EXPECT_EQ(fingerprintConfig(configOf(window)),
+              cases.back().fingerprint);
+}
+
+TEST(SweepSpec, HierarchyKeysSetEveryCacheLevelAndScaleInOrder)
+{
+    const RunConfig ideal = configOf({{"hier.finite_mshr", "off"},
+                                      {"hier.pipeline_stalls", "off"},
+                                      {"hier.refill_uses_ports", "off"}});
+    for (const CacheParams *c : {&ideal.system.hier.l1d,
+                                 &ideal.system.hier.l1i,
+                                 &ideal.system.hier.l2}) {
+        EXPECT_FALSE(c->finite_mshr) << c->name;
+        EXPECT_FALSE(c->pipeline_stalls) << c->name;
+        EXPECT_FALSE(c->refill_uses_ports) << c->name;
+        EXPECT_TRUE(c->port_contention) << c->name; // demand ports stay
+    }
+
+    // The scale multiplies the timings already set, in settings
+    // order; a later timing setting overrides it.
+    const RunConfig defaults;
+    const RunConfig scaled =
+        configOf({{"hier.sdram.timing_scale", "0.4"}});
+    EXPECT_EQ(scaled.system.hier.sdram.cas_latency, 12u);
+    EXPECT_EQ(scaled.system.hier.sdram.ras_cycle, 44u);
+    EXPECT_EQ(scaled.system.hier.sdram.banks,
+              defaults.system.hier.sdram.banks);
+    EXPECT_EQ(configOf({{"hier.sdram.cas_latency", "20"},
+                        {"hier.sdram.timing_scale", "0.5"}})
+                  .system.hier.sdram.cas_latency,
+              10u);
+    EXPECT_EQ(configOf({{"hier.sdram.timing_scale", "0.5"},
+                        {"hier.sdram.cas_latency", "20"}})
+                  .system.hier.sdram.cas_latency,
+              20u);
+
+    SweepSpec spec;
+    std::string error;
+    for (const char *bad : {"0", "1.5", "-0.4", "x", "0.4x"})
+        EXPECT_FALSE(spec.addBase("hier.sdram.timing_scale", bad, &error))
+            << bad;
+    EXPECT_FALSE(spec.addBase("hier.finite_mshr", "2", &error));
 }
 
 TEST(SweepSpec, VariantExpansionFirstAxisSlowest)
@@ -572,24 +559,4 @@ TEST(SweepSpec, InterruptedVariantSweepResumesOnlyMissingTasks)
 
     std::remove(full_path.c_str());
     std::remove(half_path.c_str());
-}
-
-TEST(SweepSpec, SingleWrapsClassicApiWithHistoricIndices)
-{
-    // The one-variant plan must reduce to the historic flat index
-    // b * mechanisms + m, so stores written before the variant
-    // dimension existed resume unchanged.
-    RunConfig cfg;
-    cfg.scale.simpoint_trace = 100'000;
-    cfg.scale.simpoint_interval = 100'000;
-    const TaskPlan plan({"Base", "TP"}, {"swim", "gzip"}, cfg);
-    EXPECT_EQ(plan.variantCount(), 1u);
-    EXPECT_EQ(plan.variantName(0), "base");
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        EXPECT_EQ(plan.task(i).index, i);
-        EXPECT_EQ(plan.task(i).index,
-                  plan.task(i).b * 2 + plan.task(i).m);
-        EXPECT_EQ(plan.task(i).v, 0u);
-    }
-    EXPECT_EQ(plan.configHash(0), fingerprintConfig(cfg));
 }

@@ -26,6 +26,8 @@
 #include "trace/trace_arena.hh"
 #include "trace/trace_cache.hh"
 
+#include "spec_helpers.hh"
+
 using namespace microlib;
 
 namespace
@@ -44,6 +46,16 @@ arbConfig(std::uint64_t skip = 1'000, std::uint64_t length = 50'000)
     cfg.scale.arbitrary_skip = skip;
     cfg.scale.arbitrary_length = length;
     return cfg;
+}
+
+/** mechs x benchs on arbConfig()'s default window. */
+SweepSpec
+arbSpec()
+{
+    return specOf(mechs, benchs,
+                  {{"window.selection", "arbitrary"},
+                   {"window.skip", "1000"},
+                   {"window.length", "50000"}});
 }
 
 std::string
@@ -506,7 +518,7 @@ TEST(TraceArena, MaterializeIntoRegeneratesOverCorruption)
 TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)
 {
     const std::string dir = freshDir("warmrun");
-    const RunConfig cfg = arbConfig();
+    const SweepSpec spec = arbSpec();
 
     // Reference: no arena at all.
     MatrixResult reference;
@@ -514,7 +526,7 @@ TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)
         EngineOptions opts;
         opts.threads = 2;
         ExperimentEngine engine(opts);
-        reference = engine.run(mechs, benchs, cfg);
+        reference = engine.run(spec).matrix(0);
     }
 
     const std::string cold_progress = tmpPath("cold.jsonl");
@@ -525,7 +537,7 @@ TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)
         opts.trace_dir = dir;
         opts.progress_path = cold_progress;
         ExperimentEngine engine(opts);
-        expectIdentical(reference, engine.run(mechs, benchs, cfg));
+        expectIdentical(reference, engine.run(spec).matrix(0));
     }
     EXPECT_EQ(countLines(cold_progress, "\"src\":\"gen\""),
               benchs.size());
@@ -540,7 +552,7 @@ TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)
         opts.trace_dir = dir;
         opts.progress_path = warm_progress;
         ExperimentEngine engine(opts);
-        expectIdentical(reference, engine.run(mechs, benchs, cfg));
+        expectIdentical(reference, engine.run(spec).matrix(0));
     }
     EXPECT_EQ(countLines(warm_progress, "\"src\":\"gen\""), 0u);
     EXPECT_EQ(countLines(warm_progress, "\"src\":\"arena\""),
@@ -554,14 +566,14 @@ TEST(TraceArena, WarmEngineRunIsByteIdenticalWithZeroGenEvents)
 TEST(TraceArena, TwoShardProcessBackendSharesOneArena)
 {
     const std::string dir = freshDir("shards");
-    const RunConfig cfg = arbConfig();
+    const SweepSpec spec = arbSpec();
 
     MatrixResult reference;
     {
         EngineOptions opts;
         opts.threads = 2;
         ExperimentEngine engine(opts);
-        reference = engine.run(mechs, benchs, cfg);
+        reference = engine.run(spec).matrix(0);
     }
 
     // Warm the arena first so the forked workers' trace events are
@@ -571,7 +583,7 @@ TEST(TraceArena, TwoShardProcessBackendSharesOneArena)
         opts.threads = 2;
         opts.trace_dir = dir;
         ExperimentEngine engine(opts);
-        expectIdentical(reference, engine.run(mechs, benchs, cfg));
+        expectIdentical(reference, engine.run(spec).matrix(0));
     }
 
     const std::string store_path = tmpPath("shards.store");
@@ -588,7 +600,7 @@ TEST(TraceArena, TwoShardProcessBackendSharesOneArena)
     opts.trace_dir = dir;
     opts.progress_path = progress;
     ExperimentEngine engine(opts);
-    expectIdentical(reference, engine.run(mechs, benchs, cfg));
+    expectIdentical(reference, engine.run(spec).matrix(0));
 
     // Both workers drew every window from the shared arena.
     std::size_t gen = 0, arena_hits = 0;

@@ -44,17 +44,19 @@ TEST(TraceCache, ClaimFulfillLifecycle)
     TraceCache cache;
     TraceCache::Future fut;
     ASSERT_EQ(cache.claim("k", fut), TraceCache::Claim::Owner);
-    EXPECT_FALSE(cache.ready("k"));
 
     // A second claimant sees the entry in flight.
     TraceCache::Future fut2;
     EXPECT_EQ(cache.claim("k", fut2), TraceCache::Claim::Pending);
 
-    cache.fulfill("k", smallTrace("gzip"));
-    EXPECT_TRUE(cache.ready("k"));
-    EXPECT_EQ(cache.claim("k", fut2), TraceCache::Claim::Ready);
-    EXPECT_EQ(fut.get().get(), fut2.get().get());
-    EXPECT_EQ(cache.wait("k").get(), fut.get().get());
+    // Once fulfilled, a claim finds it ready, holding the same trace.
+    const TraceCache::TracePtr trace =
+        cache.fulfill("k", smallTrace("gzip"));
+    TraceCache::Future fut3;
+    EXPECT_EQ(cache.claim("k", fut3), TraceCache::Claim::Ready);
+    EXPECT_EQ(fut3.get().get(), trace.get());
+    EXPECT_EQ(fut.get().get(), trace.get());
+    EXPECT_EQ(fut2.get().get(), trace.get());
 }
 
 TEST(TraceCache, ConcurrentGetSharesOneMaterialization)

@@ -180,9 +180,9 @@ sweepOptions(SweepArgs &args)
 
 /**
  * The sweep description as a SweepSpec: parsed from --spec, or built
- * from the description flags @p table parsed (which then mirror the
- * old two-vector CLI exactly). --axis declarations append in either
- * mode. Exits with the parse/validation error on a bad spec.
+ * from the description flags @p table parsed. --axis declarations
+ * append in either mode. Exits 2 with the parse/validation error on a
+ * bad spec, an unknown name included.
  */
 SweepSpec
 buildSpec(const SweepArgs &args, const OptionTable &table)

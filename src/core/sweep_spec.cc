@@ -88,13 +88,13 @@ unsignedParam(const char *key, const char *what,
     return p;
 }
 
-/** A whole-token double in [@p lo, 1] into @p d. */
+/** A whole-token double in [0, 1] into @p d. */
 bool
-parseFraction(const std::string &v, double &d, double lo)
+parseFraction(const std::string &v, double &d)
 {
     std::istringstream is(v);
     char trailing = 0;
-    return is >> d && !(is >> trailing) && d >= lo && d <= 1.0;
+    return is >> d && !(is >> trailing) && d >= 0.0 && d <= 1.0;
 }
 
 AxisParam
@@ -108,7 +108,7 @@ fracParam(const char *key, const char *what,
     p.apply = [field](RunConfig &cfg, const std::string &v,
                       std::string *error) {
         double d = 0.0;
-        if (!parseFraction(v, d, 0.0))
+        if (!parseFraction(v, d))
             return fail(error,
                         "expected a fraction in [0, 1], got '" + v + "'");
         field(cfg) = d;
@@ -295,7 +295,7 @@ buildRegistry()
         p.apply = [](RunConfig &cfg, const std::string &v,
                      std::string *error) {
             double d = 0.0;
-            if (!parseFraction(v, d, 0.0) || d == 0.0)
+            if (!parseFraction(v, d) || d == 0.0)
                 return fail(error, "expected a factor in (0, 1], got '" +
                                        v + "'");
             cfg.system.hier.sdram.scaleTimings(d);
@@ -534,24 +534,19 @@ SweepSpec::parse(const std::string &text, SweepSpec &out,
             continue;
         }
 
-        if (tok[0] == "bench") {
+        if (tok[0] == "bench" || tok[0] == "mech") {
             if (tok.size() < 2)
-                return lineFail("'bench' needs at least one name");
-            for (std::size_t i = 1; i < tok.size(); ++i) {
-                if (!knownBenchmark(tok[i]))
-                    return lineFail("unknown benchmark '" + tok[i] +
-                                    "'");
-                spec._benchmarks.push_back(tok[i]);
-            }
-        } else if (tok[0] == "mech") {
-            if (tok.size() < 2)
-                return lineFail("'mech' needs at least one name");
-            for (std::size_t i = 1; i < tok.size(); ++i) {
-                if (!knownMechanism(tok[i]))
-                    return lineFail("unknown mechanism '" + tok[i] +
-                                    "'");
-                spec._mechanisms.push_back(tok[i]);
-            }
+                return lineFail("'" + tok[0] +
+                                "' needs at least one name");
+            // Repeated lines append.
+            const bool bench = tok[0] == "bench";
+            std::vector<std::string> names =
+                bench ? spec._benchmarks : spec._mechanisms;
+            names.insert(names.end(), tok.begin() + 1, tok.end());
+            std::string why;
+            if (!(bench ? spec.setBenchmarks(std::move(names), &why)
+                        : spec.setMechanisms(std::move(names), &why)))
+                return lineFail(why);
         } else if (tok[0] == "base") {
             if (tok.size() != 2)
                 return lineFail("'base' wants exactly one key=value");

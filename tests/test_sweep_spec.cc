@@ -229,8 +229,7 @@ TEST(SweepSpec, EveryRegistryKeyMovesTheConfigFingerprint)
         AxisSetting setting;
         Settings mode;
     };
-    const Settings arbitrary = {
-        {"window.selection", "arbitrary"}};
+    const Settings arbitrary = {{"window.selection", "arbitrary"}};
     const Settings constant = {{"hier.memory", "const"}};
     const std::vector<Knob> knobs = {
         {{"core.rob", "64"}, {}},
@@ -291,13 +290,13 @@ TEST(SweepSpec, EveryRegistryKeyMovesTheConfigFingerprint)
 
 TEST(SweepSpec, PaperSettingsResolveToTheirPinnedConfigs)
 {
-    // The settings the paper's figures use for the configurations
-    // that were once built by hand as RunConfigs (constant memory,
-    // scaled SDRAM, the Figure 1 cache steps, ...). The pinned
-    // fingerprints are those hand-built configs', so every store
-    // record and report made from them stays valid. Every list
-    // starts with an explicit window, so the fingerprints do not
-    // depend on MICROLIB_QUICK.
+    // The settings microlib_paper uses for the configurations the
+    // hier.* keys were added for (constant memory, scaled SDRAM, the
+    // Figure 1 cache steps, ...). The pinned fingerprints are those
+    // of the RunConfigs the figures used to build by hand, so store
+    // records made from them stay valid. Every list starts with an
+    // explicit window, so the fingerprints do not depend on
+    // MICROLIB_QUICK.
     const Settings window = {
         {"window.trace_length", "100000"}, {"window.interval", "100000"},
         {"window.k", "4"},                 {"window.skip", "50000"},

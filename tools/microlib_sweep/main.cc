@@ -208,14 +208,18 @@ buildSpec(const SweepArgs &args, const OptionTable &table)
                         const std::vector<std::string> &all) {
             return list == "all" ? all : splitList(list);
         };
+        const auto benchs = names(args.benchmarks, specBenchmarkNames());
         const auto mechs = names(args.mechanisms, allMechanismNames());
-        bool ok =
-            spec.setBenchmarks(names(args.benchmarks,
-                                     specBenchmarkNames()),
-                               &error) &&
-            spec.setMechanisms(mechs.empty() ? allMechanismNames()
-                                             : mechs,
-                               &error);
+        if (benchs.empty()) {
+            // parse() rejects a spec without benchmarks, so
+            // --print-spec must not print one.
+            std::fprintf(stderr, "--bench needs at least one name\n");
+            std::exit(2);
+        }
+        bool ok = spec.setBenchmarks(benchs, &error) &&
+                  spec.setMechanisms(mechs.empty() ? allMechanismNames()
+                                                   : mechs,
+                                     &error);
         if (args.arbitrary) {
             ok = ok &&
                  spec.addBase("window.selection", "arbitrary", &error);

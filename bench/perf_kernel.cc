@@ -326,8 +326,9 @@ BENCHMARK_CAPTURE(BM_MechanismRun, DBCP, "DBCP");
 // items_per_second gives the lockstep throughput gain over V
 // independent passes (the locality win of touching each trace block
 // once while it is hot in cache). V=1 is the degenerate group, kept
-// as the lockstep machinery's overhead baseline: the sweep path never
-// runs one, since a one-member group takes runOne.
+// as the lockstep machinery's overhead baseline. No sweep runs in
+// lockstep: every task takes runOne, and this benchmark goes with
+// the kernel (src/cpu/lockstep.hh).
 
 void
 BM_LockstepVariants(benchmark::State &state)

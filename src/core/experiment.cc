@@ -71,8 +71,9 @@ namespace
 {
 
 /** One simulation's model state, set up the one way runOne() and
- *  runLockstep() both use: hierarchy, mechanism bound to it, every
- *  counter registered, and a core. Fills @p out's identity. */
+ *  the lockstep fan-out below both use: hierarchy, mechanism bound to
+ *  it, every counter registered, and a core. Fills @p out's
+ *  identity. */
 struct Member
 {
     Hierarchy hier;

@@ -2,15 +2,14 @@
  * @file
  * ServiceBackend: run a sweep by submitting it to microlib_sweepd.
  *
- * The fourth ExecutionBackend (after thread-pool, process-shard and
- * their lockstep variants' shared leaf): instead of simulating
- * anything locally, submit the plan's canonical spec to a sweep
- * daemon, poll until the job completes, then fetch the fingerprinted
- * records and fill the SweepResult slots through the SAME
- * TaskPlan::prefill path a resumed local sweep uses. Hexfloat record
- * serialization round-trips doubles exactly, so the result — and any
- * report rendered from it — is byte-identical to a local
- * ThreadPoolBackend run of the same spec.
+ * The third ExecutionBackend (after thread-pool and process-shard):
+ * instead of simulating anything locally, submit the plan's canonical
+ * spec to a sweep daemon, poll until the job completes, then fetch
+ * the fingerprinted records and fill the SweepResult slots through
+ * the SAME TaskPlan::prefill path a resumed local sweep uses.
+ * Hexfloat record serialization round-trips doubles exactly, so the
+ * result — and any report rendered from it — is byte-identical to a
+ * local ThreadPoolBackend run of the same spec.
  *
  * Dedup is the daemon's: a spec already executed (by anyone)
  * completes without a single new simulation, and per-task records

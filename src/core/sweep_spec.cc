@@ -28,6 +28,12 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
+/** What parse() and the setters say about a spec with no names. */
+const char *const no_benchmarks =
+    "spec declares no benchmarks ('bench' line)";
+const char *const no_mechanisms =
+    "spec declares no mechanisms ('mech' line)";
+
 /** Shared numeric parse: an integer >= @p min_value, k/M/G suffixes
  *  allowed (sim/options.hh parseCount takes plain digits only). */
 bool
@@ -450,6 +456,8 @@ findAxisParam(const std::string &key)
 bool
 SweepSpec::setBenchmarks(std::vector<std::string> b, std::string *error)
 {
+    if (b.empty())
+        return fail(error, no_benchmarks);
     for (const auto &name : b)
         if (!knownBenchmark(name))
             return fail(error, "unknown benchmark '" + name + "'");
@@ -460,6 +468,8 @@ SweepSpec::setBenchmarks(std::vector<std::string> b, std::string *error)
 bool
 SweepSpec::setMechanisms(std::vector<std::string> m, std::string *error)
 {
+    if (m.empty())
+        return fail(error, no_mechanisms);
     for (const auto &name : m)
         if (!knownMechanism(name))
             return fail(error, "unknown mechanism '" + name + "'");
@@ -578,9 +588,9 @@ SweepSpec::parse(const std::string &text, SweepSpec &out,
     if (!saw_header)
         return fail(error, "empty spec: missing 'sweep-spec v1' header");
     if (spec._benchmarks.empty())
-        return fail(error, "spec declares no benchmarks ('bench' line)");
+        return fail(error, no_benchmarks);
     if (spec._mechanisms.empty())
-        return fail(error, "spec declares no mechanisms ('mech' line)");
+        return fail(error, no_mechanisms);
 
     out = std::move(spec);
     return true;
@@ -744,12 +754,9 @@ sensitivityTable(const SweepResult &res)
     const std::size_t base_row =
         vs_base ? first.mechIndex("Base") : 0;
 
-    // Built row by row rather than through crossTable: a cell whose
-    // mean draws on any quarantined (benchmark, mechanism) result —
-    // the Base row included, for speedups — has no honest number and
-    // renders as FAULT instead. Cell text is otherwise identical to
-    // the crossTable form (Table::num, default precision), so a
-    // fault-free sweep renders byte-identically to before.
+    // A cell whose mean draws on any quarantined (benchmark,
+    // mechanism) result — the Base row included, for speedups — has
+    // no honest number and renders as FAULT instead of Table::num.
     Table t(vs_base ? "config sensitivity: mean speedup vs Base"
                     : "config sensitivity: mean IPC");
     std::vector<std::string> header;

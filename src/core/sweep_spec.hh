@@ -141,12 +141,13 @@ class SweepSpec
         return _mechanisms;
     }
     /** Replace the benchmark list; false + *error (list unchanged)
-     *  on a name no suite program has, as parse() rejects it. */
+     *  on an empty list or a name no suite program has, as parse()
+     *  rejects them. */
     bool setBenchmarks(std::vector<std::string> b,
                        std::string *error = nullptr);
 
     /** Replace the mechanism list; false + *error (list unchanged)
-     *  on a name the mechanism registry lacks. */
+     *  on an empty list or a name the mechanism registry lacks. */
     bool setMechanisms(std::vector<std::string> m,
                        std::string *error = nullptr);
 

@@ -202,29 +202,6 @@ TaskPlan::settleQuarantined(std::vector<std::size_t> quarantined,
     return missing;
 }
 
-std::vector<std::vector<std::size_t>>
-TaskPlan::lockstepGroups(const std::vector<char> &done,
-                         const ShardSpec &shard) const
-{
-    std::vector<std::vector<std::size_t>> groups;
-    // Group key: (trace slot, mechanism). Tasks sharing both draw on
-    // one materialized trace and differ only in config variant.
-    std::unordered_map<std::size_t, std::size_t> group_of;
-    const std::size_t M = _mechanisms.size();
-    for (std::size_t i = 0; i < _tasks.size(); ++i) {
-        if (done[i] || !inShard(i, shard))
-            continue;
-        const std::size_t key = traceSlot(i) * M + _tasks[i].m;
-        auto it = group_of.find(key);
-        if (it == group_of.end()) {
-            it = group_of.emplace(key, groups.size()).first;
-            groups.emplace_back();
-        }
-        groups[it->second].push_back(i);
-    }
-    return groups;
-}
-
 std::vector<std::size_t>
 TaskPlan::pendingPerBenchmark(const std::vector<char> &done,
                               const ShardSpec &shard) const

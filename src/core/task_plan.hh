@@ -167,8 +167,9 @@ class TaskPlan
 
     /** Indices of every task still to execute — not marked in
      *  @p done and inside @p shard — in plan order. The single
-     *  source of truth for "what does this process run": backends,
-     *  skip accounting and progress reporting must all agree with
+     *  source of truth for "what does this process run": the
+     *  thread-pool backend runs exactly this list, one task at a
+     *  time, and skip accounting and progress reporting agree with
      *  it. */
     std::vector<std::size_t>
     pendingTasks(const std::vector<char> &done,
@@ -209,24 +210,6 @@ class TaskPlan
                                   SweepResult &res,
                                   std::vector<char> &done,
                                   std::vector<std::size_t> &settled) const;
-
-    /**
-     * Lockstep units: the pending tasks of @p shard grouped by
-     * (trace slot, mechanism), i.e. the config variants of one
-     * (benchmark-window, mechanism) cell that share a materialized
-     * trace and can be advanced over it in a single lockstep pass
-     * (cpu/lockstep.hh). Deterministic and resume/shard-transparent:
-     * groups are ordered by their first pending member's plan index,
-     * members within a group are in plan (variant) order, and a task
-     * that is resumed or out of shard simply never appears — a
-     * partially resumed group runs only its missing variants, and
-     * the union of all groups is exactly pendingTasks(). A
-     * variant whose settings move the window lands in a different
-     * slot and therefore in its own group.
-     */
-    std::vector<std::vector<std::size_t>>
-    lockstepGroups(const std::vector<char> &done,
-                   const ShardSpec &shard) const;
 
     /**
      * Per-benchmark count of tasks still to execute: not marked in

@@ -25,23 +25,23 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** A group whose trace another worker is still materializing. */
-struct DeferredGroup
+/** A task whose trace another worker is still materializing. */
+struct DeferredTask
 {
-    std::size_t group = 0; ///< index into State::groups
+    std::size_t task = 0; ///< plan task index
     TraceCache::Future future;
 };
 
 } // namespace
 
 /**
- * Shared scheduling state for one execute(). The group list follows
- * the plan's canonical order (first pending member's index), so one
- * benchmark's groups stay contiguous and run back to back over its
- * cached trace. Pipelining across benchmarks still
- * happens: workers that find a trace in flight defer those groups (a
- * mutex-bump per group, no simulation work) and fall through to the
- * next benchmark's block, whose trace they materialize concurrently.
+ * Shared scheduling state for one execute(). The task list is
+ * pendingTasks() in plan order, so one benchmark's tasks stay
+ * contiguous and run back to back over its cached trace. Pipelining
+ * across benchmarks still happens: workers that find a trace in
+ * flight defer those tasks (a mutex-bump per task, no simulation
+ * work) and fall through to the next benchmark's block, whose trace
+ * they materialize concurrently.
  */
 struct ThreadPoolBackend::State
 {
@@ -49,13 +49,8 @@ struct ThreadPoolBackend::State
     const ExecutionContext &ctx;
     SweepResult &res;
 
-    /** Scheduling units, each a list of plan task indices sharing
-     *  (trace slot, mechanism): the plan's lockstep groups. Their
-     *  union is exactly this process's pending tasks, in plan order. */
-    std::vector<std::vector<std::size_t>> groups;
-    /** Total pending member tasks (progress/ETA stay in task units,
-     *  one event per member, whatever the grouping). */
-    std::size_t pending_count = 0;
+    /** This process's pending tasks, in plan order. */
+    std::vector<std::size_t> tasks;
     /** This process's per-benchmark task count and executed-so-far —
      *  progress counters in shard-local units, so a finished shard
      *  reports bench_done == bench_total for every benchmark it
@@ -67,8 +62,8 @@ struct ThreadPoolBackend::State
     Clock::time_point start = Clock::now();
 
     std::mutex mu;
-    std::size_t next = 0;              ///< cursor into `groups`
-    std::deque<DeferredGroup> deferred; ///< groups awaiting their trace
+    std::size_t next = 0;              ///< cursor into `tasks`
+    std::deque<DeferredTask> deferred; ///< tasks awaiting their trace
     std::size_t done_count = 0;        ///< finished tasks (progress)
     std::exception_ptr error;          ///< first failure, if any
 
@@ -76,12 +71,10 @@ struct ThreadPoolBackend::State
           const ExecutionContext &c, SweepResult &r,
           std::size_t resumed_count)
         : plan(p), ctx(c), res(r),
-          groups(p.lockstepGroups(done_mask, c.opts.shard)),
+          tasks(p.pendingTasks(done_mask, c.opts.shard)),
           bench_total(p.pendingPerBenchmark(done_mask, c.opts.shard)),
           bench_done(p.benchmarks().size(), 0), resumed(resumed_count)
     {
-        for (const auto &g : groups)
-            pending_count += g.size();
     }
 };
 
@@ -93,7 +86,7 @@ ThreadPoolBackend::drain(State &st)
     const EngineOptions &opts = st.ctx.opts;
 
     for (;;) {
-        std::size_t gi = 0;
+        std::size_t flat = 0;
         TraceCache::Future deferred_fut;
         bool have = false;
         bool must_wait = false;
@@ -101,13 +94,13 @@ ThreadPoolBackend::drain(State &st)
             std::unique_lock<std::mutex> lock(st.mu);
             if (st.error)
                 return; // a sibling failed: stop picking up work
-            // Deferred groups whose trace has landed come first:
+            // Deferred tasks whose trace has landed come first:
             // their benchmark is fully paid for.
             for (auto it = st.deferred.begin();
                  it != st.deferred.end(); ++it) {
                 if (it->future.wait_for(std::chrono::seconds(0)) ==
                     std::future_status::ready) {
-                    gi = it->group;
+                    flat = it->task;
                     deferred_fut = it->future;
                     st.deferred.erase(it);
                     have = true;
@@ -115,13 +108,13 @@ ThreadPoolBackend::drain(State &st)
                     break;
                 }
             }
-            if (!have && st.next < st.groups.size()) {
-                gi = st.next++;
+            if (!have && st.next < st.tasks.size()) {
+                flat = st.tasks[st.next++];
                 have = true;
             }
             if (!have && !st.deferred.empty()) {
                 // Nothing else to steal: block on a pending trace.
-                gi = st.deferred.front().group;
+                flat = st.deferred.front().task;
                 deferred_fut = st.deferred.front().future;
                 st.deferred.pop_front();
                 have = true;
@@ -131,17 +124,14 @@ ThreadPoolBackend::drain(State &st)
                 return;
         }
 
-        // Every member of a group shares (benchmark, window, mech):
-        // one trace claim, one simulation pass, per-member results.
-        const std::vector<std::size_t> &group = st.groups[gi];
-        const PlanTask &first = st.plan.task(group.front());
-        const std::size_t slot = st.plan.traceSlot(group.front());
-        const std::string &key = st.plan.slotKey(slot);
-        const std::string &benchmark = st.plan.benchmarks()[first.b];
-        const std::string &mechanism = st.plan.mechanisms()[first.m];
+        const PlanTask &task = st.plan.task(flat);
+        const RunConfig &cfg = st.plan.config(task.v);
+        const std::string &key = st.plan.slotKey(st.plan.traceSlot(flat));
+        const std::string &benchmark = st.plan.benchmarks()[task.b];
+        const std::string &mechanism = st.plan.mechanisms()[task.m];
         TraceCache::TracePtr trace;
         if (must_wait) {
-            // Deferred groups keep the future from their original
+            // Deferred tasks keep the future from their original
             // claim: even if the owner failed and the cache entry
             // was dropped for retry, this surfaces that error
             // instead of panicking on a missing key.
@@ -153,8 +143,7 @@ ThreadPoolBackend::drain(State &st)
                 TraceOrigin origin = TraceOrigin::Generated;
                 const Clock::time_point claimed = Clock::now();
                 trace = ExperimentEngine::materializeInto(
-                    cache, key, benchmark, st.plan.config(first.v),
-                    &origin);
+                    cache, key, benchmark, cfg, &origin);
                 const double dur = secondsSince(claimed);
                 // One event per owner-side materialization: a fully
                 // warm arena run contains zero src=gen trace events
@@ -181,134 +170,97 @@ ThreadPoolBackend::drain(State &st)
                 // Someone else is materializing: steal unrelated
                 // work instead of idling on the future.
                 std::unique_lock<std::mutex> lock(st.mu);
-                st.deferred.push_back({gi, std::move(fut)});
+                st.deferred.push_back({flat, std::move(fut)});
                 continue;
             }
         }
 
-        // Liveness + fault injection, per member, before any
-        // simulation work: the heartbeat names the flat task index
-        // about to run (flushed per line), so if this process now
-        // dies or wedges — for real or because an armed FaultClause
-        // fires at exactly this index — a supervising parent's last
-        // heartbeat blames the right task. A firing clause is
-        // reported before it acts: the parent charges the clause's
-        // budget with that line.
+        // Liveness + fault injection, right before the simulation
+        // they name: the heartbeat carries the flat task index about
+        // to run (flushed per line), so if this process now dies or
+        // wedges — for real or because an armed FaultClause fires at
+        // exactly this index — a supervising parent's last heartbeat
+        // blames the right task. A firing clause is reported before
+        // it acts: the parent charges the clause's budget with that
+        // line.
+        if (st.ctx.progress)
+            st.ctx.progress->write(
+                ProgressEvent("heartbeat")
+                    .field("task", task.index)
+                    .field("bench", benchmark)
+                    .field("mech", mechanism)
+                    .field("elapsed_s", secondsSince(st.start)));
         const FaultInjector &injector = FaultInjector::instance();
-        for (const std::size_t flat : group) {
-            const std::size_t index = st.plan.task(flat).index;
+        if (const FaultClause *fault =
+                injector.armed() ? injector.clauseAt(task.index)
+                                 : nullptr) {
             if (st.ctx.progress)
                 st.ctx.progress->write(
-                    ProgressEvent("heartbeat")
-                        .field("task", index)
-                        .field("bench", benchmark)
-                        .field("mech", mechanism)
-                        .field("elapsed_s", secondsSince(st.start)));
-            const FaultClause *fault =
-                injector.armed() ? injector.clauseAt(index) : nullptr;
-            if (fault) {
-                if (st.ctx.progress)
-                    st.ctx.progress->write(
-                        ProgressEvent("fault")
-                            .field("task", index)
-                            .field("clause", fault->str()));
-                FaultInjector::fire(*fault);
-            }
+                    ProgressEvent("fault")
+                        .field("task", task.index)
+                        .field("clause", fault->str()));
+            FaultInjector::fire(*fault);
         }
 
-        // Simulate: one lockstep pass over the shared trace for a
-        // multi-variant group, the classic single run otherwise.
-        std::vector<RunOutput> outs;
-        if (group.size() == 1) {
-            outs.push_back(runOne(*trace, mechanism,
-                                  st.plan.config(first.v)));
-        } else {
-            std::vector<const RunConfig *> cfgs;
-            cfgs.reserve(group.size());
-            for (const std::size_t flat : group)
-                cfgs.push_back(&st.plan.config(st.plan.task(flat).v));
-            outs = runLockstep(*trace, mechanism, cfgs);
+        RunOutput out = runOne(*trace, mechanism, cfg);
+
+        if (opts.store) {
+            // Persist before publishing: a sweep killed after this
+            // point resumes past this run. put() flushes, so the
+            // record survives even an abrupt exit.
+            opts.store->put(makeRecord(st.plan.resultKey(flat), out));
         }
+        // Each task owns its (m, b, v) slot exclusively: no lock
+        // needed, and the result is identical for any worker count.
+        MatrixResult &matrix = st.res.matrix(task.v);
+        matrix.ipc[task.m][task.b] = out.core.ipc;
+        matrix.outputs[task.m][task.b] = std::move(out);
 
-        // The member variant list, carried by each member's progress
-        // event so stream consumers can attribute lockstep batches.
-        std::string members;
-        if (group.size() > 1) {
-            for (const std::size_t flat : group) {
-                if (!members.empty())
-                    members += ',';
-                members += st.plan.variantName(st.plan.task(flat).v);
-            }
+        std::size_t done_now = 0;
+        std::size_t bench_done_now = 0;
+        {
+            std::unique_lock<std::mutex> lock(st.mu);
+            done_now = ++st.done_count;
+            bench_done_now = ++st.bench_done[task.b];
         }
-
-        for (std::size_t g = 0; g < group.size(); ++g) {
-            const std::size_t flat = group[g];
-            const PlanTask &task = st.plan.task(flat);
-            RunOutput &out = outs[g];
-            if (opts.store) {
-                // Persist before publishing: a sweep killed after
-                // this point resumes past this run. put() flushes, so
-                // the record survives even an abrupt exit.
-                opts.store->put(
-                    makeRecord(st.plan.resultKey(flat), out));
-            }
-            // Each task owns its (m, b, v) slot exclusively: no lock
-            // needed, and the result is identical for any worker
-            // count.
-            MatrixResult &matrix = st.res.matrix(task.v);
-            matrix.ipc[task.m][task.b] = out.core.ipc;
-            matrix.outputs[task.m][task.b] = std::move(out);
-
-            std::size_t done_now = 0;
-            std::size_t bench_done_now = 0;
-            {
-                std::unique_lock<std::mutex> lock(st.mu);
-                done_now = ++st.done_count;
-                bench_done_now = ++st.bench_done[task.b];
-            }
-            if (st.ctx.progress) {
-                const double elapsed = secondsSince(st.start);
-                const double eta =
-                    elapsed *
-                    static_cast<double>(st.pending_count - done_now) /
-                    static_cast<double>(done_now);
-                // All counters are in this process's task units (its
-                // shard's pending tasks, one event per member), so a
-                // finished shard always reports done == pending and
-                // bench_done == bench_total whatever the grouping.
-                ProgressEvent ev("run");
-                ev.field("bench", benchmark)
+        if (st.ctx.progress) {
+            const double elapsed = secondsSince(st.start);
+            const double eta =
+                elapsed *
+                static_cast<double>(st.tasks.size() - done_now) /
+                static_cast<double>(done_now);
+            // All counters are in this process's task units (its
+            // shard's pending tasks), so a finished shard always
+            // reports done == pending and bench_done == bench_total.
+            st.ctx.progress->write(
+                ProgressEvent("run")
+                    .field("bench", benchmark)
                     .field("mech", mechanism)
-                    .field("variant", st.plan.variantName(task.v));
-                if (!members.empty())
-                    ev.field("group", members);
-                ev.field("task", task.index)
+                    .field("variant", st.plan.variantName(task.v))
+                    .field("task", task.index)
                     .field("bench_done", bench_done_now)
                     .field("bench_total", st.bench_total[task.b])
                     .field("done", done_now)
-                    .field("pending", st.pending_count)
+                    .field("pending", st.tasks.size())
                     .field("resumed", st.resumed)
                     .field("total", st.plan.size())
                     .field("elapsed_s", elapsed)
-                    .field("eta_s", eta);
-                st.ctx.progress->write(ev);
-                if (bench_done_now == st.bench_total[task.b])
-                    st.ctx.progress->write(
-                        ProgressEvent("bench")
-                            .field("bench", benchmark)
-                            .field("done", bench_done_now)
-                            .field("total", st.bench_total[task.b])
-                            .field("elapsed_s", elapsed));
-            }
-            if (opts.verbose)
-                inform("[", done_now + st.resumed, "/",
-                       st.plan.size(), "] ", benchmark, " / ",
-                       mechanism,
-                       st.plan.variantCount() > 1
-                           ? " / " + st.plan.variantName(task.v)
-                           : "",
-                       ": IPC ", matrix.ipc[task.m][task.b]);
+                    .field("eta_s", eta));
+            if (bench_done_now == st.bench_total[task.b])
+                st.ctx.progress->write(
+                    ProgressEvent("bench")
+                        .field("bench", benchmark)
+                        .field("done", bench_done_now)
+                        .field("total", st.bench_total[task.b])
+                        .field("elapsed_s", elapsed));
         }
+        if (opts.verbose)
+            inform("[", done_now + st.resumed, "/", st.plan.size(),
+                   "] ", benchmark, " / ", mechanism,
+                   st.plan.variantCount() > 1
+                       ? " / " + st.plan.variantName(task.v)
+                       : "",
+                   ": IPC ", matrix.ipc[task.m][task.b]);
     }
 }
 
@@ -327,7 +279,7 @@ ThreadPoolBackend::execute(const TaskPlan &plan,
     State st(plan, done, ctx, res, counters.resumed);
     // Skipped-by-shard = pending anywhere minus pending here.
     counters.skipped =
-        plan.pendingTasks(done, ShardSpec{}).size() - st.pending_count;
+        plan.pendingTasks(done, ShardSpec{}).size() - st.tasks.size();
 
     // Failures are captured, never thrown across the pool: every
     // worker must come home before State leaves scope.

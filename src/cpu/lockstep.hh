@@ -21,6 +21,17 @@
  * path is the oracle, asserted by tests/test_lockstep.cc. run() is
  * allocation-free in steady state; the member table is sized by
  * add() at setup time.
+ *
+ * No sweep runs through this any more: the thread-pool backend runs
+ * every task alone through runOne(), because end to end the shared
+ * pass did not pay (perfbench cpu.lockstep_speedup read 0.95-1.07 on
+ * its matrix workload). The kernel, OoOCore's beginRun/stepBlock/
+ * finishRun split, the experiment-layer fan-out over it
+ * (core/experiment.hh), BM_LockstepVariants and the kernel tests
+ * remain only because the repository benchmark (perfbench/) wraps
+ * the kernel and the fan-out in its spans and times the fan-out in
+ * its layer ladder. They are deleted once the benchmark stops using
+ * them (ROADMAP item 7).
  */
 
 #ifndef MICROLIB_CPU_LOCKSTEP_HH

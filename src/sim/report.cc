@@ -89,30 +89,6 @@ Table::str() const
     return os.str();
 }
 
-Table
-crossTable(const std::string &title, const std::string &corner,
-           const std::vector<std::string> &rows,
-           const std::vector<std::string> &cols,
-           const std::vector<std::vector<double>> &cells, int precision)
-{
-    if (cells.size() != rows.size())
-        panic("crossTable '", title, "': ", cells.size(),
-              " cell row(s) for ", rows.size(), " label(s)");
-    Table t(title);
-    std::vector<std::string> header;
-    header.push_back(corner);
-    header.insert(header.end(), cols.begin(), cols.end());
-    t.header(std::move(header));
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        if (cells[r].size() != cols.size())
-            panic("crossTable '", title, "': row ", r, " has ",
-                  cells[r].size(), " cell(s) for ", cols.size(),
-                  " column(s)");
-        t.rowNumeric(rows[r], cells[r], precision);
-    }
-    return t;
-}
-
 void
 printExperimentBanner(std::ostream &os, const std::string &id,
                       const std::string &claim)

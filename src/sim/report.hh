@@ -51,18 +51,6 @@ class Table
 };
 
 /**
- * Build a row-label x column-label table of numeric cells: the shape
- * of every cross-variant / cross-mechanism summary. @p corner names
- * the label column; @p cells is indexed [row][col] and must be
- * rectangular with @p rows x @p cols entries.
- */
-Table crossTable(const std::string &title, const std::string &corner,
-                 const std::vector<std::string> &rows,
-                 const std::vector<std::string> &cols,
-                 const std::vector<std::vector<double>> &cells,
-                 int precision = 3);
-
-/**
  * Banner printed at the top of every bench binary: experiment id,
  * paper reference, and what to look for.
  */

@@ -40,7 +40,10 @@ specOf(const std::vector<std::string> &mechanisms,
 inline RunConfig
 configOf(const Settings &settings)
 {
-    const SweepSpec spec = specOf({}, {}, settings);
+    SweepSpec spec;
+    std::string error;
+    for (const AxisSetting &s : settings)
+        EXPECT_TRUE(spec.addBase(s.key, s.value, &error)) << error;
     return spec.resolve(spec.variants().front());
 }
 

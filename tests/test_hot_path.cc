@@ -7,8 +7,8 @@
  * in the core loop, a cache, a mechanism or the trace path, on every
  * execution path at once — fails with the differing cells named.
  * Every cell is also checked against the model's counter identities.
- * A second table pins three L2-size variants per program, each
- * (program, mechanism) cell a three-member lockstep group.
+ * A second table pins three L2-size variants per program over one
+ * shared trace window per program.
  * A second suite pins the full stat snapshot across MICROLIB_THREADS
  * 1/4/8 so the scheduler cannot leak ordering into the results.
  */
@@ -26,7 +26,6 @@
 #include "core/registry.hh"
 #include "core/scheduler.hh"
 #include "core/sweep_spec.hh"
-#include "core/task_plan.hh"
 #include "sim/fingerprint.hh"
 #include "trace/spec_suite.hh"
 
@@ -366,12 +365,11 @@ TEST(HotPath, GoldenCellDigests)
     expectGolden(golden, got, m.mechanisms);
 }
 
-TEST(HotPath, GoldenLockstepDigests)
+TEST(HotPath, GoldenVariantDigests)
 {
-    // The golden cells above run one config each, so no two tasks
-    // ever share a lockstep group. This sweep has three L2-size
-    // variants over one window: every (program, mechanism) cell is a
-    // three-member group advanced over a single trace pass. One row
+    // The golden cells above run one config each. This sweep has
+    // three L2-size variants over one window, so the tasks of each
+    // program share one materialized trace, each run alone. One row
     // per (program, variant) in plan order, one digest per mechanism
     // in allMechanismNames() order.
     std::string text = "sweep-spec v1\n"
@@ -387,13 +385,6 @@ TEST(HotPath, GoldenLockstepDigests)
     SweepSpec spec;
     std::string error;
     ASSERT_TRUE(SweepSpec::parse(text, spec, &error)) << error;
-
-    const TaskPlan plan(spec);
-    const std::vector<char> none(plan.size(), 0);
-    const auto groups = plan.lockstepGroups(none, ShardSpec{});
-    ASSERT_EQ(groups.size(), 4 * kGoldenMechanisms);
-    for (const auto &g : groups)
-        ASSERT_EQ(g.size(), 3u);
 
     const std::vector<GoldenRow> golden = {
         {"pchase hier.l2.size=256k",

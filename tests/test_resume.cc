@@ -145,6 +145,50 @@ TEST(Resume, InterruptedSweepExecutesOnlyMissingRuns)
     std::remove(half_path.c_str());
 }
 
+TEST(Resume, PartiallyResumedVariantsExecuteOnlyMissingTasks)
+{
+    // Three L2-size variants share each benchmark's trace. A sweep
+    // killed after 4 records leaves swim's first two variants of
+    // both mechanisms done: the restart runs the other 14 tasks,
+    // including swim's third variant, and matches the whole run.
+    SweepSpec spec =
+        specOf({"Base", "TP"}, {"swim", "gzip", "mcf"}, quick);
+    std::string error;
+    ASSERT_TRUE(spec.addAxis("hier.l2.size", {"256k", "512k", "1M"},
+                             &error))
+        << error;
+    const std::size_t total = TaskPlan(spec).size();
+    ASSERT_EQ(total, 18u);
+
+    const std::string full_path = tmpPath("variants_full.store");
+    const std::string part_path = tmpPath("variants_part.store");
+    std::remove(full_path.c_str());
+    EngineOptions opts;
+    opts.threads = 1; // store records land in plan order
+    SweepResult reference;
+    {
+        ResultStore full(full_path);
+        opts.store = &full;
+        reference = ExperimentEngine(opts).run(spec);
+        ASSERT_EQ(full.size(), total);
+    }
+    ASSERT_EQ(truncateStoreFile(full_path, part_path, 4), 4u);
+
+    ResultStore store(part_path);
+    opts.store = &store;
+    ExperimentEngine engine(opts);
+    const SweepResult resumed = engine.run(spec);
+    EXPECT_EQ(engine.lastRun().resumed, 4u);
+    EXPECT_EQ(engine.lastRun().executed, total - 4);
+    EXPECT_EQ(store.size(), total);
+    ASSERT_EQ(resumed.variants, reference.variants);
+    for (std::size_t v = 0; v < resumed.matrices.size(); ++v)
+        expectIdentical(reference.matrix(v), resumed.matrix(v));
+
+    std::remove(full_path.c_str());
+    std::remove(part_path.c_str());
+}
+
 TEST(Resume, CompletedSweepRerunsNothing)
 {
     const std::size_t total = mechs.size() * benchs.size();

@@ -1,13 +1,17 @@
 /** @file ExperimentEngine scheduler tests: determinism across worker
- *  counts, trace sharing across matrices, and the trace endpoint. */
+ *  counts (every task equal to its own runOne, config variants
+ *  included), trace sharing across matrices, and the trace
+ *  endpoint. */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/scheduler.hh"
+#include "core/task_plan.hh"
 #include "sim/logging.hh"
 
 #include "spec_helpers.hh"
@@ -54,6 +58,14 @@ expectIdentical(const MatrixResult &a, const MatrixResult &b)
             // must never leak into results.
             EXPECT_EQ(a.ipc[m][bi], b.ipc[m][bi])
                 << a.mechanisms[m] << "/" << a.benchmarks[bi];
+            const CoreResult &ca = a.outputs[m][bi].core;
+            const CoreResult &cb = b.outputs[m][bi].core;
+            EXPECT_EQ(ca.instructions, cb.instructions);
+            EXPECT_EQ(ca.cycles, cb.cycles);
+            EXPECT_EQ(ca.loads, cb.loads);
+            EXPECT_EQ(ca.stores, cb.stores);
+            EXPECT_EQ(ca.branches, cb.branches);
+            EXPECT_EQ(ca.mispredicts, cb.mispredicts);
             EXPECT_EQ(a.outputs[m][bi].stats, b.outputs[m][bi].stats)
                 << a.mechanisms[m] << "/" << a.benchmarks[bi];
             EXPECT_EQ(a.outputs[m][bi].benchmark, a.benchmarks[bi]);
@@ -71,6 +83,44 @@ TEST(Scheduler, BitIdenticalAcrossWorkerCounts)
     const MatrixResult eight = runWithThreads(8);
     expectIdentical(serial, four);
     expectIdentical(serial, eight);
+}
+
+TEST(Scheduler, VariantSweepMatchesRunOneAcrossWorkerCounts)
+{
+    // Three L2-size variants share each benchmark's trace slot. Every
+    // task must equal its own runOne over a materializeFor trace, in
+    // its own slot, whatever the worker count.
+    SweepSpec spec =
+        specOf({"Base", "TP"}, {"swim", "gzip", "mcf"}, quick);
+    std::string error;
+    ASSERT_TRUE(spec.addAxis("hier.l2.size", {"256k", "512k", "1M"},
+                             &error))
+        << error;
+    const TaskPlan plan(spec);
+    ASSERT_EQ(plan.traceSlotCount(), 3u);
+
+    SweepResult oracle = plan.emptyResult();
+    std::vector<std::unique_ptr<MaterializedTrace>> traces(
+        plan.traceSlotCount());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        const PlanTask &t = plan.task(i);
+        const RunConfig &cfg = plan.config(t.v);
+        auto &trace = traces[plan.traceSlot(i)];
+        if (!trace)
+            trace = std::make_unique<MaterializedTrace>(
+                materializeFor(plan.benchmarks()[t.b], cfg));
+        MatrixResult &m = oracle.matrix(t.v);
+        m.outputs[t.m][t.b] = runOne(*trace, plan.mechanisms()[t.m], cfg);
+        m.ipc[t.m][t.b] = m.outputs[t.m][t.b].core.ipc;
+    }
+
+    for (const unsigned threads : {1u, 4u, 8u}) {
+        ExperimentEngine engine(EngineOptions{.threads = threads});
+        const SweepResult res = engine.run(spec);
+        ASSERT_EQ(res.variants, oracle.variants);
+        for (std::size_t v = 0; v < res.matrices.size(); ++v)
+            expectIdentical(oracle.matrix(v), res.matrix(v));
+    }
 }
 
 TEST(Scheduler, DefaultEngineHonorsThreadsEnv)
@@ -142,12 +192,15 @@ TEST(Scheduler, TraceEndpointSharesWithMatrixRuns)
 
 TEST(Scheduler, EmptyMatrixIsFine)
 {
+    // A default spec names no benchmark and no mechanism: a 0-task
+    // plan runs nothing and returns one empty matrix.
+    const SweepSpec empty;
+    EXPECT_TRUE(TaskPlan(empty).empty());
     ExperimentEngine engine(EngineOptions{.threads = 2});
-    const MatrixResult no_mechs = matrix(engine, {}, {"swim"});
-    EXPECT_TRUE(no_mechs.ipc.empty());
-    const MatrixResult no_benchs = matrix(engine, {"Base"}, {});
-    ASSERT_EQ(no_benchs.ipc.size(), 1u);
-    EXPECT_TRUE(no_benchs.ipc[0].empty());
+    const SweepResult res = engine.run(empty);
+    ASSERT_EQ(res.matrices.size(), 1u);
+    EXPECT_TRUE(res.matrix(0).ipc.empty());
+    EXPECT_EQ(engine.lastRun().executed, 0u);
 }
 
 TEST(Scheduler, MatchesStandaloneRunOne)

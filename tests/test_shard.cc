@@ -245,6 +245,42 @@ TEST(Shard, ProcessShardBackendMatchesThreadPool)
     std::remove(path.c_str());
 }
 
+TEST(Shard, VariantSweepProcessMergeMatchesThreadPool)
+{
+    // Three L2-size variants per benchmark window: with two
+    // mechanisms and two shards, each shard runs one mechanism's
+    // variants over a shared trace. The merge matches the thread
+    // pool in every variant.
+    SweepSpec spec = specOf({"Base", "TP"}, {"swim", "gzip", "mcf"},
+                            {{"window.trace_length", "100000"},
+                             {"window.interval", "100000"}});
+    std::string error;
+    ASSERT_TRUE(spec.addAxis("hier.l2.size", {"256k", "512k", "1M"},
+                             &error))
+        << error;
+    EngineOptions ref_opts;
+    ref_opts.threads = 4;
+    const SweepResult reference = ExperimentEngine(ref_opts).run(spec);
+
+    const std::string path = tmpPath("variants.store");
+    std::remove(path.c_str());
+    ResultStore store(path);
+    ProcessShardOptions popts;
+    popts.shards = 2;
+    ProcessShardBackend backend(popts);
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.store = &store;
+    opts.backend = &backend;
+    ExperimentEngine engine(opts);
+    const SweepResult merged = engine.run(spec);
+    EXPECT_EQ(engine.lastRun().executed, 18u);
+    ASSERT_EQ(merged.variants, reference.variants);
+    for (std::size_t v = 0; v < merged.matrices.size(); ++v)
+        expectIdentical(reference.matrix(v), merged.matrix(v));
+    std::remove(path.c_str());
+}
+
 TEST(Shard, KilledShardResumesOnlyMissingTasks)
 {
     const SweepSpec spec = quickSpec();

@@ -204,6 +204,11 @@ TEST(SweepSpec, SettersRejectUnknownNamesLikeParse)
     EXPECT_FALSE(spec.setMechanisms({"NoMech"}, &error));
     EXPECT_NE(error.find("unknown mechanism 'NoMech'"), std::string::npos)
         << error;
+    // So does an empty list: parse() refuses a spec without names.
+    EXPECT_FALSE(spec.setBenchmarks({}, &error));
+    EXPECT_NE(error.find("no benchmarks"), std::string::npos) << error;
+    EXPECT_FALSE(spec.setMechanisms({}, &error));
+    EXPECT_NE(error.find("no mechanisms"), std::string::npos) << error;
     EXPECT_EQ(spec.benchmarks(),
               (std::vector<std::string>{"swim", "pchase"}));
     EXPECT_EQ(spec.mechanisms(), (std::vector<std::string>{"Base", "GHB"}));

@@ -8,11 +8,12 @@
  * ResultStore, and every simulated cell goes through
  * ExperimentEngine::run: figures get the worker pool and the store's
  * resume, and figures needing the same cells share them — across
- * figures in one process, and across invocations through the store. Each configuration a figure sweeps is a list of
- * registry settings (docs/SWEEP_SPEC.md), so its assumptions are
- * written down as data. With no FIGURE every figure runs, in paper
- * order. MICROLIB_QUICK=1 selects the 8-benchmark subset and 4x
- * smaller windows (smoke scale).
+ * figures in one process, and across invocations through the store.
+ * Each configuration a figure sweeps is a list of registry settings
+ * (docs/SWEEP_SPEC.md), so its assumptions are written down as data.
+ * With no FIGURE every figure runs, in paper order. MICROLIB_QUICK=1
+ * selects the 8-benchmark subset and 4x smaller windows (smoke
+ * scale).
  */
 
 #include <malloc.h>

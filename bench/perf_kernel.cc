@@ -327,8 +327,7 @@ BENCHMARK_CAPTURE(BM_MechanismRun, DBCP, "DBCP");
 // independent passes (the locality win of touching each trace block
 // once while it is hot in cache). V=1 is the degenerate group, kept
 // as the lockstep machinery's overhead baseline. No sweep runs in
-// lockstep: every task takes runOne, and this benchmark goes with
-// the kernel (src/cpu/lockstep.hh).
+// lockstep; see src/cpu/lockstep.hh.
 
 void
 BM_LockstepVariants(benchmark::State &state)

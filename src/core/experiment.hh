@@ -97,9 +97,8 @@ RunOutput runOne(const MaterializedTrace &trace,
  * @p cfgs order and bit-identical — every CoreResult and stat — to V
  * separate runOne() calls; the per-variant path is the oracle
  * (tests/test_lockstep.cc). The configs may differ in anything that
- * leaves the trace window untouched. No sweep path calls this: every
- * task runs alone through runOne(). It stays only for the repository
- * benchmark's layer ladder until its removal (cpu/lockstep.hh).
+ * leaves the trace window untouched. No sweep calls this; see
+ * cpu/lockstep.hh.
  */
 std::vector<RunOutput>
 runLockstep(const MaterializedTrace &trace, const std::string &mechanism,

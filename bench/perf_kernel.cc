@@ -275,7 +275,9 @@ BENCHMARK_CAPTURE(BM_TraceSkip, mcf, "mcf");
 // run_allocs pins the loop allocation-free. BM_MechanismRun/<acronym>
 // is the same run with a mechanism attached: VC exercises the
 // LineBuffer side store on every L1 miss, DBCP its correlation table
-// plus a LineBuffer prefetch buffer.
+// plus a LineBuffer prefetch buffer, FVC reads every evicted L1 line
+// from the memory image, and GHB walks its per-PC miss chain on every
+// L2 miss.
 
 void
 BM_MechanismRun(benchmark::State &state, const char *mechanism)
@@ -316,6 +318,8 @@ BM_TraceViewRun(benchmark::State &state)
 BENCHMARK(BM_TraceViewRun);
 BENCHMARK_CAPTURE(BM_MechanismRun, VC, "VC");
 BENCHMARK_CAPTURE(BM_MechanismRun, DBCP, "DBCP");
+BENCHMARK_CAPTURE(BM_MechanismRun, FVC, "FVC");
+BENCHMARK_CAPTURE(BM_MechanismRun, GHB, "GHB");
 
 // --- Lockstep multi-variant execution: V cores, one trace pass. ---
 //

@@ -58,6 +58,11 @@ struct ThreadPoolBackend::State
     std::vector<std::size_t> bench_total;
     std::vector<std::size_t> bench_done;
     std::size_t resumed = 0;
+    /** Whether a slot's trace leaves the cache after its last task:
+     *  only with an arena, which maps it again for a later plan. */
+    bool evict = false;
+    /** This process's unfinished tasks per trace slot. */
+    std::vector<std::size_t> slot_pending;
 
     Clock::time_point start = Clock::now();
 
@@ -73,8 +78,12 @@ struct ThreadPoolBackend::State
         : plan(p), ctx(c), res(r),
           tasks(p.pendingTasks(done_mask, c.opts.shard)),
           bench_total(p.pendingPerBenchmark(done_mask, c.opts.shard)),
-          bench_done(p.benchmarks().size(), 0), resumed(resumed_count)
+          bench_done(p.benchmarks().size(), 0), resumed(resumed_count),
+          evict(c.engine.cache().arena() != nullptr),
+          slot_pending(p.traceSlotCount(), 0)
     {
+        for (const std::size_t flat : tasks)
+            ++slot_pending[p.traceSlot(flat)];
     }
 };
 
@@ -218,11 +227,19 @@ ThreadPoolBackend::drain(State &st)
 
         std::size_t done_now = 0;
         std::size_t bench_done_now = 0;
+        bool slot_done = false;
         {
             std::unique_lock<std::mutex> lock(st.mu);
             done_now = ++st.done_count;
             bench_done_now = ++st.bench_done[task.b];
+            slot_done = --st.slot_pending[st.plan.traceSlot(flat)] == 0;
         }
+        // The slot's last task here has run: nothing in this plan
+        // claims its trace again, so with an arena behind the cache
+        // the trace goes now (munmapped once `trace` lets go) rather
+        // than at the plan's end.
+        if (slot_done && st.evict)
+            cache.evict(key);
         if (st.ctx.progress) {
             const double elapsed = secondsSince(st.start);
             const double eta =

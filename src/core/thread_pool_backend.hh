@@ -19,8 +19,15 @@
  * window) pairs, so config variants that share a window share one
  * materialization — and only for tasks this process will run, so a
  * slot with nothing pending (resumed or out of shard) is never
- * materialized at all. Claimed traces stay in the engine's cache
- * until it is cleared or destroyed.
+ * materialized at all.
+ *
+ * Trace lifetime: the backend counts each slot's tasks still to run
+ * in this process. When the engine's cache has an arena, the task
+ * that brings a slot's count to zero evicts its trace, so a plan
+ * holds only the traces of slots still in progress, and a later plan
+ * maps them from the arena again. Without an arena, evicting would
+ * make a later plan regenerate the trace, so claimed traces stay in
+ * the cache until it is cleared or destroyed.
  *
  * This is the leaf executor every other backend bottoms out in: a
  * ProcessShardBackend worker is just a fresh engine running this

@@ -1,5 +1,8 @@
 #include "mechanisms/cdp.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "trace/kernels.hh"
 
 namespace microlib
@@ -38,10 +41,8 @@ Cdp::lineContent(CacheLevel lvl, Addr line,
 
     unsigned depth = 0;
     if (cause == AccessKind::Prefetch) {
-        auto it = _depth.find(line);
-        depth = it == _depth.end() ? _p.depth_threshold : it->second;
-        if (it != _depth.end())
-            _depth.erase(it);
+        if (!_depth.take(line, depth))
+            depth = _p.depth_threshold;
         if (depth >= _p.depth_threshold)
             return; // recursion bound reached
     } else if (cause == AccessKind::Writeback) {
@@ -58,7 +59,7 @@ Cdp::lineContent(CacheLevel lvl, Addr line,
         // Record the depth *before* issuing: the refill callback for
         // the prefetched line runs inside issueL2Prefetch, and the
         // recursive scan must see its depth.
-        _depth[target] = depth + 1;
+        _depth.set(target, depth + 1);
         if (!issueL2Prefetch(_queue, target, 0, now))
             _depth.erase(target);
     }
@@ -66,6 +67,94 @@ Cdp::lineContent(CacheLevel lvl, Addr line,
     // Keep the depth map bounded: drop stale entries en masse.
     if (_depth.size() > 65536)
         _depth.clear();
+}
+
+std::size_t
+Cdp::DepthMap::home(Addr line) const
+{
+    // Fibonacci hashing: neighbouring lines spread out.
+    return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ull) >>
+                                    _shift);
+}
+
+std::size_t
+Cdp::DepthMap::locate(Addr line) const
+{
+    const std::size_t mask = _slots.size() - 1;
+    std::size_t i = home(line);
+    while (_slots[i].line != line && _slots[i].line != invalid_addr)
+        i = (i + 1) & mask;
+    return i;
+}
+
+bool
+Cdp::DepthMap::take(Addr line, unsigned &depth)
+{
+    if (_slots.empty())
+        return false;
+    const std::size_t i = locate(line);
+    if (_slots[i].line != line)
+        return false;
+    depth = _slots[i].depth;
+    eraseAt(i);
+    return true;
+}
+
+void
+Cdp::DepthMap::set(Addr line, unsigned depth)
+{
+    if (4 * (_size + 1) > 3 * _slots.size()) {
+        // At most three quarters full: double (from 64 slots) and
+        // rehash. The 65537 entries that trigger Cdp's clear() fit
+        // in 2^17 slots.
+        std::vector<Slot> old(std::max<std::size_t>(64, 2 * _slots.size()));
+        old.swap(_slots);
+        _shift = 64 - static_cast<unsigned>(std::countr_zero(_slots.size()));
+        for (const Slot &slot : old)
+            if (slot.line != invalid_addr)
+                _slots[locate(slot.line)] = slot;
+    }
+    Slot &slot = _slots[locate(line)];
+    if (slot.line != line) {
+        slot.line = line;
+        ++_size;
+    }
+    slot.depth = depth;
+}
+
+void
+Cdp::DepthMap::erase(Addr line)
+{
+    if (_slots.empty())
+        return;
+    const std::size_t i = locate(line);
+    if (_slots[i].line == line)
+        eraseAt(i);
+}
+
+void
+Cdp::DepthMap::eraseAt(std::size_t i)
+{
+    // Backward shift: pull each later entry of the probe run into the
+    // hole unless that would move it before its home slot.
+    const std::size_t mask = _slots.size() - 1;
+    for (std::size_t j = (i + 1) & mask; _slots[j].line != invalid_addr;
+         j = (j + 1) & mask) {
+        const std::size_t h = home(_slots[j].line);
+        if (((j - h) & mask) >= ((j - i) & mask)) {
+            _slots[i] = _slots[j];
+            i = j;
+        }
+    }
+    _slots[i] = Slot{};
+    --_size;
+}
+
+void
+Cdp::DepthMap::clear()
+{
+    std::fill(_slots.begin(), _slots.end(), Slot{});
+    _size = 0;
 }
 
 std::vector<SramSpec>

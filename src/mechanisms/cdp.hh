@@ -20,7 +20,7 @@
 #ifndef MICROLIB_MECHANISMS_CDP_HH
 #define MICROLIB_MECHANISMS_CDP_HH
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/mechanism.hh"
 
@@ -55,9 +55,45 @@ class Cdp : public CacheMechanism
     Counter pointers_found;
 
   private:
+    /** Line address -> depth, held in one open-addressing table
+     *  (linear probing, backward-shift deletion): the contents a node
+     *  map would hold, without a heap node per entry. The table
+     *  doubles past three quarters full and clear() keeps it, so a
+     *  map that is bounded by clearing stops allocating. */
+    class DepthMap
+    {
+      public:
+        /** Remove @p line, setting @p depth to its value; false when
+         *  absent. */
+        bool take(Addr line, unsigned &depth);
+        void set(Addr line, unsigned depth);
+        void erase(Addr line);
+        std::size_t size() const { return _size; }
+        void clear();
+
+      private:
+        /** line == invalid_addr marks an empty slot: line addresses
+         *  are aligned, so never all ones. */
+        struct Slot
+        {
+            Addr line = invalid_addr;
+            unsigned depth = 0;
+        };
+
+        std::vector<Slot> _slots; ///< power-of-two size, or empty
+        unsigned _shift = 64;     ///< 64 - log2(_slots.size())
+        std::size_t _size = 0;
+
+        std::size_t home(Addr line) const;
+        /** The slot holding @p line, or the empty slot ending its
+         *  probe run. _slots must not be empty. */
+        std::size_t locate(Addr line) const;
+        void eraseAt(std::size_t i);
+    };
+
     Params _p;
     RequestQueue _queue;
-    std::unordered_map<Addr, unsigned> _depth; ///< prefetched line depth
+    DepthMap _depth; ///< prefetched line depth
 };
 
 } // namespace microlib

@@ -21,6 +21,7 @@ FrequentValueCache::bind(Hierarchy &hier)
     CacheMechanism::bind(hier);
     _buffer = std::make_unique<LineBuffer>(_p.lines,
                                            hier.params().l1d.line);
+    _line_words.resize(hier.params().l1d.line / 8);
 }
 
 bool
@@ -35,8 +36,12 @@ FrequentValueCache::isFrequent(Word w) const
 bool
 FrequentValueCache::lineCompressible(Addr line) const
 {
-    const auto words = hier()->readLine(line, CacheLevel::L1D);
-    for (const Word w : words)
+    const std::uint64_t bytes = hier()->params().l1d.line;
+    if (const MemoryImage *image = hier()->image())
+        image->readLine(line, bytes, _line_words);
+    else
+        _line_words.assign(bytes / 8, 0);
+    for (const Word w : _line_words)
         if (!isFrequent(w))
             return false;
     return true;

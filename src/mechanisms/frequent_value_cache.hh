@@ -54,6 +54,8 @@ class FrequentValueCache : public CacheMechanism
   private:
     Params _p;
     std::unique_ptr<LineBuffer> _buffer;
+    /** The evicted line's words, reused on every eviction. */
+    mutable std::vector<Word> _line_words;
 
     bool isFrequent(Word w) const;
 };

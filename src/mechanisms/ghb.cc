@@ -1,6 +1,6 @@
 #include "mechanisms/ghb.hh"
 
-#include <vector>
+#include <algorithm>
 
 namespace microlib
 {
@@ -13,6 +13,9 @@ Ghb::Ghb(const MechanismConfig &cfg, const Params &p)
     : CacheMechanism("GHB", cfg), _p(p), _queue(p.request_queue),
       _ghb(p.ghb_entries), _it(p.it_entries)
 {
+    // The walk stops at max_chain addresses (or the first, always).
+    _hist.reserve(std::max(1u, p.max_chain));
+    _deltas.reserve(std::max(1u, p.max_chain));
 }
 
 bool
@@ -54,8 +57,8 @@ Ghb::push(Addr pc, Addr addr, Cycle now)
     // ---- delta correlation over the per-PC chain -------------------
     // Gather recent addresses: a0 (this miss), a1, a2, ... up to the
     // chain bound.
-    std::vector<Addr> hist;
-    hist.push_back(addr);
+    std::vector<Addr> &hist = _hist;
+    hist.assign(1, addr);
     std::uint32_t idx = e.prev;
     std::uint64_t ser = prev_serial;
     while (entryLive(idx, ser) && hist.size() < _p.max_chain) {
@@ -81,7 +84,8 @@ Ghb::push(Addr pc, Addr addr, Cycle now)
         return;
 
     // Deltas: d[i] = hist[i] - hist[i+1] (most recent first).
-    std::vector<std::int64_t> deltas;
+    std::vector<std::int64_t> &deltas = _deltas;
+    deltas.clear();
     for (std::size_t i = 0; i + 1 < hist.size(); ++i)
         deltas.push_back(static_cast<std::int64_t>(hist[i]) -
                          static_cast<std::int64_t>(hist[i + 1]));

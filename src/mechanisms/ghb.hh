@@ -69,6 +69,9 @@ class Ghb : public CacheMechanism
     std::vector<GhbEntry> _ghb;
     std::vector<ItEntry> _it;
     std::uint64_t _serial = 0; ///< total pushes
+    /** push()'s chain addresses and their deltas, reused per miss. */
+    std::vector<Addr> _hist;
+    std::vector<std::int64_t> _deltas;
 
     void push(Addr pc, Addr addr, Cycle now);
     bool entryLive(std::uint32_t idx, std::uint64_t serial) const;

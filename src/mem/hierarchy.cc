@@ -109,19 +109,6 @@ Hierarchy::fetchForL1Buffer(Addr addr, Cycle now)
     return _l1l2_bus->transfer(ready, _p.l1d.line);
 }
 
-std::vector<Word>
-Hierarchy::readLine(Addr addr, CacheLevel lvl) const
-{
-    const std::uint64_t bytes =
-        lvl == CacheLevel::L1D ? _p.l1d.line : _p.l2.line;
-    std::vector<Word> words;
-    if (_image)
-        _image->readLine(addr, bytes, words);
-    else
-        words.assign(bytes / 8, 0);
-    return words;
-}
-
 void
 Hierarchy::registerStats(StatSet &stats) const
 {

@@ -82,9 +82,6 @@ class Hierarchy
     bool l1Probe(Addr addr) const { return _l1d->probe(addr); }
     bool l2Probe(Addr addr) const { return _l2->probe(addr); }
 
-    /** Words of the line containing @p addr, from the memory image. */
-    std::vector<Word> readLine(Addr addr, CacheLevel lvl) const;
-
     Cache &l1d() { return *_l1d; }
     Cache &l1i() { return *_l1i; }
     Cache &l2() { return *_l2; }

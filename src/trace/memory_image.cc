@@ -21,16 +21,17 @@ MemoryImage::MemoryImage(unsigned log2_slots)
 }
 
 std::shared_ptr<const MemoryImage>
-MemoryImage::borrow(const StoredPage *pages, std::size_t count,
+MemoryImage::borrow(const StoredPage *pages, std::span<const Addr> indices,
                     std::shared_ptr<const void> backing)
 {
+    const std::size_t count = indices.size();
     // Size the table once, at most half full, as pageFor() keeps it.
     unsigned log2_slots = initial_log2_slots;
     while ((std::size_t(1) << log2_slots) < 2 * count)
         ++log2_slots;
     std::shared_ptr<MemoryImage> image(new MemoryImage(log2_slots));
     for (std::size_t i = 0; i < count; ++i)
-        image->insert(pages[i].index, &pages[i].page);
+        image->insert(indices[i], &pages[i].page);
     image->_borrowed = count;
     image->_backing = std::move(backing);
     return image;

@@ -22,6 +22,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/types.hh"
@@ -67,13 +68,17 @@ class MemoryImage
     };
 
     /**
-     * A read-only image over @p count stored pages, without copying
-     * them: the slots point into @p pages, and the image keeps
-     * @p backing (the storage holding them) alive. Page indices must
-     * be distinct — the trace arena checks they strictly ascend.
+     * A read-only image over the stored pages @p pages[0, n), where
+     * n = @p indices.size() and @p indices[i] is the index stored in
+     * @p pages[i], without copying them: the slots point into
+     * @p pages, and the image keeps @p backing (the storage holding
+     * them) alive. Building the table reads only @p indices, never a
+     * stored page, so a page of a mapped file stays unread until a
+     * simulation reads it. Indices must be distinct — the trace
+     * arena checks they strictly ascend while it collects them.
      */
     static std::shared_ptr<const MemoryImage>
-    borrow(const StoredPage *pages, std::size_t count,
+    borrow(const StoredPage *pages, std::span<const Addr> indices,
            std::shared_ptr<const void> backing);
 
     MemoryImage();

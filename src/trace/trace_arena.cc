@@ -5,11 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "sim/fingerprint.hh"
@@ -94,28 +96,106 @@ layoutFor(std::size_t key_len, std::size_t bench_len, std::size_t n,
     return l;
 }
 
+/** TraceArena::checksum, fed in pieces of any size: whole 32-byte
+ *  blocks go to the lanes, a partial block waits in `_carry` for the
+ *  next piece, and finish() folds the lanes and hashes the tail. */
+class Checksum
+{
+  public:
+    void
+    update(const std::uint8_t *data, std::size_t size)
+    {
+        if (_carried) {
+            const std::size_t take = std::min(size, 32 - _carried);
+            std::memcpy(_carry + _carried, data, take);
+            _carried += take;
+            data += take;
+            size -= take;
+            if (_carried < 32)
+                return;
+            blocks(_carry, 32);
+            _carried = 0;
+        }
+        const std::size_t whole = size & ~std::size_t(31);
+        blocks(data, whole);
+        _carried = size - whole;
+        std::memcpy(_carry, data + whole, _carried);
+    }
+
+    std::uint64_t
+    finish() const
+    {
+        std::uint64_t h = _lane[0];
+        h = (h * prime) ^ _lane[1];
+        h = (h * prime) ^ _lane[2];
+        h = (h * prime) ^ _lane[3];
+        h *= prime;
+        for (std::size_t i = 0; i < _carried; ++i) {
+            h ^= _carry[i];
+            h *= prime;
+        }
+        return h;
+    }
+
+  private:
+    static constexpr std::uint64_t prime = 0x100000001b3ull;
+
+    void
+    blocks(const std::uint8_t *data, std::size_t size)
+    {
+        for (std::size_t i = 0; i < size; i += 32) {
+            std::uint64_t w[4];
+            std::memcpy(w, data + i, sizeof(w));
+            _lane[0] = (_lane[0] ^ w[0]) * prime;
+            _lane[1] = (_lane[1] ^ w[1]) * prime;
+            _lane[2] = (_lane[2] ^ w[2]) * prime;
+            _lane[3] = (_lane[3] ^ w[3]) * prime;
+        }
+    }
+
+    std::uint64_t _lane[4] = {0xcbf29ce484222325ull,
+                              0x84222325cbf29ce4ull,
+                              0x9ce484222325cbf2ull,
+                              0x2325cbf29ce48422ull};
+    std::uint8_t _carry[32] = {};
+    std::size_t _carried = 0;
+};
+
+/** What validate() read from a valid file. */
+struct Validated
+{
+    ArenaHeader hdr;
+    Layout layout;
+    /** The stored page indices, strictly ascending. */
+    std::vector<std::uint64_t> indices;
+};
+
 /**
  * Validate the mapped file against @p key: magic, schema, geometry
  * (declared sizes must reproduce the actual file size exactly),
  * stored key identity, the full-payload checksum, and strictly
  * ascending page indices (pages are borrowed into the image's slot
- * table as stored, so a repeated index would shadow silently). On
- * success @p out points at the file's header.
+ * table as stored, so a repeated index would shadow silently).
+ *
+ * The payload is read one TraceArena::chunk_bytes chunk at a time:
+ * each chunk is checksummed, the page indices it holds are checked
+ * and collected into @p out, and the chunk is then released from
+ * this process, so validating leaves the file's pages in the page
+ * cache but not resident here.
  */
 bool
-validate(const MappedFile &mf, const std::string &key,
-         const ArenaHeader *&out)
+validate(const MappedFile &mf, const std::string &key, Validated &out)
 {
     if (mf.size() < sizeof(ArenaHeader))
         return false;
-    ArenaHeader hdr;
+    ArenaHeader &hdr = out.hdr;
     std::memcpy(&hdr, mf.data(), sizeof(hdr)); // alignment-safe copy
     if (hdr.magic != arena_magic ||
         hdr.schema != TraceArena::schema_version)
         return false;
     if (hdr.key_len != key.size())
         return false;
-    const Layout l =
+    const Layout &l = out.layout =
         layoutFor(hdr.key_len, hdr.bench_len,
                   static_cast<std::size_t>(hdr.n),
                   static_cast<std::size_t>(hdr.pages));
@@ -126,36 +206,144 @@ validate(const MappedFile &mf, const std::string &key,
     if (std::memcmp(mf.data() + sizeof(ArenaHeader), key.data(),
                     key.size()) != 0)
         return false;
-    if (TraceArena::checksum(mf.data() + sizeof(ArenaHeader),
-                             mf.size() - sizeof(ArenaHeader)) !=
-        hdr.checksum)
-        return false;
-    const std::uint8_t *entry = mf.data() + l.pages;
-    for (std::uint64_t i = 0, prev = 0; i < hdr.pages;
-         ++i, entry += page_entry_bytes) {
-        std::uint64_t index = 0;
-        std::memcpy(&index, entry, sizeof(index));
-        if (i > 0 && index <= prev)
-            return false;
-        prev = index;
+
+    std::vector<std::uint64_t> &indices = out.indices;
+    indices.clear();
+    indices.reserve(static_cast<std::size_t>(hdr.pages));
+    Checksum ck;
+    std::size_t entry = l.pages; // the next page index's offset
+    for (std::size_t lo = 0; lo < mf.size();
+         lo += TraceArena::chunk_bytes) {
+        const std::size_t hi =
+            std::min(mf.size(), lo + TraceArena::chunk_bytes);
+        const std::size_t from = std::max(lo, sizeof(ArenaHeader));
+        ck.update(mf.data() + from, hi - from);
+        for (; indices.size() < hdr.pages &&
+               entry + sizeof(std::uint64_t) <= hi;
+             entry += page_entry_bytes) {
+            std::uint64_t index = 0;
+            std::memcpy(&index, mf.data() + entry, sizeof(index));
+            if (!indices.empty() && index <= indices.back())
+                return false;
+            indices.push_back(index);
+        }
+        mf.release(lo, hi - lo);
     }
-    out = reinterpret_cast<const ArenaHeader *>(mf.data());
-    return true;
+    return ck.finish() == hdr.checksum;
 }
 
-void
-appendBytes(std::vector<std::uint8_t> &buf, const void *data,
-            std::size_t size)
+/** Writes one new arena file at a tmp path through a staging buffer
+ *  of TraceArena::chunk_bytes, checksumming every byte after the
+ *  header on its way out; finish() writes the checksum into the
+ *  header and closes the file. The destructor removes the tmp path,
+ *  so a file that was not renamed into place never outlives its
+ *  writer, whatever path publish() leaves by. */
+class StagedWriter
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    buf.insert(buf.end(), p, p + size);
-}
+  public:
+    explicit StagedWriter(std::string tmp)
+        : _tmp(std::move(tmp)),
+          _fd(::open(_tmp.c_str(),
+                     O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)),
+          _buf(std::make_unique_for_overwrite<std::uint8_t[]>(
+              TraceArena::chunk_bytes))
+    {
+    }
 
-void
-padTo(std::vector<std::uint8_t> &buf, std::size_t off)
-{
-    buf.resize(off, 0);
-}
+    ~StagedWriter()
+    {
+        if (_fd >= 0)
+            ::close(_fd);
+        std::remove(_tmp.c_str()); // gone already once renamed
+    }
+
+    StagedWriter(const StagedWriter &) = delete;
+    StagedWriter &operator=(const StagedWriter &) = delete;
+
+    bool opened() const { return _fd >= 0; }
+
+    /** Bytes put so far. */
+    std::size_t offset() const { return _flushed + _fill; }
+
+    void
+    put(const void *data, std::size_t size)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        while (size) {
+            const std::size_t n =
+                std::min(size, TraceArena::chunk_bytes - _fill);
+            std::memcpy(_buf.get() + _fill, p, n);
+            _fill += n;
+            p += n;
+            size -= n;
+            if (_fill == TraceArena::chunk_bytes)
+                flush();
+        }
+    }
+
+    /** Zero-pad up to file offset @p off. */
+    void
+    padTo(std::size_t off)
+    {
+        static constexpr std::uint8_t zeros[64] = {};
+        while (offset() < off)
+            put(zeros, std::min(off - offset(), sizeof(zeros)));
+    }
+
+    /** Flush, patch the header's checksum and close the file. False
+     *  on any failed write or close. */
+    bool
+    finish()
+    {
+        flush();
+        const std::uint64_t sum = _ck.finish();
+        _ok = _ok && writeAll(&sum, sizeof(sum),
+                              offsetof(ArenaHeader, checksum));
+        _ok = ::close(_fd) == 0 && _ok;
+        _fd = -1;
+        return _ok;
+    }
+
+  private:
+    std::string _tmp;
+    int _fd;
+    std::unique_ptr<std::uint8_t[]> _buf;
+    std::size_t _fill = 0;    ///< staged bytes
+    std::size_t _flushed = 0; ///< bytes already in the file
+    Checksum _ck;
+    bool _ok = true;
+
+    void
+    flush()
+    {
+        const std::size_t skip =
+            _flushed < sizeof(ArenaHeader)
+                ? std::min(_fill, sizeof(ArenaHeader) - _flushed)
+                : 0;
+        _ck.update(_buf.get() + skip, _fill - skip);
+        _ok = _ok && writeAll(_buf.get(), _fill, _flushed);
+        _flushed += _fill;
+        _fill = 0;
+    }
+
+    bool
+    writeAll(const void *data, std::size_t size, std::size_t at)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        while (size) {
+            const ssize_t n = ::pwrite(_fd, p, size,
+                                       static_cast<off_t>(at));
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                return false;
+            p += n;
+            at += static_cast<std::size_t>(n);
+            size -= static_cast<std::size_t>(n);
+        }
+        return true;
+    }
+};
 
 } // namespace
 
@@ -179,6 +367,15 @@ MappedFile::map(const std::string &path)
         static_cast<const std::uint8_t *>(base), size));
 }
 
+void
+MappedFile::release(std::size_t offset, std::size_t size) const
+{
+    // A read-only shared mapping: dropping its pages loses nothing,
+    // and a later read faults them back in from the page cache.
+    ::madvise(const_cast<std::uint8_t *>(_data) + offset, size,
+              MADV_DONTNEED);
+}
+
 MappedFile::~MappedFile()
 {
     if (_data)
@@ -198,30 +395,9 @@ TraceArena::TraceArena(std::string dir) : _dir(std::move(dir))
 std::uint64_t
 TraceArena::checksum(const std::uint8_t *data, std::size_t size)
 {
-    constexpr std::uint64_t prime = 0x100000001b3ull;
-    std::uint64_t lane[4] = {0xcbf29ce484222325ull,
-                             0x84222325cbf29ce4ull,
-                             0x9ce484222325cbf2ull,
-                             0x2325cbf29ce48422ull};
-    std::size_t i = 0;
-    for (; i + 32 <= size; i += 32) {
-        std::uint64_t w[4];
-        std::memcpy(w, data + i, sizeof(w));
-        lane[0] = (lane[0] ^ w[0]) * prime;
-        lane[1] = (lane[1] ^ w[1]) * prime;
-        lane[2] = (lane[2] ^ w[2]) * prime;
-        lane[3] = (lane[3] ^ w[3]) * prime;
-    }
-    std::uint64_t h = lane[0];
-    h = (h * prime) ^ lane[1];
-    h = (h * prime) ^ lane[2];
-    h = (h * prime) ^ lane[3];
-    h *= prime;
-    for (; i < size; ++i) {
-        h ^= data[i];
-        h *= prime;
-    }
-    return h;
+    Checksum ck;
+    ck.update(data, size);
+    return ck.finish();
 }
 
 std::string
@@ -242,8 +418,8 @@ TraceArena::tryLoad(const std::string &key)
         ++_stats.misses;
         return std::nullopt;
     }
-    const ArenaHeader *hdr = nullptr;
-    if (!validate(*mf, key, hdr)) {
+    Validated valid;
+    if (!validate(*mf, key, valid)) {
         // Torn write, bit rot, another schema, or a hash-colliding
         // foreign key: all equally "not our trace". The caller
         // regenerates (and republishes over this file).
@@ -254,18 +430,16 @@ TraceArena::tryLoad(const std::string &key)
         return std::nullopt;
     }
 
-    const Layout l =
-        layoutFor(hdr->key_len, hdr->bench_len,
-                  static_cast<std::size_t>(hdr->n),
-                  static_cast<std::size_t>(hdr->pages));
+    const ArenaHeader &hdr = valid.hdr;
+    const Layout &l = valid.layout;
     const std::uint8_t *base = mf->data();
 
     MaterializedTrace t;
     t.benchmark.assign(reinterpret_cast<const char *>(
-                           base + sizeof(ArenaHeader) + hdr->key_len),
-                       hdr->bench_len);
-    t.window.skip = hdr->window_skip;
-    t.window.length = hdr->window_length;
+                           base + sizeof(ArenaHeader) + hdr.key_len),
+                       hdr.bench_len);
+    t.window.skip = hdr.window_skip;
+    t.window.length = hdr.window_length;
 
     TraceView v;
     v.pc = reinterpret_cast<const std::uint32_t *>(base + l.pc);
@@ -274,15 +448,17 @@ TraceArena::tryLoad(const std::string &key)
     v.op = reinterpret_cast<const OpClass *>(base + l.op);
     v.dep1 = base + l.dep1;
     v.dep2 = base + l.dep2;
-    v.n = static_cast<std::size_t>(hdr->n);
+    v.n = static_cast<std::size_t>(hdr.n);
     t.soa.borrow(v);
 
     // The image borrows the stored pages in place and holds the
-    // mapping itself, so it stays valid if it outlives the trace;
-    // loading allocates only its slot table.
+    // mapping itself, so it stays valid if it outlives the trace.
+    // Its slot table comes from the indices validation collected, so
+    // loading reads no page entry again: a page becomes resident
+    // only when a simulation reads it.
     t.image = MemoryImage::borrow(
         reinterpret_cast<const MemoryImage::StoredPage *>(base + l.pages),
-        static_cast<std::size_t>(hdr->pages), mf);
+        valid.indices, mf);
     t.mapping = std::move(mf);
 
     {
@@ -303,8 +479,8 @@ TraceArena::publish(const std::string &key,
     // its readers may be mid-map, and the payload is a deterministic
     // function of the key anyway.
     if (auto existing = MappedFile::map(path)) {
-        const ArenaHeader *hdr = nullptr;
-        if (validate(*existing, key, hdr))
+        Validated valid;
+        if (validate(*existing, key, valid))
             return true;
     }
 
@@ -315,53 +491,6 @@ TraceArena::publish(const std::string &key,
     const Layout l =
         layoutFor(key.size(), trace.benchmark.size(), n, pages);
 
-    std::vector<std::uint8_t> buf;
-    buf.reserve(l.total);
-    ArenaHeader hdr;
-    hdr.key_len = static_cast<std::uint32_t>(key.size());
-    hdr.bench_len = static_cast<std::uint32_t>(trace.benchmark.size());
-    hdr.n = n;
-    hdr.pages = pages;
-    hdr.window_skip = trace.window.skip;
-    hdr.window_length = trace.window.length;
-    hdr.file_bytes = l.total;
-    appendBytes(buf, &hdr, sizeof(hdr)); // checksum patched below
-    appendBytes(buf, key.data(), key.size());
-    appendBytes(buf, trace.benchmark.data(), trace.benchmark.size());
-    padTo(buf, l.pc);
-    appendBytes(buf, v.pc, n * sizeof(std::uint32_t));
-    padTo(buf, l.addr);
-    appendBytes(buf, v.addr, n * sizeof(std::uint32_t));
-    padTo(buf, l.value);
-    appendBytes(buf, v.value, n * sizeof(Word));
-    padTo(buf, l.op);
-    appendBytes(buf, v.op, n * sizeof(OpClass));
-    padTo(buf, l.dep1);
-    appendBytes(buf, v.dep1, n * sizeof(std::uint8_t));
-    padTo(buf, l.dep2);
-    appendBytes(buf, v.dep2, n * sizeof(std::uint8_t));
-    padTo(buf, l.pages);
-    if (trace.image) {
-        trace.image->forEachPage([&](Addr page_index,
-                                     const Word *words,
-                                     const std::uint64_t *mask) {
-            std::uint64_t idx = page_index;
-            appendBytes(buf, &idx, sizeof(idx));
-            appendBytes(buf, words, MemoryImage::page_bytes);
-            appendBytes(buf, mask,
-                        (MemoryImage::words_per_page / 64) *
-                            sizeof(std::uint64_t));
-        });
-    }
-    if (buf.size() != l.total) {
-        warn("trace arena: layout mismatch while serializing ", path);
-        return false;
-    }
-    const std::uint64_t ck = TraceArena::checksum(buf.data() + sizeof(hdr),
-                                        buf.size() - sizeof(hdr));
-    std::memcpy(buf.data() + offsetof(ArenaHeader, checksum), &ck,
-                sizeof(ck));
-
     // tmp + atomic rename: readers only ever see complete files.
     // The tmp name is per-process + per-call, so concurrent writers
     // never clobber each other's partial output.
@@ -370,19 +499,59 @@ TraceArena::publish(const std::string &key,
         path + ".tmp." +
         std::to_string(static_cast<unsigned long>(::getpid())) + "." +
         std::to_string(seq.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out ||
-            !out.write(reinterpret_cast<const char *>(buf.data()),
-                       static_cast<std::streamsize>(buf.size()))) {
-            warn("trace arena: cannot write ", tmp);
-            std::remove(tmp.c_str());
-            return false;
-        }
+
+    // The file streams out through one staging buffer: no copy of
+    // the whole file is ever held.
+    StagedWriter out(tmp);
+    if (!out.opened()) {
+        warn("trace arena: cannot write ", tmp);
+        return false;
+    }
+    ArenaHeader hdr;
+    hdr.key_len = static_cast<std::uint32_t>(key.size());
+    hdr.bench_len = static_cast<std::uint32_t>(trace.benchmark.size());
+    hdr.n = n;
+    hdr.pages = pages;
+    hdr.window_skip = trace.window.skip;
+    hdr.window_length = trace.window.length;
+    hdr.file_bytes = l.total;
+    out.put(&hdr, sizeof(hdr)); // checksum written by finish()
+    out.put(key.data(), key.size());
+    out.put(trace.benchmark.data(), trace.benchmark.size());
+    out.padTo(l.pc);
+    out.put(v.pc, n * sizeof(std::uint32_t));
+    out.padTo(l.addr);
+    out.put(v.addr, n * sizeof(std::uint32_t));
+    out.padTo(l.value);
+    out.put(v.value, n * sizeof(Word));
+    out.padTo(l.op);
+    out.put(v.op, n * sizeof(OpClass));
+    out.padTo(l.dep1);
+    out.put(v.dep1, n * sizeof(std::uint8_t));
+    out.padTo(l.dep2);
+    out.put(v.dep2, n * sizeof(std::uint8_t));
+    out.padTo(l.pages);
+    if (trace.image) {
+        trace.image->forEachPage([&](Addr page_index,
+                                     const Word *words,
+                                     const std::uint64_t *mask) {
+            const std::uint64_t idx = page_index;
+            out.put(&idx, sizeof(idx));
+            out.put(words, MemoryImage::page_bytes);
+            out.put(mask, (MemoryImage::words_per_page / 64) *
+                              sizeof(std::uint64_t));
+        });
+    }
+    if (out.offset() != l.total) {
+        warn("trace arena: layout mismatch while serializing ", path);
+        return false;
+    }
+    if (!out.finish()) {
+        warn("trace arena: cannot write ", tmp);
+        return false;
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         warn("trace arena: cannot publish ", path);
-        std::remove(tmp.c_str());
         return false;
     }
     {

@@ -41,11 +41,18 @@
  * writer wins), and because the payload is a deterministic function
  * of the key, a lost race still leaves one valid file. Readers never
  * observe a partial file.
+ *
+ * Residency: neither side holds a whole file. publish() streams the
+ * file out through one chunk_bytes staging buffer, and validation
+ * reads a mapping one chunk at a time, releasing each chunk once it
+ * is checksummed. A loaded trace is therefore resident only where a
+ * simulation has read it.
  */
 
 #ifndef MICROLIB_TRACE_TRACE_ARENA_HH
 #define MICROLIB_TRACE_TRACE_ARENA_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -78,6 +85,12 @@ class MappedFile
     const std::uint8_t *data() const { return _data; }
     std::size_t size() const { return _size; }
 
+    /** Drop this process's pages of [@p offset, @p offset + @p size)
+     *  (madvise MADV_DONTNEED; @p offset page-aligned). The bytes
+     *  stay readable: the next read faults them back in from the
+     *  page cache. */
+    void release(std::size_t offset, std::size_t size) const;
+
   private:
     MappedFile(const std::uint8_t *data, std::size_t size)
         : _data(data), _size(size)
@@ -108,6 +121,11 @@ class TraceArena
      *  ignored and regenerated). */
     static constexpr std::uint32_t schema_version = 1;
 
+    /** Bytes publish() stages per write and validation reads per
+     *  chunk before releasing it: a multiple of the checksum's
+     *  32-byte block and of any page size. */
+    static constexpr std::size_t chunk_bytes = std::size_t(1) << 20;
+
     /** Open (create if needed) the arena at @p dir. */
     explicit TraceArena(std::string dir);
 
@@ -123,7 +141,9 @@ class TraceArena
      * MaterializedTrace whose SoA columns are borrowed spans into a
      * read-only mapping of the file (the trace keeps the mapping
      * alive) and whose memory image borrows the stored pages in
-     * place (the image keeps the mapping alive too). Returns nullopt
+     * place (the image keeps the mapping alive too). Validation
+     * releases every chunk it reads, so on return only the pages
+     * around the header are resident. Returns nullopt
      * on a miss or on any validation failure — wrong
      * magic/schema/key, size mismatch, checksum mismatch, page
      * indices not strictly ascending — in which case the caller
@@ -145,12 +165,14 @@ class TraceArena
                                   std::size_t size);
 
     /**
-     * Serialize @p trace and publish it under @p key via tmp +
-     * atomic rename. First writer wins: if a valid file for the key
-     * already exists, nothing is written. Returns false (with a
-     * warning) on I/O failure — the arena is an accelerator, never a
-     * correctness dependency, so callers proceed with their owned
-     * trace.
+     * Stream @p trace to a tmp file through a chunk_bytes staging
+     * buffer and publish it under @p key by atomic rename. The bytes
+     * are exactly those of the whole file laid out at once; the
+     * checksum is written into the header last. First writer wins:
+     * if a valid file for the key already exists, nothing is
+     * written. Returns false (with a warning) on I/O failure — the
+     * arena is an accelerator, never a correctness dependency, so
+     * callers proceed with their owned trace.
      */
     bool publish(const std::string &key,
                  const MaterializedTrace &trace);

@@ -30,6 +30,12 @@
  * Lifetime: a ready trace stays cached until evict() or clear() drops
  * it, or the cache is destroyed. In-flight entries are never dropped,
  * and holders of a shared_ptr keep an evicted trace alive regardless.
+ * The thread-pool backend evicts a trace after the last task of the
+ * plan that runs on it, but only when an arena is attached: the next
+ * claim then maps the file again (its pages resident only where read)
+ * instead of regenerating the window. Without an arena, traces stay
+ * until the cache is cleared, so later plans in the same process
+ * reuse them.
  */
 
 #ifndef MICROLIB_TRACE_TRACE_CACHE_HH

@@ -148,8 +148,9 @@ TEST(MemoryImage, BorrowedPagesReadInPlaceAndCopyOwned)
 
     // The image keeps its backing alive after every other owner
     // lets go, and reads the stored words where they lie.
+    const std::vector<Addr> indices = {0x5, 0x9};
     const std::shared_ptr<const MemoryImage> img =
-        MemoryImage::borrow(pages, 2, std::move(stored));
+        MemoryImage::borrow(pages, indices, std::move(stored));
     EXPECT_EQ(img->allocatedPages(), 2u);
     EXPECT_EQ(img->ownedPages(), 0u);
     EXPECT_EQ(img->read(0x5000), 7u);
@@ -192,10 +193,38 @@ TEST(MemoryImage, BorrowSizesTheTableForManyPages)
         (*stored)[i].page.written_mask[0] = 2;
     }
     const MemoryImage::StoredPage *pages = stored->data();
-    const auto img = MemoryImage::borrow(pages, 1000, stored);
+    std::vector<Addr> indices(1000);
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        indices[i] = 3 * i;
+    const auto img = MemoryImage::borrow(pages, indices, stored);
     for (std::size_t i = 0; i < 1000; ++i)
         EXPECT_EQ(img->read(3 * i * MemoryImage::page_bytes + 8), i);
     EXPECT_FALSE(img->touched(MemoryImage::page_bytes + 8));
     // Only the slot table is the image's own.
     EXPECT_LT(img->ownedBytes(), 1000 * sizeof(MemoryImage::Page) / 8);
+}
+
+TEST(MemoryImage, BorrowTakesItsIndicesFromTheCaller)
+{
+    // The slot table is built from the indices passed in, not from
+    // the stored entries: the stored index fields here are garbage,
+    // and borrowing must not read them (a mapped page would become
+    // resident just to be indexed).
+    auto stored = std::make_shared<std::vector<MemoryImage::StoredPage>>(3);
+    for (std::size_t i = 0; i < stored->size(); ++i) {
+        (*stored)[i].index = ~std::uint64_t(0) - i;
+        (*stored)[i].page.words[0] = 100 + i;
+        (*stored)[i].page.written_mask[0] = 1;
+    }
+    const std::vector<Addr> indices = {0x10, 0x20, 0x30};
+    const auto img =
+        MemoryImage::borrow(stored->data(), indices, stored);
+    EXPECT_EQ(img->allocatedPages(), 3u);
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        EXPECT_EQ(img->read(indices[i] * MemoryImage::page_bytes), 100 + i);
+    std::vector<Addr> seen;
+    img->forEachPage([&](Addr page, const Word *, const std::uint64_t *) {
+        seen.push_back(page);
+    });
+    EXPECT_EQ(seen, indices);
 }

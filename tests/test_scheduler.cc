@@ -1,18 +1,26 @@
 /** @file ExperimentEngine scheduler tests: determinism across worker
  *  counts (every task equal to its own runOne, config variants
- *  included), trace sharing across matrices, and the trace
- *  endpoint. */
+ *  included), trace sharing across matrices, the trace endpoint, and
+ *  trace lifetime: with an arena a trace leaves the cache after the
+ *  last task this process runs on it, without one it stays. */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/result_store.hh"
 #include "core/scheduler.hh"
 #include "core/task_plan.hh"
 #include "sim/logging.hh"
+#include "trace/trace_arena.hh"
+#include "trace/trace_cache.hh"
 
 #include "spec_helpers.hh"
 
@@ -72,6 +80,43 @@ expectIdentical(const MatrixResult &a, const MatrixResult &b)
             EXPECT_EQ(a.outputs[m][bi].mechanism, a.mechanisms[m]);
         }
     }
+}
+
+/** quick's 100k windows under arbitrary selection: no SimPoint
+ *  profiling, so the arena tests stay fast. */
+const Settings arb = {{"window.selection", "arbitrary"},
+                      {"window.skip", "50000"},
+                      {"window.length", "100000"}};
+
+/** An engine of @p threads workers over the arena at @p dir. */
+EngineOptions
+arenaOptions(const std::string &dir, unsigned threads)
+{
+    EngineOptions opts;
+    opts.threads = threads;
+    opts.trace_dir = dir;
+    return opts;
+}
+
+/** A fresh arena directory holding the traces of @p spec. */
+std::string
+warmArena(const std::string &name, const SweepSpec &spec)
+{
+    const std::string dir =
+        testing::TempDir() + "microlib_sched_arena_" + name;
+    std::filesystem::remove_all(dir);
+    ExperimentEngine engine(arenaOptions(dir, 2));
+    engine.run(spec);
+    return dir;
+}
+
+/** Traces @p engine has mapped from its arena so far. Over a warm
+ *  arena that is one per materialization: a trace evicted before
+ *  its slot's last task would be mapped twice. */
+std::size_t
+mapped(ExperimentEngine &engine)
+{
+    return engine.cache().arena()->stats().hits;
 }
 
 } // namespace
@@ -143,6 +188,8 @@ TEST(Scheduler, EngineReuseAcrossMatrices)
     opts.threads = 2;
     ExperimentEngine engine(opts);
 
+    // Without an arena the engine keeps every trace it claimed:
+    // dropping one would make the next plan regenerate it.
     const MatrixResult first =
         matrix(engine, {"Base", "TP"}, {"swim", "gzip"});
     EXPECT_EQ(engine.cache().traceCount(), 2u);
@@ -214,4 +261,132 @@ TEST(Scheduler, MatchesStandaloneRunOne)
     const MaterializedTrace trace = materializeFor("crafty", cfg);
     EXPECT_EQ(res.ipc[0][0], runOne(trace, "Base", cfg).ipc());
     EXPECT_EQ(res.ipc[1][0], runOne(trace, "GHB", cfg).ipc());
+}
+
+TEST(Scheduler, ArenaEngineDropsEachTraceAfterItsLastTask)
+{
+    const SweepSpec spec = specOf({"Base", "TP", "GHB"}, {"swim", "gzip"}, arb);
+    EngineOptions plain_opts;
+    plain_opts.threads = 3;
+    ExperimentEngine plain(plain_opts);
+    const MatrixResult reference = plain.run(spec).matrix(0);
+
+    const std::string dir =
+        testing::TempDir() + "microlib_sched_arena_drop";
+    std::filesystem::remove_all(dir);
+    ExperimentEngine engine(arenaOptions(dir, 3));
+    expectIdentical(reference, engine.run(spec).matrix(0));
+    EXPECT_EQ(engine.cache().traceCount(), 0u);
+    const TraceArenaStats cold = engine.cache().arena()->stats();
+    EXPECT_EQ(cold.misses, 2u);
+    EXPECT_EQ(cold.published, 2u);
+
+    // A second plan on the same engine maps both traces again from
+    // the arena; nothing is generated twice.
+    expectIdentical(reference, engine.run(spec).matrix(0));
+    EXPECT_EQ(engine.cache().traceCount(), 0u);
+    const TraceArenaStats warm = engine.cache().arena()->stats();
+    EXPECT_EQ(warm.misses, 2u);
+    EXPECT_EQ(warm.published, 2u);
+    EXPECT_EQ(warm.hits, cold.hits + 2);
+}
+
+TEST(Scheduler, ArenaEvictionIgnoresResumedTasks)
+{
+    // gzip resumes whole, swim in part: swim's trace is mapped once
+    // for its two remaining tasks and dropped after them, gzip's is
+    // never mapped at all.
+    const std::vector<std::string> mechs = {"Base", "TP", "GHB"};
+    const SweepSpec spec = specOf(mechs, {"swim", "gzip"}, arb);
+    const std::string dir = warmArena("resumed", spec);
+    ResultStore store;
+    {
+        EngineOptions opts = arenaOptions(dir, 1);
+        opts.store = &store;
+        ExperimentEngine engine(opts);
+        engine.run(specOf(mechs, {"gzip"}, arb));
+        engine.run(specOf({"Base"}, {"swim"}, arb));
+    }
+
+    EngineOptions opts = arenaOptions(dir, 1);
+    opts.store = &store;
+    ExperimentEngine engine(opts);
+    engine.run(spec);
+    EXPECT_EQ(engine.lastRun().executed, 2u);
+    EXPECT_EQ(engine.lastRun().resumed, 4u);
+    EXPECT_EQ(mapped(engine), 1u);
+    EXPECT_EQ(engine.cache().traceCount(), 0u);
+}
+
+TEST(Scheduler, ArenaEvictionCountsOnlyThisShardsTasks)
+{
+    const SweepSpec spec =
+        specOf({"Base", "TP", "GHB"}, {"swim", "gzip", "crafty"}, arb);
+    const std::string dir = warmArena("shard", spec);
+    const TaskPlan plan(spec);
+    const ShardSpec shard{1, 2};
+    const std::vector<std::size_t> tasks =
+        plan.pendingTasks(std::vector<char>(plan.size(), 0), shard);
+    std::set<std::size_t> slots;
+    for (const std::size_t flat : tasks)
+        slots.insert(plan.traceSlot(flat));
+
+    EngineOptions opts = arenaOptions(dir, 1);
+    opts.shard = shard;
+    ExperimentEngine engine(opts);
+    engine.run(spec);
+    EXPECT_EQ(engine.lastRun().executed, tasks.size());
+    EXPECT_EQ(mapped(engine), slots.size());
+    EXPECT_EQ(engine.cache().traceCount(), 0u);
+}
+
+TEST(Scheduler, ArenaEvictionIgnoresSharedKeyCopies)
+{
+    // Base is keyed on the default mechanism config, so its task in
+    // the second variant is a copy of the first's and never runs;
+    // each benchmark's one trace still leaves after its last real
+    // task.
+    SweepSpec spec = specOf({"Base", "TP"}, {"swim", "gzip"}, arb);
+    std::string error;
+    ASSERT_TRUE(spec.addAxis("mech.second_guess", {"0", "1"}, &error))
+        << error;
+    const std::string dir = warmArena("shared", spec);
+
+    ExperimentEngine engine(arenaOptions(dir, 1));
+    const SweepResult res = engine.run(spec);
+    EXPECT_EQ(engine.lastRun().executed, 6u);
+    EXPECT_EQ(engine.lastRun().resumed, 2u);
+    EXPECT_EQ(mapped(engine), 2u);
+    EXPECT_EQ(engine.cache().traceCount(), 0u);
+    for (std::size_t b = 0; b < 2; ++b)
+        EXPECT_EQ(res.matrix(0).ipc[0][b], res.matrix(1).ipc[0][b]);
+}
+
+TEST(Scheduler, ArenaEvictionWaitsForDeferredTasks)
+{
+    // The test claims swim's trace before the plan starts, so every
+    // swim task defers while gzip's run; the trace leaves only after
+    // the last deferred task has run on it.
+    const SweepSpec spec = specOf({"Base", "TP", "GHB"}, {"swim", "gzip"}, arb);
+    const std::string dir = warmArena("deferred", spec);
+    EngineOptions plain_opts;
+    plain_opts.threads = 2;
+    ExperimentEngine plain(plain_opts);
+    const MatrixResult reference = plain.run(spec).matrix(0);
+
+    ExperimentEngine engine(arenaOptions(dir, 2));
+    const RunConfig cfg = configOf(arb);
+    const std::string key = traceCacheKey("swim", cfg);
+    TraceCache::Future fut;
+    ASSERT_EQ(engine.cache().claim(key, fut), TraceCache::Claim::Owner);
+    MatrixResult got;
+    std::thread sweep([&] { got = engine.run(spec).matrix(0); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ExperimentEngine::materializeInto(engine.cache(), key, "swim", cfg);
+    sweep.join();
+
+    expectIdentical(reference, got);
+    EXPECT_EQ(engine.lastRun().executed, 6u);
+    EXPECT_EQ(mapped(engine), 2u);
+    EXPECT_EQ(engine.cache().traceCount(), 0u);
 }

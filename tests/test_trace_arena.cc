@@ -1,5 +1,8 @@
 /** @file Persistent trace arena: publish→tryLoad round-trips are
- *  bit-identical, corrupted/truncated/foreign files are rejected and
+ *  bit-identical, a streamed publish writes exactly the bytes of a
+ *  whole-file serialization, validation leaves at most one chunk of
+ *  a loaded file resident, corrupted/truncated/foreign files are
+ *  rejected and
  *  transparently regenerated, concurrent writers leave one valid
  *  file, mapped traces borrow their columns and image pages from
  *  the mapping, and warm engine runs (thread-pool and forked shards alike)
@@ -14,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,7 +236,146 @@ expectSameWords(const MemoryImage &want, const MemoryImage &got)
     EXPECT_EQ(mismatches, 0u);
 }
 
+/** makeTrace() with @p extra more image pages, one word written in
+ *  each: a file several TraceArena::chunk_bytes long. */
+MaterializedTrace
+bigTrace(std::size_t extra)
+{
+    MaterializedTrace t = makeTrace();
+    auto image = std::make_shared<MemoryImage>(*t.image);
+    const Addr base = Addr(1) << 36;
+    for (std::size_t i = 0; i < extra; ++i)
+        image->write(base + i * MemoryImage::page_bytes +
+                         8 * (i % MemoryImage::words_per_page),
+                     0x1000 + i);
+    t.image = std::move(image);
+    return t;
+}
+
+/** The arena file for (@p key, @p t), serialized into one buffer by
+ *  the format in docs/TRACE_ARENA.md. */
+std::vector<char>
+referenceBytes(const std::string &key, const MaterializedTrace &t)
+{
+    std::vector<char> bytes(72); // the header, filled in last
+    const auto append = [&bytes](const void *data, std::size_t size) {
+        const char *p = static_cast<const char *>(data);
+        bytes.insert(bytes.end(), p, p + size);
+    };
+    const auto align = [&bytes] {
+        bytes.resize((bytes.size() + 63) & ~std::size_t(63), 0);
+    };
+    append(key.data(), key.size());
+    append(t.benchmark.data(), t.benchmark.size());
+    const TraceView v = t.view();
+    for (const auto &[data, size] :
+         std::vector<std::pair<const void *, std::size_t>>{
+             {v.pc, v.n * 4}, {v.addr, v.n * 4}, {v.value, v.n * 8},
+             {v.op, v.n}, {v.dep1, v.n}, {v.dep2, v.n}}) {
+        align();
+        append(data, size);
+    }
+    align();
+    std::uint64_t pages = 0;
+    t.image->forEachPage([&](Addr index, const Word *words,
+                             const std::uint64_t *mask) {
+        const std::uint64_t idx = index;
+        append(&idx, sizeof(idx));
+        append(words, MemoryImage::page_bytes);
+        append(mask, MemoryImage::words_per_page / 8);
+        ++pages;
+    });
+    const auto field = [&bytes](std::size_t at, auto value) {
+        std::memcpy(bytes.data() + at, &value, sizeof(value));
+    };
+    field(0, std::uint64_t(0x4e45524154524c4dull)); // "MLTRAREN"
+    field(8, TraceArena::schema_version);
+    field(12, static_cast<std::uint32_t>(key.size()));
+    field(16, static_cast<std::uint32_t>(t.benchmark.size()));
+    field(24, std::uint64_t(v.n));
+    field(32, pages);
+    field(40, t.window.skip);
+    field(48, t.window.length);
+    field(56, std::uint64_t(bytes.size()));
+    field(64, TraceArena::checksum(
+                  reinterpret_cast<const std::uint8_t *>(bytes.data()) + 72,
+                  bytes.size() - 72));
+    return bytes;
+}
+
+/** Resident bytes of the mapping containing @p addr, from
+ *  /proc/self/smaps; nullopt where that file is absent. */
+std::optional<std::size_t>
+residentBytes(const void *addr)
+{
+    std::ifstream in("/proc/self/smaps");
+    if (!in)
+        return std::nullopt;
+    const auto at = reinterpret_cast<std::uintptr_t>(addr);
+    std::string line;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        unsigned long lo = 0, hi = 0;
+        if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2 &&
+            line.find(':') > line.find(' ')) {
+            inside = lo <= at && at < hi;
+        } else if (inside && line.rfind("Rss:", 0) == 0) {
+            return std::strtoull(line.c_str() + 4, nullptr, 10) * 1024;
+        }
+    }
+    return std::nullopt;
+}
+
 } // namespace
+
+TEST(TraceArena, StreamedPublishWritesTheWholeFileSerialization)
+{
+    // Several staging buffers' worth of pages, so the checksum and
+    // every column cross buffer boundaries.
+    TraceArena arena(freshDir("reference"));
+    const MaterializedTrace gen = bigTrace(1000);
+    const std::string key = std::string("stream\0key", 10);
+    ASSERT_TRUE(arena.publish(key, gen));
+    const std::vector<char> file = readFile(arena.pathFor(key));
+    EXPECT_GT(file.size(), 3 * TraceArena::chunk_bytes);
+    EXPECT_TRUE(file == referenceBytes(key, gen));
+
+    const auto loaded = arena.tryLoad(key);
+    ASSERT_TRUE(loaded.has_value());
+    expectSameTrace(gen, *loaded);
+}
+
+TEST(TraceArena, RejectsBitFlipInTheLastChunk)
+{
+    TraceArena arena(freshDir("lastchunk"));
+    const std::string key = "last-chunk-key";
+    ASSERT_TRUE(arena.publish(key, bigTrace(1000)));
+    const std::string path = arena.pathFor(key);
+    const std::size_t size = std::filesystem::file_size(path);
+    ASSERT_GT(size, 3 * TraceArena::chunk_bytes);
+    // The last chunk holds image pages only: a word late in the file.
+    flipByte(path, size - 1000);
+    EXPECT_FALSE(arena.tryLoad(key).has_value());
+    EXPECT_EQ(arena.stats().rejected, 1u);
+}
+
+TEST(TraceArena, LoadLeavesAtMostOneChunkResident)
+{
+    TraceArena arena(freshDir("resident"));
+    const MaterializedTrace gen = bigTrace(4200);
+    ASSERT_TRUE(arena.publish("resident-key", gen));
+    ASSERT_GE(std::filesystem::file_size(arena.pathFor("resident-key")),
+              std::size_t(16) << 20);
+
+    const auto loaded = arena.tryLoad("resident-key");
+    ASSERT_TRUE(loaded.has_value());
+    const auto rss = residentBytes(loaded->mapping->data());
+    if (!rss)
+        GTEST_SKIP() << "/proc/self/smaps is absent";
+    EXPECT_LE(*rss, TraceArena::chunk_bytes + 4096);
+    // The trace still reads every page: each faults back in on use.
+    expectSameWords(*gen.image, *loaded->image);
+}
 
 TEST(TraceArena, PublishLoadRoundTripIsBitIdentical)
 {
@@ -353,46 +496,68 @@ TEST(TraceArena, RejectsPageIndicesNotStrictlyAscending)
     // Header fields (trace_arena.cc): the u64 page count at byte 32,
     // the checksum of everything after the 72-byte header at 64. The
     // pages are the file's last `pages` entries, each led by its u64
-    // index.
+    // index. The file spans several validation chunks, so one page
+    // entry straddles the first chunk boundary inside the page
+    // section.
     constexpr std::size_t entry = sizeof(MemoryImage::StoredPage);
     TraceArena arena(freshDir("pageorder"));
-    const MaterializedTrace gen = makeTrace();
-    ASSERT_GE(gen.image->allocatedPages(), 2u);
+    const MaterializedTrace gen = bigTrace(1000);
+    const std::uint64_t pages = gen.image->allocatedPages();
 
-    // Publish under @p key, let @p edit rewrite the first two page
-    // indices, then recompute the checksum: only the ordering check
-    // can object to the result.
-    const auto forge = [&](const std::string &key, auto edit) {
-        ASSERT_TRUE(arena.publish(key, gen));
+    // Publish under @p key, copy page @p from's index over page
+    // @p to's, then recompute the checksum: only the ordering check
+    // can object to the result. Returns the entry straddling the
+    // first chunk boundary of the page section.
+    const auto forge = [&](const std::string &key, std::size_t from,
+                           std::size_t to) {
+        EXPECT_TRUE(arena.publish(key, gen));
         const std::string path = arena.pathFor(key);
         std::vector<char> bytes = readFile(path);
-        std::uint64_t pages = 0;
-        std::memcpy(&pages, bytes.data() + 32, sizeof(pages));
-        ASSERT_EQ(pages, gen.image->allocatedPages());
-        char *first = bytes.data() + bytes.size() - pages * entry;
-        edit(first, first + entry);
+        std::uint64_t stored = 0;
+        std::memcpy(&stored, bytes.data() + 32, sizeof(stored));
+        EXPECT_EQ(stored, pages);
+        const std::size_t first = bytes.size() - pages * entry;
+        const std::size_t boundary =
+            (first / TraceArena::chunk_bytes + 1) * TraceArena::chunk_bytes;
+        const std::size_t straddler = (boundary - first) / entry;
+        EXPECT_LT(first + straddler * entry, boundary);
+        EXPECT_GT(first + (straddler + 1) * entry, boundary);
+        std::memcpy(bytes.data() + first + to * entry,
+                    bytes.data() + first + from * entry,
+                    sizeof(std::uint64_t));
         const std::uint64_t ck = TraceArena::checksum(
             reinterpret_cast<const std::uint8_t *>(bytes.data()) + 72,
             bytes.size() - 72);
         std::memcpy(bytes.data() + 64, &ck, sizeof(ck));
         writeFile(path, bytes);
+        return straddler;
     };
-    constexpr std::size_t index_bytes = sizeof(std::uint64_t);
 
-    forge("intact-key", [](char *, char *) {});
+    const std::size_t straddler = forge("intact-key", 0, 0);
     EXPECT_TRUE(arena.tryLoad("intact-key").has_value());
+    ASSERT_GT(straddler, 0u);
 
-    forge("swapped-key", [](char *first, char *second) {
-        std::swap_ranges(first, first + index_bytes, second);
-    });
-    EXPECT_FALSE(arena.tryLoad("swapped-key").has_value());
+    // The first two pages share an index...
+    forge("duplicate-key", 0, 1);
+    EXPECT_FALSE(arena.tryLoad("duplicate-key").has_value());
     EXPECT_EQ(arena.stats().rejected, 1u);
 
-    forge("duplicate-key", [](char *first, char *second) {
-        std::memcpy(second, first, index_bytes);
-    });
-    EXPECT_FALSE(arena.tryLoad("duplicate-key").has_value());
+    // ...or the second falls below the first...
+    forge("descending-key", 2, 0);
+    EXPECT_FALSE(arena.tryLoad("descending-key").has_value());
     EXPECT_EQ(arena.stats().rejected, 2u);
+
+    // ...or the entry straddling a chunk boundary repeats its
+    // predecessor's index...
+    forge("straddler-key", straddler - 1, straddler);
+    EXPECT_FALSE(arena.tryLoad("straddler-key").has_value());
+    EXPECT_EQ(arena.stats().rejected, 3u);
+
+    // ...or the first index read in the next chunk repeats the
+    // straddler's, read in the chunk before.
+    forge("successor-key", straddler, straddler + 1);
+    EXPECT_FALSE(arena.tryLoad("successor-key").has_value());
+    EXPECT_EQ(arena.stats().rejected, 4u);
 }
 
 TEST(TraceArena, MappedImageReadsEveryWordOfTheGeneratedImage)

@@ -11,6 +11,10 @@
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace microlib
 {
 
@@ -58,8 +62,9 @@ struct ThreadPoolBackend::State
     std::vector<std::size_t> bench_total;
     std::vector<std::size_t> bench_done;
     std::size_t resumed = 0;
-    /** Whether a slot's trace leaves the cache after its last task:
-     *  only with an arena, which maps it again for a later plan. */
+    /** Whether a slot's trace leaves the cache after its last task,
+     *  and freed heap goes back to the OS after every task: only with
+     *  an arena, which maps the trace again for a later plan. */
     bool evict = false;
     /** This process's unfinished tasks per trace slot. */
     std::vector<std::size_t> slot_pending;
@@ -240,6 +245,17 @@ ThreadPoolBackend::drain(State &st)
         // than at the plan's end.
         if (slot_done && st.evict)
             cache.evict(key);
+#if defined(__GLIBC__)
+        // The task's mechanism tables are freed by now, but glibc keeps
+        // freed heap resident (up to twice its adaptive mmap threshold,
+        // which the first multi-MiB table raises), and whether the next
+        // table reuses those pages depends on the heap's layout: the
+        // same plan's peak RSS varied by 3-5 MiB between runs. Handing
+        // the free pages back makes it this task's tables plus the
+        // traces in progress.
+        if (st.evict)
+            malloc_trim(0);
+#endif
         if (st.ctx.progress) {
             const double elapsed = secondsSince(st.start);
             const double eta =

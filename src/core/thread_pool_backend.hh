@@ -27,7 +27,10 @@
  * holds only the traces of slots still in progress, and a later plan
  * maps them from the arena again. Without an arena, evicting would
  * make a later plan regenerate the trace, so claimed traces stay in
- * the cache until it is cleared or destroyed.
+ * the cache until it is cleared or destroyed. With an arena, each
+ * finished task also returns the heap pages it freed to the OS
+ * (malloc_trim, on glibc), so resident memory is the running tasks'
+ * tables plus the traces in progress, not a heap high-water mark.
  *
  * This is the leaf executor every other backend bottoms out in: a
  * ProcessShardBackend worker is just a fresh engine running this

@@ -276,8 +276,9 @@ BENCHMARK_CAPTURE(BM_TraceSkip, mcf, "mcf");
 // is the same run with a mechanism attached: VC exercises the
 // LineBuffer side store on every L1 miss, DBCP its correlation table
 // plus a LineBuffer prefetch buffer, FVC reads every evicted L1 line
-// from the memory image, and GHB walks its per-PC miss chain on every
-// L2 miss.
+// from the memory image, GHB walks its per-PC miss chain on every
+// L2 miss, TK sweeps two L1 sets' idle timers on every L1 access and
+// Markov probes its 3.5 MiB prediction table on every L1 miss.
 
 void
 BM_MechanismRun(benchmark::State &state, const char *mechanism)
@@ -320,6 +321,8 @@ BENCHMARK_CAPTURE(BM_MechanismRun, VC, "VC");
 BENCHMARK_CAPTURE(BM_MechanismRun, DBCP, "DBCP");
 BENCHMARK_CAPTURE(BM_MechanismRun, FVC, "FVC");
 BENCHMARK_CAPTURE(BM_MechanismRun, GHB, "GHB");
+BENCHMARK_CAPTURE(BM_MechanismRun, TK, "TK");
+BENCHMARK_CAPTURE(BM_MechanismRun, Markov, "Markov");
 
 // --- Lockstep multi-variant execution: V cores, one trace pass. ---
 //

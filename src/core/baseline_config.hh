@@ -1,7 +1,8 @@
 /**
  * @file
  * The baseline configuration — the paper's Table 1 — plus the trace
- * windows used by the experiments (scaled 1:250; see DESIGN.md).
+ * windows used by the experiments (scaled 1:250 against the paper's
+ * windows; see TraceScale).
  */
 
 #ifndef MICROLIB_CORE_BASELINE_CONFIG_HH

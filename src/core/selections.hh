@@ -7,7 +7,8 @@
  * selections; Figure 7 contrasts the six most and six least
  * mechanism-sensitive benchmarks. The DBCP/GHB memberships are
  * reconstructed from the respective articles (the paper's own
- * Table 4 checkmarks; see DESIGN.md §6 on this reconstruction).
+ * Table 4 checkmarks); selections.cc gives the reasoning behind each
+ * membership.
  */
 
 #ifndef MICROLIB_CORE_SELECTIONS_HH

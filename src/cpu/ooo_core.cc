@@ -59,13 +59,35 @@ OoOCore::stepBlock(const TraceView &trace, Hierarchy &mem,
               "(expected base ", _run.pos, ", got [", base, ", ",
               base + len, ") of ", _run.n, ")");
 
-    // The carried run context lives in locals for the duration of the
-    // block.
-    CoreResult &res = _run.res;
+    // The carried run context, the core parameters and the ring
+    // pointers live in locals for the duration of the block.
+    std::uint64_t loads = _run.res.loads;
+    std::uint64_t stores = _run.res.stores;
+    std::uint64_t branches = _run.res.branches;
+    std::uint64_t mispredicts = _run.res.mispredicts;
     const std::uint64_t icache_line = _run.icache_line;
     Addr last_fetch_line = _run.last_fetch_line;
     Cycle fetch_release = _run.fetch_release;
     std::uint64_t mem_ops = _run.mem_ops;
+    const std::size_t fetch_width = _p.fetch_width;
+    const std::size_t ruu_size = _p.ruu_size;
+    const std::size_t lsq_size = _p.lsq_size;
+    const std::size_t commit_width = _p.commit_width;
+    const Cycle mispredict_penalty = _p.mispredict_penalty;
+    const double mispredict_rate = _p.mispredict_rate;
+    Cycle *const complete_ring = _complete.data();
+    Cycle *const dispatch_ring = _dispatch.data();
+    Cycle *const commit_ring = _commit.data();
+    Cycle *const mem_complete_ring = _mem_complete.data();
+    constexpr std::size_t ring_mask = history - 1;
+    static_assert((history & ring_mask) == 0,
+                  "the history ring is indexed by mask");
+
+    // In-order commit: each instruction commits no earlier than its
+    // predecessor. The predecessor's commit cycle is carried in a
+    // register instead of being reloaded from the ring it was just
+    // stored to; 0 before the first instruction bounds nothing.
+    Cycle prev_commit = base ? commit_ring[(base - 1) & ring_mask] : 0;
 
     // Per-block span cursors: six dense streams, each advancing
     // one element per instruction.
@@ -77,21 +99,22 @@ OoOCore::stepBlock(const TraceView &trace, Hierarchy &mem,
 
     for (std::size_t k = 0; k < len; ++k) {
         const std::size_t i = base + k;
-        const std::size_t slot = i % history;
+        const std::size_t slot = i & ring_mask;
         const OpClass o = op[k];
         const bool is_load = o == OpClass::Load;
         const bool is_store = o == OpClass::Store;
 
         // ------------------------------------------------ dispatch
         Cycle d = fetch_release;
-        if (i >= _p.fetch_width)
-            d = std::max(d, _dispatch[(i - _p.fetch_width) % history] + 1);
-        if (i >= _p.ruu_size)
-            d = std::max(d, _commit[(i - _p.ruu_size) % history]);
-        if ((is_load || is_store) && mem_ops >= _p.lsq_size) {
+        if (i >= fetch_width)
+            d = std::max(d,
+                         dispatch_ring[(i - fetch_width) & ring_mask] + 1);
+        if (i >= ruu_size)
+            d = std::max(d, commit_ring[(i - ruu_size) & ring_mask]);
+        if ((is_load || is_store) && mem_ops >= lsq_size) {
             // LSQ entry frees when the older memory op's data moved.
             d = std::max(
-                d, _mem_complete[(mem_ops - _p.lsq_size) % history]);
+                d, mem_complete_ring[(mem_ops - lsq_size) & ring_mask]);
         }
 
         // Instruction fetch: only line changes touch the L1I.
@@ -100,16 +123,16 @@ OoOCore::stepBlock(const TraceView &trace, Hierarchy &mem,
             d = mem.ifetch(pc[k], d);
             last_fetch_line = fetch_line;
         }
-        _dispatch[slot] = d;
+        dispatch_ring[slot] = d;
 
         // --------------------------------------------------- ready
         Cycle ready = d + 1; // rename/dispatch pipeline stage
         if (dep1[k] && dep1[k] <= i)
             ready = std::max(ready,
-                             _complete[(i - dep1[k]) % history]);
+                             complete_ring[(i - dep1[k]) & ring_mask]);
         if (dep2[k] && dep2[k] <= i)
             ready = std::max(ready,
-                             _complete[(i - dep2[k]) % history]);
+                             complete_ring[(i - dep2[k]) & ring_mask]);
 
         // ----------------------------------------- issue & execute
         const Cycle issue = _fu.acquire(o, ready);
@@ -118,54 +141,57 @@ OoOCore::stepBlock(const TraceView &trace, Hierarchy &mem,
           case OpClass::Load:
             complete = mem.load(addr[k], pc[k],
                                 issue + _fu.latency(OpClass::Load));
-            ++res.loads;
+            ++loads;
             break;
           case OpClass::Store:
             // Value is produced at issue; memory is updated at commit
             // (see below). Dependents wait only for address+data.
             complete = issue + _fu.latency(OpClass::Store);
-            ++res.stores;
+            ++stores;
             break;
           default:
             complete = issue + _fu.latency(o);
             break;
         }
-        _complete[slot] = complete;
+        complete_ring[slot] = complete;
 
         // -------------------------------------------------- commit
-        Cycle commit = complete;
-        if (i >= 1)
-            commit = std::max(commit, _commit[(i - 1) % history]);
-        if (i >= _p.commit_width)
+        Cycle commit = std::max(complete, prev_commit);
+        if (i >= commit_width)
             commit = std::max(
-                commit, _commit[(i - _p.commit_width) % history] + 1);
-        _commit[slot] = commit;
+                commit, commit_ring[(i - commit_width) & ring_mask] + 1);
+        commit_ring[slot] = commit;
+        prev_commit = commit;
 
         // Retiring stores update the cache (posted write): the LSQ
         // entry frees at commit; the store's cache occupancy effects
         // still happen, but the core never waits on them.
         if (is_store) {
             mem.store(addr[k], pc[k], commit);
-            _mem_complete[mem_ops % history] = commit;
+            mem_complete_ring[mem_ops & ring_mask] = commit;
             ++mem_ops;
         } else if (is_load) {
-            _mem_complete[mem_ops % history] = complete;
+            mem_complete_ring[mem_ops & ring_mask] = complete;
             ++mem_ops;
         }
 
         // ------------------------------------------------ branches
         if (o == OpClass::Branch) {
-            ++res.branches;
-            if (deterministicMispredict(pc[k], res.branches,
-                                        _p.mispredict_rate)) {
-                ++res.mispredicts;
+            ++branches;
+            if (deterministicMispredict(pc[k], branches,
+                                        mispredict_rate)) {
+                ++mispredicts;
                 fetch_release = std::max(
-                    fetch_release, complete + _p.mispredict_penalty);
+                    fetch_release, complete + mispredict_penalty);
                 last_fetch_line = invalid_addr; // redirected fetch
             }
         }
     }
 
+    _run.res.loads = loads;
+    _run.res.stores = stores;
+    _run.res.branches = branches;
+    _run.res.mispredicts = mispredicts;
     _run.last_fetch_line = last_fetch_line;
     _run.fetch_release = fetch_release;
     _run.mem_ops = mem_ops;

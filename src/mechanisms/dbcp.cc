@@ -1,5 +1,10 @@
 #include "mechanisms/dbcp.hh"
 
+#include <algorithm>
+#include <iterator>
+
+#include "sim/logging.hh"
+
 namespace microlib
 {
 
@@ -10,9 +15,25 @@ Dbcp::Dbcp(const MechanismConfig &cfg) : Dbcp(cfg, Params())
 Dbcp::Dbcp(const MechanismConfig &cfg, const Params &p)
     : CacheMechanism("DBCP", cfg), _p(p), _fixed(!cfg.second_guess),
       _effective_entries(_fixed ? p.table_entries : p.table_entries / 2),
-      _queue(p.request_queue),
-      _corr(_effective_entries)
+      _queue(p.request_queue)
 {
+    if (!isPowerOfTwo(p.table_assoc) || p.table_assoc > keys_per_line)
+        fatal("DBCP: correlation associativity ", p.table_assoc,
+              " must be a power of two of at most ", keys_per_line);
+    if (!isPowerOfTwo(_effective_entries) ||
+        _effective_entries < p.table_assoc)
+        fatal("DBCP: ", _effective_entries, " correlation entries do "
+              "not make a power-of-two number of ", p.table_assoc,
+              "-way sets");
+    _set_mask = _effective_entries / p.table_assoc - 1;
+    _assoc_shift = floorLog2(p.table_assoc);
+    KeyLine empty;
+    std::fill(std::begin(empty.key), std::end(empty.key), no_key);
+    _keys.assign((_effective_entries + keys_per_line - 1) / keys_per_line,
+                 empty);
+    _stamps.assign(_effective_entries, 0);
+    _succ.assign(_effective_entries, 0);
+    _conf.assign(_effective_entries, 0);
 }
 
 void
@@ -20,9 +41,14 @@ Dbcp::bind(Hierarchy &hier)
 {
     CacheMechanism::bind(hier);
     const auto &l1 = hier.params().l1d;
-    _l1_sets = l1.size / (l1.line * l1.assoc);
+    // The cache's geometry checks make line, set and frame counts
+    // powers of two.
+    const std::uint64_t l1_sets = l1.size / (l1.line * l1.assoc);
+    _l1_line_shift = floorLog2(l1.line);
+    _l1_set_mask = l1_sets - 1;
+    _frame_mask = l1.size / l1.line - 1;
     _frames.assign(l1.size / l1.line, FrameState{});
-    _pending.assign(_l1_sets, PendingDeath{});
+    _pending.assign(l1_sets, PendingDeath{});
     _buffer = std::make_unique<LineBuffer>(_p.buffer_lines, l1.line);
 }
 
@@ -30,9 +56,17 @@ std::uint64_t
 Dbcp::frameIndex(Addr line) const
 {
     // Direct-mapped L1 in the baseline: frame == set. With higher
-    // associativity we track one signature per set, an acceptable
-    // approximation documented in DESIGN.md.
-    return (line / hier()->params().l1d.line) % _frames.size();
+    // associativity a frame is picked by the line's low index bits,
+    // not by the way the cache placed it in, so lines of one set can
+    // share a frame's signature: an approximation the baseline's
+    // direct-mapped L1 never exercises.
+    return (line >> _l1_line_shift) & _frame_mask;
+}
+
+std::uint64_t
+Dbcp::l1Set(Addr line) const
+{
+    return (line >> _l1_line_shift) & _l1_set_mask;
 }
 
 std::uint32_t
@@ -55,71 +89,80 @@ Dbcp::corrKey(Addr line, std::uint32_t sig) const
     return ((line >> 5) * 0x9e3779b97f4a7c15ull) ^ sig;
 }
 
-Dbcp::CorrEntry *
-Dbcp::findCorr(std::uint64_t key)
+std::size_t
+Dbcp::setStart(std::uint64_t key) const
 {
-    const std::uint64_t sets = _effective_entries / _p.table_assoc;
-    const std::uint64_t set = key % sets;
-    for (unsigned w = 0; w < _p.table_assoc; ++w) {
-        CorrEntry &e = _corr[set * _p.table_assoc + w];
-        if (e.key == key)
-            return &e;
-    }
-    return nullptr;
+    return static_cast<std::size_t>((key & _set_mask) << _assoc_shift);
 }
 
-Dbcp::CorrEntry &
+std::uint64_t *
+Dbcp::keysAt(std::size_t first)
+{
+    // table_assoc divides keys_per_line: a set never straddles lines.
+    return &_keys[first / keys_per_line].key[first % keys_per_line];
+}
+
+std::size_t
+Dbcp::findCorr(std::uint64_t key)
+{
+    const std::size_t first = setStart(key);
+    const std::uint64_t *keys = keysAt(first);
+    for (unsigned w = 0; w < _p.table_assoc; ++w)
+        if (keys[w] == key)
+            return first + w;
+    return no_entry;
+}
+
+std::size_t
 Dbcp::allocCorr(std::uint64_t key)
 {
-    const std::uint64_t sets = _effective_entries / _p.table_assoc;
-    const std::uint64_t set = key % sets;
-    CorrEntry *victim = &_corr[set * _p.table_assoc];
-    for (unsigned w = 0; w < _p.table_assoc; ++w) {
-        CorrEntry &e = _corr[set * _p.table_assoc + w];
-        if (e.key == key)
-            return e;
-        if (e.stamp < victim->stamp)
-            victim = &e;
-    }
-    victim->key = key;
-    victim->confidence = 0;
-    victim->successor = 0;
-    return *victim;
+    const std::size_t first = setStart(key);
+    std::uint64_t *keys = keysAt(first);
+    for (unsigned w = 0; w < _p.table_assoc; ++w)
+        if (keys[w] == key)
+            return first + w;
+    // Miss: replace the first way with the smallest stamp.
+    std::size_t victim = first;
+    for (std::size_t e = first + 1; e < first + _p.table_assoc; ++e)
+        if (_stamps[e] < _stamps[victim])
+            victim = e;
+    keys[victim - first] = key;
+    _conf[victim] = 0;
+    _succ[victim] = 0;
+    return victim;
 }
 
 void
 Dbcp::learn(Addr dead_line, std::uint32_t sig, Addr successor)
 {
-    const std::uint64_t key = corrKey(dead_line, sig);
-    CorrEntry &e = allocCorr(key);
+    const std::size_t e = allocCorr(corrKey(dead_line, sig));
     ++table_writes;
     const auto succ_id = static_cast<std::uint32_t>(successor >> 5);
-    if (e.successor == succ_id) {
-        if (e.confidence < 3)
-            ++e.confidence;
+    if (_succ[e] == succ_id) {
+        if (_conf[e] < 3)
+            ++_conf[e];
     } else {
-        if (e.confidence > 0 && _fixed) {
+        if (_conf[e] > 0 && _fixed) {
             // Stale signature: decay instead of thrashing (the
             // second documented omission in the article).
-            --e.confidence;
+            --_conf[e];
         } else {
-            e.successor = succ_id;
-            e.confidence = 1;
+            _succ[e] = succ_id;
+            _conf[e] = 1;
         }
     }
-    e.stamp = ++_tick;
+    _stamps[e] = ++_tick;
 }
 
 void
 Dbcp::maybePredict(Addr line, std::uint32_t sig, Cycle now)
 {
-    const std::uint64_t key = corrKey(line, sig);
     ++table_reads;
-    CorrEntry *e = findCorr(key);
-    if (!e || e->confidence < 2)
+    const std::size_t e = findCorr(corrKey(line, sig));
+    if (e == no_entry || _conf[e] < 2)
         return;
-    e->stamp = ++_tick;
-    const Addr target = static_cast<Addr>(e->successor) << 5;
+    _stamps[e] = ++_tick;
+    const Addr target = static_cast<Addr>(_succ[e]) << 5;
     issueBufferFetch(_queue, *_buffer, target, now);
 }
 
@@ -155,8 +198,7 @@ Dbcp::cacheEvict(CacheLevel lvl, Addr line, bool dirty, Cycle now)
     if (lvl != CacheLevel::L1D)
         return;
     FrameState &f = _frames[frameIndex(line)];
-    PendingDeath &pd = _pending[(line / hier()->params().l1d.line) %
-                                _l1_sets];
+    PendingDeath &pd = _pending[l1Set(line)];
     pd.line = line;
     pd.signature = (f.line == line) ? f.signature : 0;
     pd.valid = true;
@@ -170,9 +212,7 @@ Dbcp::cacheRefill(CacheLevel lvl, Addr line, AccessKind cause,
     (void)now;
     if (lvl != CacheLevel::L1D)
         return;
-    const std::uint64_t set =
-        (line / hier()->params().l1d.line) % _l1_sets;
-    PendingDeath &pd = _pending[set];
+    PendingDeath &pd = _pending[l1Set(line)];
     if (pd.valid && pd.line != line) {
         learn(pd.line, pd.signature, line);
         pd.valid = false;

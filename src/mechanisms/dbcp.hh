@@ -64,13 +64,15 @@ class Dbcp : public CacheMechanism
     std::uint32_t updateSignature(std::uint32_t sig, Addr pc) const;
 
   private:
-    struct CorrEntry
+    /** Keys per 64-byte host line: a set of up to 8 ways is probed
+     *  in one line. */
+    static constexpr unsigned keys_per_line = 8;
+    struct alignas(64) KeyLine
     {
-        std::uint64_t key = ~0ull;
-        std::uint32_t successor = 0; ///< line id (addr >> 5)
-        std::uint8_t confidence = 0; ///< 2-bit counter
-        std::uint64_t stamp = 0;
+        std::uint64_t key[keys_per_line];
     };
+    static constexpr std::uint64_t no_key = ~0ull;
+    static constexpr std::size_t no_entry = ~std::size_t{0};
 
     /** Per-L1-frame live state. */
     struct FrameState
@@ -92,17 +94,36 @@ class Dbcp : public CacheMechanism
     unsigned _effective_entries;
     RequestQueue _queue;
     std::unique_ptr<LineBuffer> _buffer;
-    std::vector<CorrEntry> _corr;
+
+    /** The correlation table: entry e = set * table_assoc + way. Its
+     *  key is key e of _keys (a set's keys share one host line), its
+     *  successor line id (addr >> 5), 2-bit confidence and LRU stamp
+     *  are _succ[e], _conf[e] and _stamps[e]. */
+    std::vector<KeyLine> _keys;
+    std::vector<std::uint64_t> _stamps;
+    std::vector<std::uint32_t> _succ;
+    std::vector<std::uint8_t> _conf;
+    std::uint64_t _set_mask = 0;  ///< correlation sets - 1
+    unsigned _assoc_shift = 0;    ///< log2(table_assoc)
+
     std::vector<FrameState> _frames;
     std::vector<PendingDeath> _pending; ///< per L1 set
     std::uint64_t _tick = 0;
-    std::uint64_t _l1_sets = 1;
+    unsigned _l1_line_shift = 0;
+    std::uint64_t _l1_set_mask = 0;
+    std::uint64_t _frame_mask = 0;
     Addr _last_miss_pc = 0;
 
     std::uint64_t frameIndex(Addr line) const;
+    std::uint64_t l1Set(Addr line) const;
     std::uint64_t corrKey(Addr line, std::uint32_t sig) const;
-    CorrEntry *findCorr(std::uint64_t key);
-    CorrEntry &allocCorr(std::uint64_t key);
+    /** First entry of @p key's set, and its keys. */
+    std::size_t setStart(std::uint64_t key) const;
+    std::uint64_t *keysAt(std::size_t first);
+    /** Entry holding @p key, or no_entry. */
+    std::size_t findCorr(std::uint64_t key);
+    /** Entry holding @p key, claiming its set's LRU entry if none. */
+    std::size_t allocCorr(std::uint64_t key);
     void learn(Addr dead_line, std::uint32_t sig, Addr successor);
     void maybePredict(Addr line, std::uint32_t sig, Cycle now);
 };

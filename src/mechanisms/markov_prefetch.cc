@@ -1,6 +1,6 @@
 #include "mechanisms/markov_prefetch.hh"
 
-#include <algorithm>
+#include "sim/logging.hh"
 
 namespace microlib
 {
@@ -12,10 +12,15 @@ MarkovPrefetch::MarkovPrefetch(const MechanismConfig &cfg) : MarkovPrefetch(cfg,
 MarkovPrefetch::MarkovPrefetch(const MechanismConfig &cfg,
                                const Params &p)
     : CacheMechanism("Markov", cfg), _p(p), _queue(p.request_queue),
-      _tags(p.table_entries, invalid_addr),
-      _succ(std::size_t(p.table_entries) * p.predictions, 0),
-      _stamps(std::size_t(p.table_entries) * p.predictions, 0)
+      _index_mask(std::uint64_t{p.table_entries} - 1)
 {
+    if (!isPowerOfTwo(p.table_entries))
+        fatal("Markov: ", p.table_entries,
+              " table entries is not a power of two");
+    if (p.predictions == 0 || p.predictions > max_predictions)
+        fatal("Markov: ", p.predictions, " predictions per entry is "
+              "outside 1..", max_predictions);
+    _table.assign(p.table_entries, Entry{});
 }
 
 void
@@ -26,58 +31,52 @@ MarkovPrefetch::bind(Hierarchy &hier)
                                            hier.params().l1d.line);
 }
 
-std::size_t
-MarkovPrefetch::entryFor(Addr line) const
+MarkovPrefetch::Entry &
+MarkovPrefetch::entryFor(Addr line)
 {
     // Direct-mapped on the line address. Multiplicative hashing must
     // index with the *high* product bits: line addresses have many
     // trailing zeros, so the low bits of the product collide.
     const std::uint64_t h =
         ((line >> 5) * 0x9e3779b97f4a7c15ull) >> 32;
-    return static_cast<std::size_t>(h % _tags.size());
+    return _table[h & _index_mask];
 }
 
 void
 MarkovPrefetch::learn(Addr prev_line, Addr line)
 {
-    const std::size_t e = entryFor(prev_line);
-    std::uint32_t *succ = &_succ[e * _p.predictions];
-    std::uint64_t *stamps = &_stamps[e * _p.predictions];
+    Entry &e = entryFor(prev_line);
     ++table_writes;
-    if (_tags[e] != prev_line) {
-        _tags[e] = prev_line;
-        std::fill(succ, succ + _p.predictions, 0);
-        std::fill(stamps, stamps + _p.predictions, 0);
-    }
+    if (e.tag != prev_line)
+        e = Entry{prev_line};
     const auto id = static_cast<std::uint32_t>(line >> 5);
     // Already recorded: refresh LRU stamp.
     for (unsigned i = 0; i < _p.predictions; ++i) {
-        if (stamps[i] != 0 && succ[i] == id) {
-            stamps[i] = ++_tick;
+        if (e.stamps[i] != 0 && e.succ[i] == id) {
+            e.stamps[i] = ++_tick;
             return;
         }
     }
     // Replace LRU slot.
     unsigned victim = 0;
     for (unsigned i = 1; i < _p.predictions; ++i)
-        if (stamps[i] < stamps[victim])
+        if (e.stamps[i] < e.stamps[victim])
             victim = i;
-    succ[victim] = id;
-    stamps[victim] = ++_tick;
+    e.succ[victim] = id;
+    e.stamps[victim] = ++_tick;
 }
 
 void
 MarkovPrefetch::predict(Addr line, Cycle now)
 {
-    const std::size_t e = entryFor(line);
+    const Entry &e = entryFor(line);
     ++table_reads;
-    if (_tags[e] != line)
+    if (e.tag != line)
         return;
-    for (std::size_t i = e * _p.predictions;
-         i < (e + 1) * _p.predictions; ++i) {
-        if (_stamps[i] == 0)
+    for (unsigned i = 0; i < _p.predictions; ++i) {
+        if (e.stamps[i] == 0)
             continue;
-        const Addr target = static_cast<Addr>(_succ[i]) << 5;
+        const Addr target = static_cast<Addr>(e.succ[i]) << 5;
         issueBufferFetch(_queue, *_buffer, target, now);
     }
 }

@@ -26,7 +26,7 @@ class MarkovPrefetch : public CacheMechanism
     struct Params
     {
         unsigned table_entries = 65536; ///< ~1 MB with 4 predictions
-        unsigned predictions = 4;       ///< Table 3
+        unsigned predictions = 4;       ///< Table 3; at most 4
         unsigned request_queue = 16;
         unsigned buffer_lines = 128;    ///< Table 3 prefetch buffer
     };
@@ -50,17 +50,23 @@ class MarkovPrefetch : public CacheMechanism
     Params _p;
     RequestQueue _queue;
     std::unique_ptr<LineBuffer> _buffer;
-    /** The prediction table, flat: entry e's tag is _tags[e], and its
-     *  successor slots are [e * predictions, (e + 1) * predictions)
-     *  of _succ (line ids) and _stamps (LRU among them, 0 = empty). */
-    std::vector<Addr> _tags;
-    std::vector<std::uint32_t> _succ;
-    std::vector<std::uint64_t> _stamps;
+    /** One prediction-table entry in one place: its tag, and per
+     *  successor slot a line id (addr >> 5) and an LRU stamp (0 =
+     *  empty). 56 bytes with Table 3's four predictions. */
+    static constexpr unsigned max_predictions = 4;
+    struct Entry
+    {
+        Addr tag = invalid_addr;
+        std::uint32_t succ[max_predictions] = {};
+        std::uint64_t stamps[max_predictions] = {};
+    };
+    std::vector<Entry> _table;
+    std::uint64_t _index_mask = 0; ///< table_entries - 1
     Addr _prev_miss = invalid_addr;
     std::uint64_t _tick = 0;
 
     /** The table entry @p line maps to. */
-    std::size_t entryFor(Addr line) const;
+    Entry &entryFor(Addr line);
     void learn(Addr prev_line, Addr line);
     void predict(Addr line, Cycle now);
 };

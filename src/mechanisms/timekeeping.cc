@@ -1,5 +1,7 @@
 #include "mechanisms/timekeeping.hh"
 
+#include "sim/logging.hh"
+
 namespace microlib
 {
 
@@ -12,6 +14,16 @@ Timekeeping::Timekeeping(const MechanismConfig &cfg, const Params &p)
       _queue(p.request_queue),
       _corr(p.corr_bytes / 8) // 8 B per entry
 {
+    if (!isPowerOfTwo(p.refresh))
+        fatal("TK: refresh quantum ", p.refresh,
+              " must be a power of two");
+    const std::uint64_t sets = p.corr_assoc ? _corr.size() / p.corr_assoc
+                                            : 0;
+    if (!isPowerOfTwo(sets))
+        fatal("TK: ", _corr.size(), " correlation entries do not make "
+              "a power-of-two number of ", p.corr_assoc, "-way sets");
+    _refresh_mask = ~(p.refresh - 1);
+    _corr_set_mask = sets - 1;
 }
 
 void
@@ -19,9 +31,13 @@ Timekeeping::bind(Hierarchy &hier)
 {
     CacheMechanism::bind(hier);
     const auto &l1 = hier.params().l1d;
-    _l1_sets = l1.size / (l1.line * l1.assoc);
+    const std::uint64_t l1_sets = l1.size / (l1.line * l1.assoc);
+    _l1_line_shift = floorLog2(l1.line);
+    _l1_set_mask = l1_sets - 1;
+    _frame_mask = l1.size / l1.line - 1;
+    _frames_per_set_shift = floorLog2(l1.assoc);
     _frames.assign(l1.size / l1.line, FrameState{});
-    _pending_evict.assign(_l1_sets, invalid_addr);
+    _pending_evict.assign(l1_sets, invalid_addr);
     _buffer = std::make_unique<LineBuffer>(_p.buffer_lines, l1.line);
 }
 
@@ -31,11 +47,11 @@ Timekeeping::quantize(Cycle idle) const
     if (!_fixed)
         return idle; // second-guess: raw cycle counting
     // Hardware counts in coarse refresh ticks.
-    return (idle / _p.refresh) * _p.refresh;
+    return idle & _refresh_mask;
 }
 
 Timekeeping::CorrEntry *
-Timekeeping::findCorr(Addr line)
+Timekeeping::corrSet(Addr line)
 {
     // The address correlation table is frame-anchored: table sets map
     // onto groups of L1 frames, and the 8 ways of a set hold the last
@@ -43,29 +59,29 @@ Timekeeping::findCorr(Addr line)
     // A cyclically re-walked working set reproduces the same pair one
     // generation later — which is what makes 8 KB of state useful for
     // megabyte footprints.
-    const std::uint64_t sets = _corr.size() / _p.corr_assoc;
-    const std::uint64_t set = ((line >> 5) % (sets * _p.corr_assoc)) %
-                              sets;
+    return &_corr[((line >> 5) & _corr_set_mask) * _p.corr_assoc];
+}
+
+Timekeeping::CorrEntry *
+Timekeeping::findCorr(Addr line)
+{
+    CorrEntry *const set = corrSet(line);
     const std::uint64_t key = (line >> 5) * 0x9e3779b97f4a7c15ull;
-    for (unsigned w = 0; w < _p.corr_assoc; ++w) {
-        CorrEntry &e = _corr[set * _p.corr_assoc + w];
-        if (e.key == key)
-            return &e;
-    }
+    for (unsigned w = 0; w < _p.corr_assoc; ++w)
+        if (set[w].key == key)
+            return &set[w];
     return nullptr;
 }
 
 void
 Timekeeping::learn(Addr dead_line, Addr successor)
 {
-    const std::uint64_t sets = _corr.size() / _p.corr_assoc;
-    const std::uint64_t set =
-        ((dead_line >> 5) % (sets * _p.corr_assoc)) % sets;
+    CorrEntry *const set = corrSet(dead_line);
     const std::uint64_t key =
         (dead_line >> 5) * 0x9e3779b97f4a7c15ull;
-    CorrEntry *victim = &_corr[set * _p.corr_assoc];
+    CorrEntry *victim = set;
     for (unsigned w = 0; w < _p.corr_assoc; ++w) {
-        CorrEntry &e = _corr[set * _p.corr_assoc + w];
+        CorrEntry &e = set[w];
         if (e.key == key) {
             victim = &e;
             break;
@@ -84,9 +100,9 @@ Timekeeping::sweepSet(std::uint64_t set, Cycle now)
 {
     // Check the resident line of this set for death; with the
     // direct-mapped baseline L1, set == frame.
-    const std::uint64_t frames_per_set = _frames.size() / _l1_sets;
-    for (std::uint64_t i = 0; i < frames_per_set; ++i) {
-        FrameState &f = _frames[set * frames_per_set + i];
+    FrameState *const frames = &_frames[set << _frames_per_set_shift];
+    for (std::uint64_t i = 0; i < (1u << _frames_per_set_shift); ++i) {
+        FrameState &f = frames[i];
         if (f.line == invalid_addr)
             continue;
         const Cycle idle =
@@ -112,10 +128,8 @@ Timekeeping::cacheAccess(CacheLevel lvl, const MemRequest &req,
     if (lvl != CacheLevel::L1D)
         return;
     const Addr line = l1LineAddr(req.addr);
-    const std::uint64_t frame =
-        (line / l1LineBytes()) % _frames.size();
     if (hit) {
-        FrameState &f = _frames[frame];
+        FrameState &f = _frames[lineIndex(line) & _frame_mask];
         f.line = line;
         f.last_access = req.when;
     }
@@ -123,11 +137,12 @@ Timekeeping::cacheAccess(CacheLevel lvl, const MemRequest &req,
     // advances the conceptual clock); the initial build only on
     // misses, which is late.
     if (_fixed || !hit) {
-        const std::uint64_t set = (line / l1LineBytes()) % _l1_sets;
+        const std::uint64_t set = lineIndex(line) & _l1_set_mask;
         // Sweep a rotating neighbour set too, emulating the
         // background refresh walk.
         sweepSet(set, req.when);
-        sweepSet((set + (_tick++ % _l1_sets)) % _l1_sets, req.when);
+        sweepSet((set + (_tick++ & _l1_set_mask)) & _l1_set_mask,
+                 req.when);
     }
 }
 
@@ -139,7 +154,7 @@ Timekeeping::cacheEvict(CacheLevel lvl, Addr line, bool dirty,
     (void)now;
     if (lvl != CacheLevel::L1D)
         return;
-    _pending_evict[(line / l1LineBytes()) % _l1_sets] = line;
+    _pending_evict[lineIndex(line) & _l1_set_mask] = line;
 }
 
 void
@@ -149,16 +164,15 @@ Timekeeping::cacheRefill(CacheLevel lvl, Addr line, AccessKind cause,
     (void)cause;
     if (lvl != CacheLevel::L1D)
         return;
-    const std::uint64_t set = (line / l1LineBytes()) % _l1_sets;
+    const std::uint64_t set = lineIndex(line) & _l1_set_mask;
     const Addr dead = _pending_evict[set];
     if (dead != invalid_addr && dead != line) {
         learn(dead, line);
         _pending_evict[set] = invalid_addr;
     }
-    const std::uint64_t frame =
-        (line / l1LineBytes()) % _frames.size();
-    _frames[frame].line = line;
-    _frames[frame].last_access = now;
+    FrameState &f = _frames[lineIndex(line) & _frame_mask];
+    f.line = line;
+    f.last_access = now;
 }
 
 bool

@@ -81,7 +81,24 @@ class Timekeeping : public CacheMechanism
     std::vector<FrameState> _frames;
     std::vector<Addr> _pending_evict; ///< per set: dying line
     std::uint64_t _tick = 0;
-    std::uint64_t _l1_sets = 1;
+
+    // Indexing by shift and mask: the refresh quantum and the
+    // correlation set count are checked to be powers of two, and the
+    // cache's geometry checks make the L1's line, set and frame
+    // counts powers of two.
+    Cycle _refresh_mask = 0;          ///< ~(refresh - 1)
+    std::uint64_t _corr_set_mask = 0; ///< correlation sets - 1
+    unsigned _l1_line_shift = 0;
+    std::uint64_t _l1_set_mask = 0;   ///< L1 sets - 1
+    std::uint64_t _frame_mask = 0;    ///< L1 frames - 1
+    unsigned _frames_per_set_shift = 0; ///< log2(L1 associativity)
+
+    std::uint64_t lineIndex(Addr line) const
+    {
+        return line >> _l1_line_shift;
+    }
+    /** First way of @p line's correlation set. */
+    CorrEntry *corrSet(Addr line);
 
     CorrEntry *findCorr(Addr line);
     void learn(Addr dead_line, Addr successor);

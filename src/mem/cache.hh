@@ -144,7 +144,7 @@ struct CacheParams
 };
 
 /** Set-associative write-back write-allocate cache. */
-class Cache : public MemDevice
+class Cache final : public MemDevice
 {
   public:
     /**

@@ -47,41 +47,6 @@ Hierarchy::memoryDevice()
 }
 
 Cycle
-Hierarchy::load(Addr addr, Addr pc, Cycle when)
-{
-    MemRequest req;
-    req.addr = addr;
-    req.kind = AccessKind::DemandRead;
-    req.when = when;
-    req.pc = pc;
-    return _l1d->access(req);
-}
-
-Cycle
-Hierarchy::store(Addr addr, Addr pc, Cycle when)
-{
-    MemRequest req;
-    req.addr = addr;
-    req.kind = AccessKind::DemandWrite;
-    req.when = when;
-    req.pc = pc;
-    return _l1d->access(req);
-}
-
-Cycle
-Hierarchy::ifetch(Addr pc, Cycle when)
-{
-    if (!_l1i)
-        return when + 1;
-    MemRequest req;
-    req.addr = pc;
-    req.kind = AccessKind::DemandRead;
-    req.when = when;
-    req.pc = pc;
-    return _l1i->access(req);
-}
-
-Cycle
 Hierarchy::prefetchIntoL2(Addr addr, Addr pc, Cycle now)
 {
     MemRequest req;

@@ -62,10 +62,28 @@ class Hierarchy
      *  L1D and L2 hook shims (one devirtualized dispatch each). */
     void setClient(HierarchyClient *client);
 
-    /** Core-side operations; return data-ready / accept cycle. */
-    Cycle load(Addr addr, Addr pc, Cycle when);
-    Cycle store(Addr addr, Addr pc, Cycle when);
-    Cycle ifetch(Addr pc, Cycle when);
+    /** Core-side operations; return data-ready / accept cycle.
+     *  Inline: the core calls them once per memory instruction or
+     *  fetch-line change, straight into the (final) cache. */
+    Cycle
+    load(Addr addr, Addr pc, Cycle when)
+    {
+        return _l1d->access(demand(addr, pc, when, AccessKind::DemandRead));
+    }
+
+    Cycle
+    store(Addr addr, Addr pc, Cycle when)
+    {
+        return _l1d->access(demand(addr, pc, when, AccessKind::DemandWrite));
+    }
+
+    Cycle
+    ifetch(Addr pc, Cycle when)
+    {
+        if (!_l1i)
+            return when + 1;
+        return _l1i->access(demand(pc, pc, when, AccessKind::DemandRead));
+    }
 
     // ----- services for mechanisms -------------------------------
 
@@ -111,6 +129,17 @@ class Hierarchy
     std::unique_ptr<Cache> _l1i;
 
     MemDevice *memoryDevice();
+
+    static MemRequest
+    demand(Addr addr, Addr pc, Cycle when, AccessKind kind)
+    {
+        MemRequest req;
+        req.addr = addr;
+        req.kind = kind;
+        req.when = when;
+        req.pc = pc;
+        return req;
+    }
 };
 
 } // namespace microlib

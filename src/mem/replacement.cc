@@ -16,12 +16,6 @@ LruState::LruState(std::size_t sets, std::size_t ways)
         fatal("LruState supports at most 64 ways (occupancy masks)");
 }
 
-void
-LruState::touch(std::size_t set, std::size_t way)
-{
-    _stamps[set * _ways + way] = ++_tick;
-}
-
 std::size_t
 LruState::victim(std::size_t set, std::uint64_t valid_mask) const
 {

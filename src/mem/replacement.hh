@@ -31,7 +31,11 @@ class LruState
     LruState(std::size_t sets, std::size_t ways);
 
     /** Mark (set, way) used at logical time (an internal sequence). */
-    void touch(std::size_t set, std::size_t way);
+    void
+    touch(std::size_t set, std::size_t way)
+    {
+        _stamps[set * _ways + way] = ++_tick;
+    }
 
     /** Way to evict in @p set. Bit w of @p valid_mask is set iff way
      *  w holds a valid line; bits at and above ways() must be zero. */

@@ -22,7 +22,7 @@ ResourceSchedule::ResourceSchedule(unsigned capacity_per_cycle,
 }
 
 Cycle
-ResourceSchedule::acquire(Cycle t)
+ResourceSchedule::acquireSlow(Cycle t)
 {
     // Slots below t in its first word are not candidates.
     std::uint64_t from = ~std::uint64_t{0} << (t & (word_cycles - 1));
@@ -39,12 +39,9 @@ ResourceSchedule::acquire(Cycle t)
             w.full = 0;
             std::memset(w.used, 0, sizeof(w.used));
         }
-        if (const std::uint64_t spare = ~w.full & from) {
-            const unsigned i = static_cast<unsigned>(std::countr_zero(spare));
-            if (++w.used[i] == _capacity)
-                w.full |= std::uint64_t{1} << i;
-            return ((epoch - 1) << word_shift) | i;
-        }
+        if (const std::uint64_t spare = ~w.full & from)
+            return book(w, epoch,
+                        static_cast<unsigned>(std::countr_zero(spare)));
         from = ~std::uint64_t{0};
     }
 }

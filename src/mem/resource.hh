@@ -31,6 +31,7 @@
 #ifndef MICROLIB_MEM_RESOURCE_HH
 #define MICROLIB_MEM_RESOURCE_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -56,8 +57,21 @@ class ResourceSchedule
     explicit ResourceSchedule(unsigned capacity_per_cycle,
                               std::size_t window = 8192);
 
-    /** Book the first cycle >= @p t with spare capacity. */
-    Cycle acquire(Cycle t);
+    /** Book the first cycle >= @p t with spare capacity. The common
+     *  case, where t's word is current and has a spare slot at or
+     *  after t, is inline; everything else takes acquireSlow(). */
+    Cycle
+    acquire(Cycle t)
+    {
+        const std::uint64_t epoch = (t >> word_shift) + 1;
+        Word &w = _words[epoch & _word_mask];
+        const std::uint64_t spare =
+            ~w.full & (~std::uint64_t{0} << (t & (word_cycles - 1)));
+        if (w.epoch != epoch || spare == 0) [[unlikely]]
+            return acquireSlow(t);
+        return book(w, epoch,
+                    static_cast<unsigned>(std::countr_zero(spare)));
+    }
 
     /** Bookings currently recorded for cycle @p t (for tests). */
     unsigned booked(Cycle t) const;
@@ -75,6 +89,20 @@ class ResourceSchedule
         std::uint64_t full = 0;    ///< bit i: slot i is at capacity
         std::uint8_t used[word_cycles] = {};
     };
+
+    /** Take one acquisition of slot @p i of @p w (holding @p epoch). */
+    Cycle
+    book(Word &w, std::uint64_t epoch, unsigned i)
+    {
+        if (++w.used[i] == _capacity)
+            w.full |= std::uint64_t{1} << i;
+        return ((epoch - 1) << word_shift) | i;
+    }
+
+    /** acquire() when t's word is stale or has no spare slot at or
+     *  after t: renews stale words and walks forward a word at a
+     *  time. */
+    Cycle acquireSlow(Cycle t);
 
     unsigned _capacity;
     std::uint64_t _word_mask;      ///< words in the ring - 1

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "sim/logging.hh"
 
@@ -23,20 +24,65 @@ SdramParams::scaleTimings(double factor)
     ras_cycle = scale(ras_cycle);
 }
 
+SdramQueue::SdramQueue(unsigned entries) : _entries(entries)
+{
+    // Never more than `entries` in flight: reserving them here keeps
+    // the per-access admit/retire path allocation-free.
+    _heap.reserve(entries);
+}
+
+Cycle
+SdramQueue::admit(Cycle when)
+{
+    // Drop retired entries: they sit at the front of the min-heap.
+    while (!_heap.empty() && _heap.front() <= when) {
+        std::pop_heap(_heap.begin(), _heap.end(), std::greater<>{});
+        _heap.pop_back();
+    }
+    if (_heap.size() < _entries)
+        return when;
+
+    // Wait for the oldest in-flight request; every entry left
+    // completes after `when`.
+    const Cycle start = _heap.front();
+    std::pop_heap(_heap.begin(), _heap.end(), std::greater<>{});
+    _heap.pop_back();
+    return start;
+}
+
+void
+SdramQueue::retire(Cycle completion)
+{
+    _heap.push_back(completion);
+    std::push_heap(_heap.begin(), _heap.end(), std::greater<>{});
+}
+
 Sdram::Sdram(const SdramParams &p, Bus *fsb) : _p(p), _fsb(fsb),
-    _banks(p.banks)
+    _banks(p.banks), _queue(p.queue_entries)
 {
     if (!isPowerOfTwo(p.banks))
         fatal("SDRAM '", p.name, "': bank count must be a power of two");
+    if (!isPowerOfTwo(p.rows) || !isPowerOfTwo(p.columns) ||
+        !isPowerOfTwo(p.column_bytes) || !isPowerOfTwo(p.line_bytes))
+        fatal("SDRAM '", p.name, "': rows (", p.rows, "), columns (",
+              p.columns, "), column bytes (", p.column_bytes,
+              ") and line bytes (", p.line_bytes,
+              ") must be powers of two");
+    const std::uint64_t row_bytes = std::uint64_t{p.columns} *
+                                    p.column_bytes;
+    if (p.line_bytes > row_bytes)
+        fatal("SDRAM '", p.name, "': a ", p.line_bytes,
+              "-byte line does not fit a ", row_bytes, "-byte row");
     if (p.queue_entries == 0)
         fatal("SDRAM '", p.name, "': controller queue needs entries");
     if (p.scheduler_rows == 0)
         fatal("SDRAM '", p.name, "': scheduler needs at least one row");
     for (auto &b : _banks)
         b.slots.resize(p.scheduler_rows);
-    // The controller queue never exceeds queue_entries: reserving it
-    // here keeps the per-access admit/retire path allocation-free.
-    _queue.reserve(p.queue_entries);
+    _line_shift = floorLog2(p.line_bytes);
+    _bank_shift = floorLog2(p.banks);
+    _row_lines_shift = floorLog2(row_bytes / p.line_bytes);
+    _columns_per_line = p.line_bytes / p.column_bytes;
 }
 
 Sdram::Decoded
@@ -45,47 +91,23 @@ Sdram::decode(Addr addr) const
     // Line-interleaved mapping: consecutive cache lines go to
     // consecutive banks, rows span (columns x column_bytes) bytes of
     // one bank.
-    const std::uint64_t line_idx = addr / _p.line_bytes;
-    const std::uint64_t row_bytes = _p.columns * _p.column_bytes;
-    const std::uint64_t lines_per_row = row_bytes / _p.line_bytes;
+    const std::uint64_t line_idx = addr >> _line_shift;
+    const std::uint64_t bank_mask = _p.banks - 1;
 
     Decoded d;
-    d.bank = static_cast<unsigned>(line_idx % _p.banks);
-    const std::uint64_t in_bank = line_idx / _p.banks;
-    d.row = (in_bank / lines_per_row) % _p.rows;
-    d.column = (in_bank % lines_per_row) *
-               (_p.line_bytes / _p.column_bytes);
+    d.bank = static_cast<unsigned>(line_idx & bank_mask);
+    const std::uint64_t in_bank = line_idx >> _bank_shift;
+    d.row = (in_bank >> _row_lines_shift) & (_p.rows - 1);
+    d.column = (in_bank & ((std::uint64_t{1} << _row_lines_shift) - 1)) *
+               _columns_per_line;
 
     if (_p.mapping == DramMapping::PermutationInterleave) {
         // Zhang/Zhu/Zhang MICRO'00: XOR low row bits into the bank
         // index so same-stride streams spread across banks instead of
         // ping-ponging one row buffer.
-        d.bank = static_cast<unsigned>(
-            (d.bank ^ (d.row & (_p.banks - 1))) % _p.banks);
+        d.bank = static_cast<unsigned>((d.bank ^ d.row) & bank_mask);
     }
     return d;
-}
-
-Cycle
-Sdram::admit(Cycle when)
-{
-    // Drop retired entries.
-    std::erase_if(_queue, [when](Cycle c) { return c <= when; });
-    if (_queue.size() < _p.queue_entries)
-        return when;
-
-    // Wait for the oldest in-flight request to complete.
-    auto earliest = std::min_element(_queue.begin(), _queue.end());
-    const Cycle start = std::max(when, *earliest);
-    _queue.erase(earliest);
-    ++queue_stalls;
-    return start;
-}
-
-void
-Sdram::retire(Cycle completion)
-{
-    _queue.push_back(completion);
 }
 
 Cycle
@@ -98,7 +120,9 @@ Sdram::access(const MemRequest &req)
     else
         ++reads;
 
-    Cycle t = admit(req.when);
+    const Cycle t = _queue.admit(req.when);
+    if (t != req.when)
+        ++queue_stalls;
 
     const Decoded d = decode(req.addr);
     BankState &bank = _banks[d.bank];
@@ -173,7 +197,7 @@ Sdram::access(const MemRequest &req)
 
     bank.ready = cmd + 1; // command bus pipelining within the bank
 
-    retire(done);
+    _queue.retire(done);
     if (!is_write)
         latency.sample(static_cast<double>(done - req.when));
     return done;

@@ -72,6 +72,30 @@ struct SdramParams
     void scaleTimings(double factor);
 };
 
+/**
+ * The SDRAM controller queue: the completion cycles of requests in
+ * flight, at most `entries` of them. A request presented at `when`
+ * first retires every entry complete by then; if the queue is still
+ * full it waits for the oldest in-flight request. Kept as a min-heap,
+ * so the oldest is the front and retiring pops it.
+ */
+class SdramQueue
+{
+  public:
+    explicit SdramQueue(unsigned entries);
+
+    /** Cycle a request presented at @p when is admitted: @p when, or
+     *  a later cycle (a queue stall) when every entry is busy then. */
+    Cycle admit(Cycle when);
+
+    /** Occupy an entry until @p completion (after an admit()). */
+    void retire(Cycle completion);
+
+  private:
+    unsigned _entries;
+    std::vector<Cycle> _heap; ///< completion cycles, min-heap
+};
+
 /** Open-page SDRAM with a shared data bus and controller queue. */
 class Sdram : public MemDevice
 {
@@ -124,7 +148,14 @@ class Sdram : public MemDevice
     std::vector<BankState> _banks;
     Cycle _last_activate_any = 0;
     bool _any_activated = false;
-    std::vector<Cycle> _queue; ///< completion times of queued requests
+    SdramQueue _queue;
+
+    // Address decoding by shift and mask (every geometry field is a
+    // power of two).
+    unsigned _line_shift = 0;       ///< log2(line_bytes)
+    unsigned _bank_shift = 0;       ///< log2(banks)
+    unsigned _row_lines_shift = 0;  ///< log2(lines per row)
+    std::uint64_t _columns_per_line = 0; ///< line_bytes / column_bytes
 
     struct Decoded
     {
@@ -134,11 +165,6 @@ class Sdram : public MemDevice
     };
 
     Decoded decode(Addr addr) const;
-
-    /** Admit into the controller queue; returns possibly delayed
-     *  start time. */
-    Cycle admit(Cycle when);
-    void retire(Cycle completion);
 };
 
 } // namespace microlib

@@ -143,7 +143,8 @@ buildSuite()
     std::vector<SpecProgram> suite;
     const Addr B = heap_base;
 
-    // Footprints are sized for the 1:250 trace scale (DESIGN.md §6):
+    // Footprints are sized for the 1:250 trace scale (TraceScale in
+    // core/baseline_config.hh: 2 M instructions stand for 500 M):
     // large enough that the aggregate working set dwarfs the 1 MB L2,
     // small enough that arrays and pointer cycles are revisited a few
     // times inside a 2 M-instruction window — history-based

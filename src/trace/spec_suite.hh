@@ -7,10 +7,11 @@
  * replaced by a synthetic program whose *memory behaviour* matches the
  * published characteristics that the studied mechanisms key on:
  * footprint, stride structure, pointer chasing, phase behaviour,
- * value locality and code footprint. See DESIGN.md §5 for the per-
- * benchmark rationale and the experiments that depend on it (e.g.
- * ammp's 88-byte next-pointer offset that defeats CDP, gzip's
- * Markov-friendly repetitiveness, lucas's row-conflicting streams).
+ * value locality and code footprint. Each program's comment in
+ * spec_suite.cc gives its rationale and the experiments that depend
+ * on it (e.g. ammp's 88-byte next-pointer offset that defeats CDP,
+ * gzip's Markov-friendly repetitiveness, lucas's row-conflicting
+ * streams).
  */
 
 #ifndef MICROLIB_TRACE_SPEC_SUITE_HH

@@ -113,6 +113,68 @@ TEST(Timekeeping, PrefetchesReplacementOfDeadLine)
     EXPECT_GT(tk.side_hits.value(), 0u);
 }
 
+TEST(Timekeeping, TwoWayL1SweepsBothFramesOfASet)
+{
+    // A 2-way L1D: each sweep walks two frames per set. Three lines
+    // per set contend for two ways in sets 0 and 1, in a fixed cycle
+    // with idle gaps past the death threshold, so lines die, their
+    // replacements are learned and predicted.
+    Rig rig;
+    rig.cfg.hier.l1d.assoc = 2;
+    rig.hier = std::make_unique<Hierarchy>(rig.cfg.hier, rig.image);
+    MechanismConfig mc;
+    Timekeeping tk(mc);
+    rig.attach(tk);
+    const Addr way_stride = 512 * 32; // 512 sets of 32-byte lines
+    const Addr base = 0x10000000;
+    Cycle t = 100;
+    for (int round = 0; round < 12; ++round)
+        for (Addr set = 0; set < 2; ++set)
+            for (Addr k = 0; k < 3; ++k) {
+                t += 1500;
+                rig.hier->load(base + set * 32 + k * way_stride,
+                               0x400000, t);
+            }
+    EXPECT_GT(tk.prefetches_issued.value(), 0u);
+    EXPECT_GT(tk.side_hits.value(), 0u);
+    // The counts the divide-indexed implementation produced on this
+    // sequence: indexing by mask must not move a single one.
+    EXPECT_EQ(tk.table_reads.value(), 68u);
+    EXPECT_EQ(tk.table_writes.value(), 68u);
+    EXPECT_EQ(tk.prefetches_issued.value(), 11u);
+    EXPECT_EQ(tk.side_hits.value(), 11u);
+}
+
+TEST(MechanismGeometryDeathTest, TablesMustBePowersOfTwo)
+{
+    const MechanismConfig mc;
+    Dbcp::Params dbcp;
+    dbcp.table_entries = 3000 * 8; // 3000 sets
+    EXPECT_DEATH(Dbcp(mc, dbcp), "power-of-two number of");
+    dbcp = Dbcp::Params{};
+    dbcp.table_assoc = 6;
+    EXPECT_DEATH(Dbcp(mc, dbcp), "power of two");
+    MechanismConfig guess = mc;
+    guess.second_guess = true; // halves the table: 3 sets
+    dbcp = Dbcp::Params{};
+    dbcp.table_entries = 48;
+    EXPECT_DEATH(Dbcp(guess, dbcp), "power-of-two number of");
+
+    MarkovPrefetch::Params markov;
+    markov.table_entries = 60000;
+    EXPECT_DEATH(MarkovPrefetch(mc, markov), "not a power of two");
+    markov = MarkovPrefetch::Params{};
+    markov.predictions = 5;
+    EXPECT_DEATH(MarkovPrefetch(mc, markov), "outside 1..4");
+
+    Timekeeping::Params tk;
+    tk.refresh = 500;
+    EXPECT_DEATH(Timekeeping(mc, tk), "refresh quantum 500");
+    tk = Timekeeping::Params{};
+    tk.corr_bytes = 6 * 1024; // 768 entries, 96 sets
+    EXPECT_DEATH(Timekeeping(mc, tk), "power-of-two number of");
+}
+
 TEST(TimekeepingVictim, FiltersDeadLines)
 {
     Rig rig;

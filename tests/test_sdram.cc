@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/sdram.hh"
+#include "sim/random.hh"
 
 using namespace microlib;
 
@@ -157,3 +161,100 @@ INSTANTIATE_TEST_SUITE_P(
     Mappings, SdramMappingTest,
     ::testing::Values(DramMapping::LineInterleave,
                       DramMapping::PermutationInterleave));
+
+namespace
+{
+
+/** The controller queue as a linear scan (the model's original
+ *  form): drop every entry complete by `when`; if the queue is still
+ *  full, wait for and remove the earliest completion. */
+class ScanQueue
+{
+  public:
+    explicit ScanQueue(unsigned entries) : _entries(entries) {}
+
+    Cycle
+    admit(Cycle when)
+    {
+        std::erase_if(_q, [when](Cycle c) { return c <= when; });
+        if (_q.size() < _entries)
+            return when;
+        auto earliest = std::min_element(_q.begin(), _q.end());
+        const Cycle start = std::max(when, *earliest);
+        _q.erase(earliest);
+        ++stalls;
+        return start;
+    }
+
+    void retire(Cycle completion) { _q.push_back(completion); }
+
+    std::uint64_t stalls = 0;
+
+  private:
+    unsigned _entries;
+    std::vector<Cycle> _q;
+};
+
+} // namespace
+
+TEST(SdramQueue, HeapAdmitsExactlyWhenTheScanDid)
+{
+    // Out-of-order presentation times (timestamp algebra presents
+    // requests in program order, not time order), bursts that fill
+    // the queue, completions far and near.
+    for (const unsigned entries : {1u, 2u, 5u, 32u}) {
+        for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+            Rng rng(seed * 7919 + entries);
+            SdramQueue heap(entries);
+            ScanQueue scan(entries);
+            std::uint64_t heap_stalls = 0;
+            Cycle base = 64;
+            for (int i = 0; i < 4000; ++i) {
+                // Presentation times within 32 cycles either side of
+                // a rising base: they step backwards too.
+                base += rng.nextBounded(8);
+                const Cycle when = base + 32 - rng.nextBounded(64);
+                const Cycle start = heap.admit(when);
+                ASSERT_EQ(start, scan.admit(when))
+                    << "entries " << entries << " seed " << seed
+                    << " request " << i;
+                if (start != when)
+                    ++heap_stalls;
+                const Cycle completion = start + rng.nextBounded(400);
+                heap.retire(completion);
+                scan.retire(completion);
+            }
+            EXPECT_EQ(heap_stalls, scan.stalls);
+            EXPECT_GT(scan.stalls, 0u) << "the sequence never filled "
+                                          "the queue";
+        }
+    }
+}
+
+TEST(SdramDeathTest, NonPowerOfTwoGeometryIsFatal)
+{
+    const auto with = [](auto set) {
+        SdramParams p;
+        set(p);
+        return p;
+    };
+    EXPECT_DEATH(Sdram(with([](SdramParams &p) { p.rows = 8000; }),
+                       nullptr),
+                 "powers of two");
+    EXPECT_DEATH(Sdram(with([](SdramParams &p) { p.columns = 1000; }),
+                       nullptr),
+                 "powers of two");
+    EXPECT_DEATH(Sdram(with([](SdramParams &p) { p.column_bytes = 6; }),
+                       nullptr),
+                 "powers of two");
+    EXPECT_DEATH(Sdram(with([](SdramParams &p) { p.line_bytes = 48; }),
+                       nullptr),
+                 "powers of two");
+    EXPECT_DEATH(Sdram(with([](SdramParams &p) { p.banks = 3; }),
+                       nullptr),
+                 "power of two");
+    // Powers of two, but no whole line fits in a row.
+    EXPECT_DEATH(Sdram(with([](SdramParams &p) { p.columns = 4; }),
+                       nullptr),
+                 "does not fit");
+}
